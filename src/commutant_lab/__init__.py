@@ -8,8 +8,9 @@ seeded, reproducible desk-scale computations:
   anticommute, either) with tolerance semantics, plus seeded sampling of
   Hermitian matrices, projections and Haar unitaries;
 * :mod:`~commutant_lab.commutant` — commutant / anticommutant /
-  quasi-commutant / second-commutant subspaces via realified kernel
-  solves, subspace comparison and refutation search;
+  quasi-commutant / second-commutant subspaces read off one
+  eigendecomposition, realified SVD kernel solves kept as their oracles,
+  subspace comparison and refutation search;
 * :mod:`~commutant_lab.spectral` — clustered eigendecomposition,
   two-point-spectrum and primitivity predicates, partition oracles and the
   explicit block fixtures;
@@ -27,6 +28,9 @@ from .commutant import (
     bicommutant,
     commutant,
     hermitian_basis,
+    kernel_anticommutant,
+    kernel_bicommutant,
+    kernel_commutant,
     noncommuting_anticommuting_partner,
     quasi_commutant,
     quasi_equals_commutant,

@@ -5,8 +5,8 @@ and pretty-print saved reports.
 Exit codes: 0 on pass, 1 on assertion failure or a mandatory search coming
 up empty, 2 on usage or input errors.  The seed defaults to the
 ``COMMUTANT_LAB_SEED`` environment variable and is overridden by ``--seed``;
-identical (command, seed, tolerance) reproduce identical report bodies up
-to the timing fields.
+either must be a nonnegative integer.  Identical (command, seed, tolerance)
+reproduce identical report bodies up to the timing fields.
 """
 
 from __future__ import annotations
@@ -49,11 +49,26 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("COMMUTANT_LAB_SEED", "0"))
-    except ValueError:
-        return 0
+REPORT_KINDS = ("verify", "replay", "commutant", "search")
+
+
+def _seed(args) -> int:
+    """The run's seed: ``--seed``, else ``COMMUTANT_LAB_SEED``, else 0.
+
+    Either source must hold a nonnegative integer; anything else is an
+    input error rather than a silent fallback.
+    """
+    if args.seed is not None:
+        source, seed = "--seed", args.seed
+    else:
+        source, text = "COMMUTANT_LAB_SEED", os.environ.get("COMMUTANT_LAB_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"{source} must be a nonnegative integer, got {text!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -198,7 +213,7 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     tol = _tolerance(args)
     start = time.perf_counter()
 
@@ -260,7 +275,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_commutant(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     tol = _tolerance(args)
     start = time.perf_counter()
     matrix = load_matrix(args.input)
@@ -303,7 +318,7 @@ def cmd_commutant(args) -> int:
 
 
 def cmd_search(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     tol = _tolerance(args)
     start = time.perf_counter()
     report = {
@@ -387,6 +402,9 @@ def cmd_search(args) -> int:
 
 def cmd_report(args) -> int:
     payload = json.loads(args.path.read_text())
+    if (not isinstance(payload, dict) or payload.get("kind") not in REPORT_KINDS
+            or not isinstance(payload.get("passed"), bool)):
+        raise ValueError(f"{args.path} is not a commutant-lab report")
     sys.stdout.write(render_text(payload))
     return EXIT_PASS
 

@@ -89,15 +89,17 @@ def is_hermitian(x: np.ndarray, rel: float = 1e-12) -> bool:
 def as_hermitian(entries, rel: float = 1e-12) -> np.ndarray:
     """Validate a square matrix as Hermitian and return its symmetrization.
 
-    The input must satisfy ``H = H*`` within ``rel`` (relative Frobenius);
-    the returned copy is ``(H + H*)/2`` so the invariant holds exactly and
-    representation noise does not leak into downstream solves.
+    The input must be finite and satisfy ``H = H*`` within ``rel`` (relative
+    Frobenius); the returned copy is ``(H + H*)/2`` so the invariant holds
+    exactly and representation noise does not leak into downstream solves.
     """
     h = np.asarray(entries, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if h.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has non-finite entries")
     if not is_hermitian(h, rel):
         raise ValueError(f"matrix is not Hermitian within relative tolerance {rel:g}")
     return (h + h.conj().T) / 2.0

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .commutant import bicommutant, quasi_equals_commutant, subspace_proper_lt
+from .commutant import kernel_bicommutant, quasi_equals_commutant, subspace_proper_lt
 from .hermitian import Tolerance, _tol, frobenius, is_scalar
 
 __all__ = [
@@ -214,14 +214,14 @@ def lemma18_minimality(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     sd = spectral_decompose(a, tol)
     if sd.count > MAX_PARTITION_CLUSTERS:
         raise ValueError(f"partition enumeration infeasible for {sd.count} clusters")
-    bic_a = bicommutant(a, tol)
+    bic_a = kernel_bicommutant(a, tol)
     for blocks in _set_partitions(range(sd.count)):
         if len(blocks) >= sd.count or len(blocks) == 1:
             continue  # not a proper merge / scalar image cannot violate
         b = _merge_clusters(sd, blocks)
         if is_scalar(b, tol):
             continue
-        if subspace_proper_lt(bicommutant(b, tol), bic_a, tol):
+        if subspace_proper_lt(kernel_bicommutant(b, tol), bic_a, tol):
             return False
     return True
 
@@ -267,14 +267,14 @@ def lemma181_oracle(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     sd = spectral_decompose(a, tol)
     if sd.count > MAX_PARTITION_CLUSTERS:
         raise ValueError(f"partition enumeration infeasible for {sd.count} clusters")
-    bic_a = bicommutant(a, tol)
+    bic_a = kernel_bicommutant(a, tol)
     for blocks in _set_partitions(range(sd.count)):
         if len(blocks) >= sd.count or len(blocks) == 1:
             continue
         b = _merge_clusters(sd, blocks)
         if is_scalar(b, tol) or not quasi_equals_commutant(b, tol):
             continue
-        if subspace_proper_lt(bicommutant(b, tol), bic_a, tol):
+        if subspace_proper_lt(kernel_bicommutant(b, tol), bic_a, tol):
             return False
     return True
 

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from commutant_lab import save_matrix
 from commutant_lab.cli import main
@@ -87,6 +88,21 @@ class TestVerify:
                                         "--seed", "5", "--format", "json"])
         assert json.loads(out)["seed"] == 5
 
+    def test_negative_seed_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "lemma-scalar", "--trials", "4",
+                                          "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "--seed must be a nonnegative integer, got -1" in err
+
+    @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("-3", "-3")])
+    def test_invalid_seed_env_var_rejected(self, capsys, monkeypatch, value, shown):
+        monkeypatch.setenv("COMMUTANT_LAB_SEED", value)
+        code, out, err = run_cli(capsys, ["verify", "lemma-scalar", "--trials", "4"])
+        assert code == 2
+        assert out == ""
+        assert f"COMMUTANT_LAB_SEED must be a nonnegative integer, got {shown}" in err
+
 
 class TestCommutantCommand:
     def test_cc_dimension(self, capsys, tmp_path):
@@ -127,6 +143,14 @@ class TestCommutantCommand:
         code, _, err = run_cli(capsys, ["commutant", "--input", str(path)])
         assert code == 2
         assert "Hermitian" in err
+
+    def test_non_finite_rejected(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"dim": 2, "entries":
+                                    [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}))
+        code, _, err = run_cli(capsys, ["commutant", "--input", str(path)])
+        assert code == 2
+        assert "matrix has non-finite entries" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["commutant", "--input", str(tmp_path / "nope.json")])
@@ -197,3 +221,11 @@ class TestReportCommand:
         code, out, _ = run_cli(capsys, ["report", str(out_path)])
         assert code == 0
         assert "suite lemma-scalar: PASS" in out
+
+    def test_non_report_rejected(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        save_matrix(path, diag(1, 2, 3))
+        code, out, err = run_cli(capsys, ["report", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "is not a commutant-lab report" in err

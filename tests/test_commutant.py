@@ -1,5 +1,6 @@
-"""Commutant engine: kernel solves against spectral-formula oracles,
-subspace comparison, refutation search, witness constructions."""
+"""Commutant engine: the eigenbasis route against the kernel-solver and
+spectral-formula oracles, subspace comparison, refutation search, witness
+constructions."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from commutant_lab import (
     frobenius,
     hermitian_basis,
     is_scalar,
+    kernel_anticommutant,
+    kernel_bicommutant,
+    kernel_commutant,
     noncommuting_anticommuting_partner,
     quasi_commutant,
     quasi_equals_commutant,
@@ -140,7 +144,7 @@ class TestBicommutant:
             assert subspace_leq(bic, commutant(a))
 
     def test_spectral_span_oracle(self):
-        # kernel-based bicommutant equals the span of the spectral projections
+        # the bicommutant equals the span of the spectral projections
         from commutant_lab import spectral_decompose
 
         for seed in range(8):
@@ -153,7 +157,7 @@ class TestBicommutant:
 
 
 class TestDimensionFormulas:
-    """Kernel solver and spectral formulas agree on random matrices."""
+    """Eigenbasis route and spectral formulas agree on random matrices."""
 
     @pytest.mark.parametrize("dim", [3, 4, 6, 8])
     def test_agreement(self, dim):
@@ -162,6 +166,60 @@ class TestDimensionFormulas:
             assert commutant(a).real_dimension == commutant_dim_formula(a)
             assert anticommutant(a).real_dimension == anticommutant_dim_formula(a)
             assert bicommutant(a).real_dimension == bicommutant_dim_formula(a)
+
+
+class TestGapSweep:
+    """One eigenvalue gap swept from 1e-12 to 1e-5 (relative), with a
+    +-lam pair and a near-zero eigenvalue present.
+
+    ``rank_cut`` applies to eigenvalue differences (commutant, bicommutant)
+    and sums (anticommutant): below the cut the two eigenvalues are joined,
+    above it they are kept apart.  For gaps of about 5e-10 to 3e-6 the SVD
+    null vectors of the kernel oracles are off by about eps |A| / gap, more
+    than ``rel_zero``, so there the oracles and the eigenbasis route give
+    different subspaces (see ``kernel_bicommutant``).
+    """
+
+    LAM = 1.3
+    GAPS = np.logspace(-12, -5, 15)
+    WINDOW = (4e-10, 5e-6)
+
+    def values(self, gap):
+        return np.array([-self.LAM, self.LAM, self.LAM * (1.0 + gap), 1e-13, 2.1, -3.4])
+
+    def matrix(self, gap):
+        return spectrum_matrix(np.random.default_rng(77), 6, self.values(gap))
+
+    def test_dimensions_follow_the_rank_cut(self, tol):
+        for gap in self.GAPS:
+            values = self.values(gap)
+            scale = max(1.0, np.linalg.norm(values))
+            diff_cut = tol.rank_cut * max(np.ptp(values), scale)
+            sum_cut = tol.rank_cut * max(2.0 * np.abs(values).max(), scale)
+            joined, anti_joined = gap * self.LAM <= diff_cut, gap * self.LAM <= sum_cut
+            a = self.matrix(gap)
+            # joined: one 2x2 block (4 + 4 singles) and 5 runs; apart: 6
+            # singles and 6 runs.  -lam pairs with each eigenvalue joined to
+            # lam (2 each) and the near-zero value anticommutes alone (1).
+            assert commutant(a).real_dimension == (8 if joined else 6), gap
+            assert bicommutant(a).real_dimension == (5 if joined else 6), gap
+            assert anticommutant(a).real_dimension == (5 if anti_joined else 3), gap
+
+    def test_routes_agree_outside_the_window(self):
+        lo, hi = self.WINDOW
+        for gap in self.GAPS[(self.GAPS < lo) | (self.GAPS > hi)]:
+            a = self.matrix(gap)
+            assert subspace_eq(commutant(a), kernel_commutant(a)), gap
+            assert subspace_eq(anticommutant(a), kernel_anticommutant(a)), gap
+            assert subspace_eq(bicommutant(a), kernel_bicommutant(a)), gap
+
+    def test_eigenbasis_elements_satisfy_the_relation(self):
+        # the only guarantee inside the window, and it holds at every gap
+        for gap in self.GAPS:
+            a = self.matrix(gap)
+            assert all(rel_c(a, b) for b in commutant(a).basis), gap
+            assert all(rel_c(a, b) for b in bicommutant(a).basis), gap
+            assert all(rel_j(a, b) for b in anticommutant(a).basis), gap
 
 
 class TestSubspaceComparison:

@@ -191,6 +191,13 @@ class TestIngestion:
         with pytest.raises(ValueError, match="square"):
             as_hermitian(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_hermitian(m)
+
     def test_symmetrizes_noise(self):
         noisy = random_hermitian(4, 50)
         noisy[0, 1] += 1e-14  # representation noise below the ingestion tolerance
