@@ -71,6 +71,7 @@ from .preservers import (
     is_violation,
     lemma4_check,
     make_shift_policy,
+    necessity_map,
     necessity_search,
     property_run,
 )

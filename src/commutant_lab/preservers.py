@@ -48,6 +48,7 @@ __all__ = [
     "is_violation",
     "lemma4_check",
     "make_shift_policy",
+    "necessity_map",
     "necessity_search",
     "property_run",
 ]
@@ -163,14 +164,13 @@ def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
     def shift(a: np.ndarray) -> float:
         return outer.scale * inner.shift(a) + outer.shift(apply_map(inner, a))
 
-    composed = PreserverMap(
+    return PreserverMap(
         scale=outer.scale * inner.scale,
         conjugator=u,
         antiunitary=outer.antiunitary != inner.antiunitary,
+        shift=shift,  # a raw callable: composed maps are not serializable
         relation_kind=outer.relation_kind,
     )
-    composed.shift = shift  # raw callable; composition is not serialized
-    return composed
 
 
 def check_triadic(
@@ -350,6 +350,19 @@ def default_necessity_anchor(dim: int) -> np.ndarray:
     return np.diag(values).astype(complex)
 
 
+def necessity_map(dim: int, tol: Tolerance | None = None) -> PreserverMap:
+    """The quasi-side map that fails the vanishing-shift condition: identity
+    conjugation, shifted by one on ``diag(1, -1, 0, ...)`` and nowhere else."""
+    return PreserverMap(
+        scale=1.0,
+        conjugator=np.eye(dim, dtype=complex),
+        antiunitary=False,
+        shift=make_shift_policy("pinned", value=1.0, anchor=default_necessity_anchor(dim),
+                                tol=tol),
+        relation_kind="quasi",
+    )
+
+
 def necessity_search(
     dim: int,
     budget: int = 100,
@@ -360,22 +373,16 @@ def necessity_search(
     """Exhibit a triple broken by a quasi-side map whose shift is nonzero on
     a matrix with a noncommuting anticommuting partner.
 
-    The default map shifts ``diag(1, -1, 0, ...)`` by one and nothing else;
-    candidate triples pair that anchor with a scalar and a third matrix
-    drawn from the anchor's anticommutant but not its commutant.  Raises
+    The default map is :func:`necessity_map`; candidate triples pair its
+    anchor ``diag(1, -1, 0, ...)`` with a scalar and a third matrix drawn
+    from the anchor's anticommutant but not its commutant.  Raises
     :class:`SearchExhausted` when no violation shows up within ``budget``
     trials, which is the expected outcome for a compliant (all-zero) shift.
     """
     tol = _tol(tol)
     a0 = default_necessity_anchor(dim)
     if preserver is None:
-        preserver = PreserverMap(
-            scale=1.0,
-            conjugator=np.eye(dim, dtype=complex),
-            antiunitary=False,
-            shift=make_shift_policy("pinned", value=1.0, anchor=a0, tol=tol),
-            relation_kind="quasi",
-        )
+        preserver = necessity_map(dim, tol)
     part = anticommutant(a0, tol)
     swap = np.zeros((dim, dim), dtype=complex)
     swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)

@@ -198,6 +198,35 @@ def _merge_clusters(sd: SpectralData, blocks: list[list[int]]) -> np.ndarray:
     return out
 
 
+def _require(a: np.ndarray, tol: Tolerance, what: str, quasi_side: bool) -> None:
+    """Raise on scalar ``a`` and, on the quasi side, when its anticommutant
+    does not sit inside its commutant."""
+    if is_scalar(a, tol):
+        raise ValueError(f"{what} is undefined for scalar input")
+    if quasi_side and not quasi_equals_commutant(a, tol):
+        raise ValueError("precondition violated: anticommutant not inside commutant")
+
+
+def _partition_oracle(a: np.ndarray, tol: Tolerance,
+                      accept: Callable[[np.ndarray], bool]) -> bool:
+    """False when some proper cluster merge B of ``a`` that is nonscalar
+    and passes ``accept`` has a second commutant strictly inside that of
+    ``a`` (kernel-solver bicommutants); True otherwise."""
+    sd = spectral_decompose(a, tol)
+    if sd.count > MAX_PARTITION_CLUSTERS:
+        raise ValueError(f"partition enumeration infeasible for {sd.count} clusters")
+    bic_a = kernel_bicommutant(a, tol)
+    for blocks in _set_partitions(range(sd.count)):
+        if len(blocks) >= sd.count or len(blocks) == 1:
+            continue  # not a proper merge / scalar image cannot violate
+        b = _merge_clusters(sd, blocks)
+        if is_scalar(b, tol) or not accept(b):
+            continue
+        if subspace_proper_lt(kernel_bicommutant(b, tol), bic_a, tol):
+            return False
+    return True
+
+
 def lemma18_minimality(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     """Decide whether every operator with strictly smaller second commutant
     than ``a`` is scalar, by exhaustive partition enumeration.
@@ -209,21 +238,8 @@ def lemma18_minimality(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     input and on more than ten clusters (enumeration infeasible).
     """
     tol = _tol(tol)
-    if is_scalar(a, tol):
-        raise ValueError("minimality is undefined for scalar input")
-    sd = spectral_decompose(a, tol)
-    if sd.count > MAX_PARTITION_CLUSTERS:
-        raise ValueError(f"partition enumeration infeasible for {sd.count} clusters")
-    bic_a = kernel_bicommutant(a, tol)
-    for blocks in _set_partitions(range(sd.count)):
-        if len(blocks) >= sd.count or len(blocks) == 1:
-            continue  # not a proper merge / scalar image cannot violate
-        b = _merge_clusters(sd, blocks)
-        if is_scalar(b, tol):
-            continue
-        if subspace_proper_lt(kernel_bicommutant(b, tol), bic_a, tol):
-            return False
-    return True
+    _require(a, tol, "minimality", quasi_side=False)
+    return _partition_oracle(a, tol, accept=lambda b: True)
 
 
 def lemma18_witness(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray | None:
@@ -245,10 +261,7 @@ def lemma181_condition(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     raises otherwise.
     """
     tol = _tol(tol)
-    if is_scalar(a, tol):
-        raise ValueError("condition is undefined for scalar input")
-    if not quasi_equals_commutant(a, tol):
-        raise ValueError("precondition violated: anticommutant not inside commutant")
+    _require(a, tol, "condition", quasi_side=True)
     return has_two_point_spectrum(a, tol) and not in_k(a, tol)
 
 
@@ -260,23 +273,8 @@ def lemma181_oracle(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     tests the bicommutant containment with the kernel solver.
     """
     tol = _tol(tol)
-    if is_scalar(a, tol):
-        raise ValueError("oracle is undefined for scalar input")
-    if not quasi_equals_commutant(a, tol):
-        raise ValueError("precondition violated: anticommutant not inside commutant")
-    sd = spectral_decompose(a, tol)
-    if sd.count > MAX_PARTITION_CLUSTERS:
-        raise ValueError(f"partition enumeration infeasible for {sd.count} clusters")
-    bic_a = kernel_bicommutant(a, tol)
-    for blocks in _set_partitions(range(sd.count)):
-        if len(blocks) >= sd.count or len(blocks) == 1:
-            continue
-        b = _merge_clusters(sd, blocks)
-        if is_scalar(b, tol) or not quasi_equals_commutant(b, tol):
-            continue
-        if subspace_proper_lt(kernel_bicommutant(b, tol), bic_a, tol):
-            return False
-    return True
+    _require(a, tol, "oracle", quasi_side=True)
+    return _partition_oracle(a, tol, accept=lambda b: quasi_equals_commutant(b, tol))
 
 
 def _first_range_vector(p: np.ndarray, inside: bool) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Named verification suites behind the command-line harness.
 
-Every suite is a pure function of ``(dims, trials, seed, tol)`` returning a
-plain dict: name, pass flag, check/failure counts, suite-specific details
-and counterexample records carrying full matrices for replay.  Identical
-arguments reproduce identical results; wall time is reported separately so
-reports stay byte-comparable.
+Every suite is a pure function of ``(dims, seed, tol)``, plus ``trials``
+for the sampled suites (``lemma-aef`` and the two primitive suites run a
+fixed grid), returning a plain dict: name, pass flag, check/failure counts,
+suite-specific details and counterexample records carrying full matrices
+for replay.  Identical arguments reproduce identical results;
+:func:`run_suite` adds the wall time as ``elapsed_seconds``, which replay
+comparisons ignore.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "FIXED_GRID_SUITES",
     "SUITE_NAMES",
     "map_from_payload",
     "map_to_payload",
@@ -71,16 +74,33 @@ __all__ = [
 LAMBDA_TOLERANCE = 1e-6
 
 
-def _result(name, checks, failures, details=None, counterexamples=None, elapsed=0.0):
-    return {
-        "name": name,
-        "passed": failures == 0,
-        "checks": int(checks),
-        "failures": int(failures),
-        "details": details or {},
-        "counterexamples": counterexamples or [],
-        "elapsed_seconds": round(elapsed, 6),
-    }
+class _Recorder:
+    """Checks, failures and counterexample records of one suite run."""
+
+    def __init__(self) -> None:
+        self.checks = self.failures = 0
+        self.counterexamples: list[dict] = []
+
+    def check(self, ok, record=None) -> bool:
+        """Count one check; a failed one also counts a failure and keeps
+        ``record`` (a dict, or a function building it, so that passing
+        checks never serialize matrices).  Returns ``ok``."""
+        self.checks += 1
+        if not ok:
+            self.failures += 1
+            if record is not None:
+                self.counterexamples.append(record() if callable(record) else record)
+        return ok
+
+    def result(self, name: str, details: dict) -> dict:
+        return {
+            "name": name,
+            "passed": self.failures == 0,
+            "checks": self.checks,
+            "failures": self.failures,
+            "details": details,
+            "counterexamples": self.counterexamples,
+        }
 
 
 def _spectrum_matrix(rng, dim: int, values) -> np.ndarray:
@@ -112,42 +132,31 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None, constructed=2
     detected with the matching sign.
     """
     tol = _tol(tol)
-    start = time.perf_counter()
     dims = tuple(dims)
-    checks = failures = detected = 0
-    max_err = 0.0
-    counterexamples = []
+    rec = _Recorder()
+    errors = []  # distance of each detected factor from +-1
 
     def lambda_check(a, b, expected_sign=None):
-        nonlocal checks, failures, detected, max_err
-        checks += 1
         ba = b @ a
         scale = max(1.0, frobenius(a) * frobenius(b))
         if frobenius(ba) <= 1e-12 * scale:
+            rec.check(True)
             return
         ab = a @ b
         lam = complex(np.sum(ba.conj() * ab)) / (frobenius(ba) ** 2)
         residual = frobenius(ab - lam * ba)
         if residual > tol.rel_zero * scale:
-            if expected_sign is not None:
-                failures += 1
-                counterexamples.append(
-                    {"a": matrix_to_payload(a), "b": matrix_to_payload(b),
-                     "reason": "constructed pair not detected"}
-                )
+            rec.check(expected_sign is None, lambda: {
+                "a": matrix_to_payload(a), "b": matrix_to_payload(b),
+                "reason": "constructed pair not detected"})
             return
-        detected += 1
         err = min(abs(lam - 1.0), abs(lam + 1.0))
-        max_err = max(max_err, err)
+        errors.append(err)
         sign_ok = err <= LAMBDA_TOLERANCE
         if expected_sign is not None:
             sign_ok = sign_ok and abs(lam - expected_sign) <= LAMBDA_TOLERANCE
-        if not sign_ok:
-            failures += 1
-            counterexamples.append(
-                {"a": matrix_to_payload(a), "b": matrix_to_payload(b),
-                 "lambda": [lam.real, lam.imag], "residual": residual}
-            )
+        rec.check(sign_ok, lambda: {"a": matrix_to_payload(a), "b": matrix_to_payload(b),
+                                    "lambda": [lam.real, lam.imag], "residual": residual})
 
     for t in range(trials):
         rng = np.random.default_rng([seed, 1, t])
@@ -174,13 +183,9 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None, constructed=2
         b = v @ swap @ v.conj().T
         lambda_check(a, (b + b.conj().T) / 2.0, expected_sign=-1.0)
 
-    return _result(
-        "brooke", checks, failures,
-        details={"random_pairs": trials, "constructed_pairs": 2 * constructed,
-                 "detected": detected, "max_lambda_error": max_err},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return rec.result("brooke", {"random_pairs": trials, "constructed_pairs": 2 * constructed,
+                                 "detected": len(errors),
+                                 "max_lambda_error": max(errors, default=0.0)})
 
 
 # --------------------------------------------------------------------------
@@ -193,10 +198,8 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
     nonscalar matrix admits a witness B with B - A neither commuting nor
     anticommuting with B."""
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
+    rec = _Recorder()
     witnesses = 0
-    counterexamples = []
 
     for dim in dims:
         full = dim * dim
@@ -205,13 +208,9 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
             (np.zeros((dim, dim), dtype=complex), full),
         ):
             qc = quasi_commutant(a, tol)
-            checks += 3
-            if qc.commutant_part.real_dimension != full:
-                failures += 1
-            if qc.anticommutant_part.real_dimension != anti_expected:
-                failures += 1
-            if scalar_witness(a, seed=seed, tol=tol) is not None:
-                failures += 1
+            rec.check(qc.commutant_part.real_dimension == full)
+            rec.check(qc.anticommutant_part.real_dimension == anti_expected)
+            rec.check(scalar_witness(a, seed=seed, tol=tol) is None)
 
     for t in range(trials):
         rng = np.random.default_rng([seed, 4, t])
@@ -219,23 +218,15 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
         a = random_hermitian(dim, rng)
         if is_scalar(a, tol):
             continue
-        checks += 2
-        if commutant(a, tol).real_dimension >= dim * dim:
-            failures += 1
-            counterexamples.append({"a": matrix_to_payload(a), "reason": "full commutant"})
+        rec.check(commutant(a, tol).real_dimension < dim * dim,
+                  lambda: {"a": matrix_to_payload(a), "reason": "full commutant"})
         b = scalar_witness(a, seed=seed + t, tol=tol)
-        if b is None or rel_q(b - a, b, tol):
-            failures += 1
-            counterexamples.append({"a": matrix_to_payload(a), "reason": "witness search failed"})
-        else:
+        if rec.check(b is not None and not rel_q(b - a, b, tol),
+                     lambda: {"a": matrix_to_payload(a), "reason": "witness search failed"}):
             witnesses += 1
 
-    return _result(
-        "lemma-scalar", checks, failures,
-        details={"nonscalar_samples": trials, "witnesses_found": witnesses},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return rec.result("lemma-scalar", {"nonscalar_samples": trials,
+                                       "witnesses_found": witnesses})
 
 
 # --------------------------------------------------------------------------
@@ -246,25 +237,17 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
 def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None, candidates=1000):
     """Mutual shifted anticommutation at a nonzero shift pins B to A."""
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
-    counterexamples = []
+    rec = _Recorder()
     for t in range(trials):
         rng = np.random.default_rng([seed, 5, t])
         dim = dims[t % len(dims)]
         lam = float(rng.choice([0.7, -1.5, 2.0, 3.0, -0.5]))
         rank = int(rng.integers(1, dim + 1))
         p = random_projection(dim, rank, rng)
-        checks += 1
-        if not lemma4_check(lam, p, candidates=candidates, seed=seed + 7 * t, tol=tol):
-            failures += 1
-            counterexamples.append({"p": matrix_to_payload(p), "lambda": lam})
-    return _result(
-        "lemma-4", checks, failures,
-        details={"configurations": trials, "candidates_per_configuration": candidates},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+        rec.check(lemma4_check(lam, p, candidates=candidates, seed=seed + 7 * t, tol=tol),
+                  lambda: {"p": matrix_to_payload(p), "lambda": lam})
+    return rec.result("lemma-4", {"configurations": trials,
+                                  "candidates_per_configuration": candidates})
 
 
 # --------------------------------------------------------------------------
@@ -272,24 +255,12 @@ def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None, candidates=100
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_aef(dims=(3, 4, 5, 8), trials=None, seed=0, tol=None,
+def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None,
                     a_values=(0.25, 0.5, 1.0, 2.0, 4.0), grid=(-2.0, -1.0, 0.5, 1.0, 2.0)):
-    """Spectra and the exact commutation pattern of the A/E/F block fixtures.
-
-    ``trials`` is accepted for interface uniformity and ignored: the suite
-    is a finite exact grid.
-    """
+    """Spectra and the exact commutation pattern of the A/E/F block fixtures,
+    over a finite exact grid."""
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
-    counterexamples = []
-
-    def expect(flag, context):
-        nonlocal checks, failures
-        checks += 1
-        if not flag:
-            failures += 1
-            counterexamples.append({"context": context})
+    rec = _Recorder()
 
     for a in a_values:
         lam = float(np.sqrt(1.0 + a * a))
@@ -298,48 +269,30 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), trials=None, seed=0, tol=None,
             for mat, pair, label in ((fa, (-lam, lam), "A"), (fe, (-abs(a), abs(a)), "E"),
                                      (ff, (-1.0, 1.0), "F")):
                 sd = spectral_decompose(mat, tol)
-                expect(sd.count == 2, f"{label}: two spectral points (a={a}, dim={dim})")
-                expect(
-                    bool(np.all(np.abs(sd.distinct_values - np.array(pair)) <= 1e-10)),
-                    f"{label}: spectrum matches (a={a}, dim={dim})",
-                )
-                expect(in_k(mat, tol), f"{label}: scaled reflection (a={a}, dim={dim})")
                 # scalar * (I - 2 * rank-one projection) decomposition
-                scalar = sd.distinct_values[1]
-                proj = (np.eye(dim) - mat / scalar) / 2.0
-                expect(
-                    frobenius(proj @ proj - proj) <= 1e-10
-                    and abs(np.trace(proj).real - 1.0) <= 1e-10,
-                    f"{label}: rank-one reflection direction (a={a}, dim={dim})",
-                )
+                proj = (np.eye(dim) - mat / sd.distinct_values[1]) / 2.0
+                for ok, what in (
+                    (sd.count == 2, "two spectral points"),
+                    (bool(np.all(np.abs(sd.distinct_values - np.array(pair)) <= 1e-10)),
+                     "spectrum matches"),
+                    (in_k(mat, tol), "scaled reflection"),
+                    (frobenius(proj @ proj - proj) <= 1e-10
+                     and abs(np.trace(proj).real - 1.0) <= 1e-10,
+                     "rank-one reflection direction"),
+                ):
+                    rec.check(ok, {"context": f"{label}: {what} (a={a}, dim={dim})"})
             for alpha in grid:
-                for eps in grid:
-                    lhs = alpha * fa - eps * fe
-                    expect(
-                        rel_c(lhs, ff, tol) == (alpha == eps),
-                        f"alpha A - eps E vs F commutation (a={a}, dim={dim}, {alpha}, {eps})",
-                    )
-                    expect(
-                        frobenius(jordan_product(lhs, ff)) > tol.rel_zero,
-                        f"(alpha A - eps E) o F nonzero (a={a}, dim={dim}, {alpha}, {eps})",
-                    )
-                for phi in grid:
-                    lhs = alpha * fa - phi * ff
-                    expect(
-                        rel_c(lhs, fe, tol) == (alpha == phi),
-                        f"alpha A - phi F vs E commutation (a={a}, dim={dim}, {alpha}, {phi})",
-                    )
-                    expect(
-                        frobenius(jordan_product(lhs, fe)) > tol.rel_zero,
-                        f"(alpha A - phi F) o E nonzero (a={a}, dim={dim}, {alpha}, {phi})",
-                    )
+                for sub, probe, term, name in ((fe, ff, "eps E", "F"), (ff, fe, "phi F", "E")):
+                    for w in grid:
+                        lhs = alpha * fa - w * sub
+                        where = f"(a={a}, dim={dim}, {alpha}, {w})"
+                        rec.check(rel_c(lhs, probe, tol) == (alpha == w),
+                                  {"context": f"alpha A - {term} vs {name} commutation {where}"})
+                        rec.check(frobenius(jordan_product(lhs, probe)) > tol.rel_zero,
+                                  {"context": f"(alpha A - {term}) o {name} nonzero {where}"})
 
-    return _result(
-        "lemma-aef", checks, failures,
-        details={"a_values": list(a_values), "dims": list(dims), "grid": list(grid)},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return rec.result("lemma-aef", {"a_values": list(a_values), "dims": list(dims),
+                                    "grid": list(grid)})
 
 
 # --------------------------------------------------------------------------
@@ -361,10 +314,8 @@ def suite_lemma_18(dims=(3, 4, 5, 8), trials=120, seed=0, tol=None):
     second commutants all come from scalars; checked predicate-vs-partition
     oracle, with a witness emitted for every failing matrix."""
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
+    rec = _Recorder()
     witnesses = 0
-    counterexamples = []
     pool = np.arange(-5, 6)
     for t in range(trials):
         rng = np.random.default_rng([seed, 6, t])
@@ -372,31 +323,19 @@ def suite_lemma_18(dims=(3, 4, 5, 8), trials=120, seed=0, tol=None):
         a = _controlled_sample(rng, dim, pool)
         pred = has_two_point_spectrum(a, tol)
         oracle = lemma18_minimality(a, tol)
-        checks += 1
-        if pred != oracle:
-            failures += 1
-            counterexamples.append({"a": matrix_to_payload(a), "predicate": pred,
-                                    "oracle": oracle})
+        if not rec.check(pred == oracle, lambda: {"a": matrix_to_payload(a),
+                                                  "predicate": pred, "oracle": oracle}):
             continue
         if not oracle:
             b = lemma18_witness(a, tol)
-            checks += 1
             ok = (
                 b is not None
                 and not is_scalar(b, tol)
                 and subspace_proper_lt(bicommutant(b, tol), bicommutant(a, tol), tol)
             )
-            if ok:
+            if rec.check(ok, lambda: {"a": matrix_to_payload(a), "reason": "bad witness"}):
                 witnesses += 1
-            else:
-                failures += 1
-                counterexamples.append({"a": matrix_to_payload(a), "reason": "bad witness"})
-    return _result(
-        "lemma-1.8", checks, failures,
-        details={"samples": trials, "witnesses_emitted": witnesses},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return rec.result("lemma-1.8", {"samples": trials, "witnesses_emitted": witnesses})
 
 
 def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
@@ -404,31 +343,20 @@ def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
     commutant: two points not adding to zero, against the restricted
     partition oracle."""
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
-    counterexamples = []
+    rec = _Recorder()
     pool = np.arange(0, 9)  # nonnegative values: no sign-symmetric pairs
     for t in range(trials):
         rng = np.random.default_rng([seed, 7, t])
         dim = dims[int(rng.integers(len(dims)))]
         a = _controlled_sample(rng, dim, pool)
-        checks += 1
         if not quasi_equals_commutant(a, tol):
-            failures += 1
-            counterexamples.append({"a": matrix_to_payload(a), "reason": "precondition"})
+            rec.check(False, lambda: {"a": matrix_to_payload(a), "reason": "precondition"})
             continue
         pred = lemma181_condition(a, tol)
         oracle = lemma181_oracle(a, tol)
-        if pred != oracle:
-            failures += 1
-            counterexamples.append({"a": matrix_to_payload(a), "predicate": pred,
-                                    "oracle": oracle})
-    return _result(
-        "lemma-1.81", checks, failures,
-        details={"samples": trials},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+        rec.check(pred == oracle, lambda: {"a": matrix_to_payload(a), "predicate": pred,
+                                           "oracle": oracle})
+    return rec.result("lemma-1.81", {"samples": trials})
 
 
 # --------------------------------------------------------------------------
@@ -441,10 +369,8 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12, bu
     sampled matrix outside the latter is conclusively refuted, and when the
     quasi-commutant is a subspace, no member of the second commutant is."""
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
+    rec = _Recorder()
     refuted = members_checked = 0
-    counterexamples = []
     for i in range(trials):
         rng = np.random.default_rng([seed, 8, i])
         dim = dims[int(rng.integers(len(dims)))]
@@ -455,7 +381,6 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12, bu
             x = random_hermitian(dim, np.random.default_rng([seed, 9, i, j]))
             if bic.residual(x) <= 1e-6 * max(1.0, frobenius(x)):
                 continue  # vanishing-probability resample guard
-            checks += 1
             witness = refute_biquasi_membership(x, a, budget=budget, seed=seed + j, tol=tol,
                                                 quasi=qc)
             ok = (
@@ -463,32 +388,21 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12, bu
                 and qc.contains(witness, tol)
                 and not rel_q(x, witness, tol)
             )
-            if ok:
+            if rec.check(ok, lambda: {"a": matrix_to_payload(a), "x": matrix_to_payload(x)}):
                 refuted += 1
-            else:
-                failures += 1
-                counterexamples.append({"a": matrix_to_payload(a), "x": matrix_to_payload(x)})
         if quasi_equals_commutant(a, tol):
             members = list(bic.basis) + [np.eye(dim, dtype=complex), a]
             members += [bic.random_element(rng) for _ in range(3)]
             for z in members:
-                checks += 1
                 members_checked += 1
                 witness = refute_biquasi_membership(z, a, budget=budget, seed=seed, tol=tol,
                                                     quasi=qc)
-                if witness is not None:
-                    failures += 1
-                    counterexamples.append(
-                        {"a": matrix_to_payload(a), "z": matrix_to_payload(z),
-                         "witness": matrix_to_payload(witness)}
-                    )
-    return _result(
-        "lemma-7", checks, failures,
-        details={"operators": trials, "targets_per_operator": targets,
-                 "outsiders_refuted": refuted, "members_checked": members_checked},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+                rec.check(witness is None, lambda: {"a": matrix_to_payload(a),
+                                                    "z": matrix_to_payload(z),
+                                                    "witness": matrix_to_payload(witness)})
+    return rec.result("lemma-7", {"operators": trials, "targets_per_operator": targets,
+                                  "outsiders_refuted": refuted,
+                                  "members_checked": members_checked})
 
 
 # --------------------------------------------------------------------------
@@ -501,39 +415,30 @@ _PRIMITIVE_CONFIGS = ((1.0, 0.0), (-1.5, 0.75), (2.0, -1.0))
 _PRIMITIVE1_CONFIGS = ((1.0, 0.0), (-1.5, 0.5), (2.0, -0.75))
 
 
-def _primitive_chain_checks(expect, a, b, c, tol, quasi_side: bool):
-    expect(distinct_count(b, tol) == 2, "witness B has two spectral points")
-    expect(rel_c(a, b, tol), "witness B commutes with A")
-    expect(not subspace_eq(commutant(b, tol), commutant(a, tol), tol),
-           "commutant of B differs from commutant of A")
-    d_a = bicommutant(a, tol)
-    d_c = bicommutant(c, tol)
-    d_ab = bicommutant(a - b, tol)
-    expect((d_a.real_dimension, d_c.real_dimension, d_ab.real_dimension) == (2, 3, 4),
-           "bicommutant dimensions form the (2, 3, 4) chain")
-    expect(subspace_proper_lt(d_a, d_c, tol), "first strict containment")
-    expect(subspace_proper_lt(d_c, d_ab, tol), "second strict containment")
+def _primitive_chain_checks(rec, a, b, c, tol, quasi_side: bool):
+    d_a, d_c, d_ab = bicommutant(a, tol), bicommutant(c, tol), bicommutant(a - b, tol)
+    checks = [
+        (distinct_count(b, tol) == 2, "witness B has two spectral points"),
+        (rel_c(a, b, tol), "witness B commutes with A"),
+        (not subspace_eq(commutant(b, tol), commutant(a, tol), tol),
+         "commutant of B differs from commutant of A"),
+        ((d_a.real_dimension, d_c.real_dimension, d_ab.real_dimension) == (2, 3, 4),
+         "bicommutant dimensions form the (2, 3, 4) chain"),
+        (subspace_proper_lt(d_a, d_c, tol), "first strict containment"),
+        (subspace_proper_lt(d_c, d_ab, tol), "second strict containment"),
+    ]
     if quasi_side:
-        expect(quasi_equals_commutant(a, tol), "A: anticommutant inside commutant")
-        expect(quasi_equals_commutant(b, tol), "B: anticommutant inside commutant")
-        expect(quasi_equals_commutant(c, tol), "C: anticommutant inside commutant")
-        expect(rel_q(a, b, tol), "B quasi-commutes with A")
+        checks += [(quasi_equals_commutant(m, tol), f"{label}: anticommutant inside commutant")
+                   for label, m in (("A", a), ("B", b), ("C", c))]
+        checks.append((rel_q(a, b, tol), "B quasi-commutes with A"))
+    for ok, context in checks:
+        rec.check(ok, {"context": context})
 
 
 def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
     tol = _tol(tol)
-    start = time.perf_counter()
-    checks = failures = 0
-    counterexamples = []
+    rec = _Recorder()
     configurations = 0
-
-    def expect(flag, context):
-        nonlocal checks, failures
-        checks += 1
-        if not flag:
-            failures += 1
-            counterexamples.append({"context": context})
-
     configs = _PRIMITIVE1_CONFIGS if quasi_side else _PRIMITIVE_CONFIGS
     for dim in dims:
         if dim < 4:
@@ -544,7 +449,7 @@ def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
                 p = random_projection(dim, rank, [seed, dim, rank])
                 a = alpha * p + beta * np.eye(dim)
                 b, c = lemma_primitive_witnesses(p, alpha, beta, tol)
-                _primitive_chain_checks(expect, a, b, c, tol, quasi_side)
+                _primitive_chain_checks(rec, a, b, c, tol, quasi_side)
         # Converse: with a rank-one direction there is no room for a chain;
         # any two-point B commuting with A leaves the difference with at
         # most three spectral points.
@@ -554,30 +459,25 @@ def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
             idx = np.argsort(-w)[:take]
             q = v[:, idx] @ v[:, idx].conj().T
             b1 = 2.0 * q + 0.5 * np.eye(dim)
-            expect(bicommutant(p1 - b1, tol).real_dimension <= 3,
-                   f"rank-one converse at dim {dim}")
+            rec.check(bicommutant(p1 - b1, tol).real_dimension <= 3,
+                      {"context": f"rank-one converse at dim {dim}"})
         # Precondition probes
         try:
             lemma_primitive_witnesses(p1, 1.0, 0.0, tol)
-            expect(False, "rank-one projection must be rejected")
+            rec.check(False, {"context": "rank-one projection must be rejected"})
         except ValueError:
-            expect(True, "rank-one projection rejected")
+            rec.check(True)
 
-    return _result(
-        name, checks, failures,
-        details={"configurations": configurations, "dims": list(dims)},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+    return rec.result(name, {"configurations": configurations, "dims": list(dims)})
 
 
-def suite_lemma_primitive(dims=(4, 5, 8), trials=None, seed=0, tol=None):
+def suite_lemma_primitive(dims=(4, 5, 8), seed=0, tol=None):
     """Witness pair (B, C) realizing the strict bicommutant chain for
     projections with rank and corank at least two."""
     return _suite_primitive("lemma-primitive", dims, seed, tol, quasi_side=False)
 
 
-def suite_lemma_primitive1(dims=(4, 5, 8), trials=None, seed=0, tol=None):
+def suite_lemma_primitive1(dims=(4, 5, 8), seed=0, tol=None):
     """Quasi-side variant: the same witnesses additionally keep their
     anticommutants inside their commutants."""
     return _suite_primitive("lemma-primitive1", dims, seed, tol, quasi_side=True)
@@ -603,10 +503,7 @@ _MAP_CONFIGS = (
 
 def _theorem_suite(name, relation_kind, dims, trials, seed, tol, configs, zero_shift):
     tol = _tol(tol)
-    start = time.perf_counter()
-    failures = 0
-    total = 0
-    counterexamples = []
+    rec = _Recorder()
     config_list = [_MAP_CONFIGS[i % len(_MAP_CONFIGS)] for i in range(configs)]
     for idx, (scale, anti, (shift_kind, shift_value)) in enumerate(config_list):
         shift = (
@@ -626,17 +523,13 @@ def _theorem_suite(name, relation_kind, dims, trials, seed, tol, configs, zero_s
         }
         report = property_run(maps, trials=trials, seed=seed + 7919 * idx, tol=tol,
                               suite=name)
-        total += report.trials
-        failures += len(report.violations)
-        for v in report.violations[:4]:
-            counterexamples.append(violation_to_payload(v, maps[v.a.shape[0]]))
-    return _result(
-        name, total, failures,
-        details={"configurations": configs, "trials_per_configuration": trials,
-                 "dims": list(dims)},
-        counterexamples=counterexamples,
-        elapsed=time.perf_counter() - start,
-    )
+        # One check per triple; the first four violations of a map keep a record.
+        rec.checks += report.trials
+        rec.failures += len(report.violations)
+        rec.counterexamples += [violation_to_payload(v, maps[v.a.shape[0]])
+                                for v in report.violations[:4]]
+    return rec.result(name, {"configurations": configs, "trials_per_configuration": trials,
+                             "dims": list(dims)})
 
 
 def suite_theorem_4(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10):
@@ -654,7 +547,6 @@ def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10,
     result = _theorem_suite("theorem-5", "quasi", dims, trials, seed, tol, configs,
                             zero_shift=True)
     tol = _tol(tol)
-    start = time.perf_counter()
     # A constant inner shift cancels in differences, so probe with a
     # matrix-dependent one; its behavior is recorded, never asserted.
     exploratory = {
@@ -675,8 +567,6 @@ def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10,
         "violations_observed": len(report.violations),
         "note": "behavior of a compliant nonzero shift is reported, not asserted",
     }
-    result["elapsed_seconds"] = round(result["elapsed_seconds"] +
-                                      (time.perf_counter() - start), 6)
     return result
 
 
@@ -779,12 +669,19 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 _PRIMITIVE_SUITES = ("lemma-primitive", "lemma-primitive1")
+# Suites that run a finite exact grid and take no ``trials``.
+FIXED_GRID_SUITES = ("lemma-aef", *_PRIMITIVE_SUITES)
 
 
 def run_suite(name, dims=None, trials=None, seed=0, tol=None, a_value=None):
-    """Run one named suite with optional overrides for dims/trials/seed."""
+    """Run one named suite with optional overrides for dims/trials/seed.
+
+    The result carries the suite's wall time as ``elapsed_seconds``.
+    """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(_SUITES)}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     fn = _SUITES[name]
     kwargs = {"seed": seed, "tol": tol}
     if dims is not None:
@@ -795,9 +692,14 @@ def run_suite(name, dims=None, trials=None, seed=0, tol=None, a_value=None):
             raise ValueError(f"suite {name} needs dimensions of at least 4")
         kwargs["dims"] = dims
     if trials is not None:
+        if name in FIXED_GRID_SUITES:
+            raise ValueError(f"suite {name} runs a fixed grid and takes no trials")
         if trials < 1:
             raise ValueError("trials must be positive")
         kwargs["trials"] = int(trials)
     if a_value is not None and name == "lemma-aef":
         kwargs["a_values"] = (float(a_value),)
-    return fn(**kwargs)
+    start = time.perf_counter()
+    result = fn(**kwargs)
+    result["elapsed_seconds"] = round(time.perf_counter() - start, 6)
+    return result

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from commutant_lab import save_matrix
+from commutant_lab import run_suite, save_matrix
 from commutant_lab.cli import main
 
 from conftest import diag
@@ -95,6 +95,27 @@ class TestVerify:
         assert out == ""
         assert "--seed must be a nonnegative integer, got -1" in err
 
+    @pytest.mark.parametrize("suite", ["lemma-aef", "lemma-primitive", "lemma-primitive1"])
+    def test_trials_rejected_on_fixed_grid_suite(self, capsys, suite):
+        code, out, err = run_cli(capsys, ["verify", suite, "--trials", "5"])
+        assert code == 2
+        assert out == ""
+        assert f"suite {suite} runs a fixed grid and takes no trials" in err
+
+    def test_all_applies_trials_to_sampled_suites(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "all", "--trials", "2", "--format", "json"])
+        assert code == 0
+        suites = {s["name"]: s for s in json.loads(out)["suites"]}
+        trial_keys = {"brooke": "random_pairs", "lemma-scalar": "nonscalar_samples",
+                      "lemma-4": "configurations", "lemma-1.8": "samples",
+                      "lemma-7": "operators", "lemma-1.81": "samples",
+                      "theorem-4": "trials_per_configuration",
+                      "theorem-5": "trials_per_configuration"}
+        for name, key in trial_keys.items():
+            assert suites[name]["details"][key] == 2, name
+        for name in ("lemma-aef", "lemma-primitive", "lemma-primitive1"):
+            assert suites[name]["passed"] and suites[name]["checks"] > 0, name
+
     @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("-3", "-3")])
     def test_invalid_seed_env_var_rejected(self, capsys, monkeypatch, value, shown):
         monkeypatch.setenv("COMMUTANT_LAB_SEED", value)
@@ -102,6 +123,36 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"COMMUTANT_LAB_SEED must be a nonnegative integer, got {shown}" in err
+
+
+class TestRunSuite:
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5"), ("3", "'3'"),
+                                             (True, "True")])
+    def test_seed_validated(self, seed, shown):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be a nonnegative integer, got {shown}$"):
+            run_suite("lemma-scalar", trials=1, seed=seed)
+
+    def test_recorder_keeps_failed_records_only(self):
+        from commutant_lab.suites import _Recorder
+
+        def never_built():
+            raise AssertionError("record built for a passing check")
+
+        rec = _Recorder()
+        assert rec.check(True, never_built)
+        assert not rec.check(False, lambda: {"reason": "built"})
+        assert not rec.check(False, {"reason": "given"})
+        assert not rec.check(False)
+        assert rec.result("demo", {"k": 1}) == {
+            "name": "demo", "passed": False, "checks": 4, "failures": 3,
+            "details": {"k": 1}, "counterexamples": [{"reason": "built"}, {"reason": "given"}],
+        }
+
+    def test_elapsed_seconds_set(self):
+        result = run_suite("lemma-scalar", trials=1, seed=np.int64(2))
+        assert result["passed"]
+        assert result["elapsed_seconds"] >= 0.0
 
 
 class TestCommutantCommand:

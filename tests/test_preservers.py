@@ -7,6 +7,7 @@ import pytest
 from commutant_lab import (
     PreserverMap,
     SearchExhausted,
+    Violation,
     apply_map,
     check_triadic,
     compose,
@@ -14,6 +15,7 @@ from commutant_lab import (
     is_violation,
     lemma4_check,
     make_shift_policy,
+    necessity_map,
     necessity_search,
     noncommuting_anticommuting_partner,
     property_run,
@@ -223,11 +225,17 @@ class TestNecessitySearch:
         assert report.trials <= 100
         violation = report.violations[0]
         # the emitted triple re-validates
-        anchor = default_necessity_anchor(dim)
-        m = PreserverMap(1.0, np.eye(dim, dtype=complex),
-                         shift=make_shift_policy("pinned", value=1.0, anchor=anchor),
-                         relation_kind="quasi")
+        m = necessity_map(dim)
         assert check_triadic(m, violation.a, violation.b, violation.c) == violation.direction
+
+    def test_necessity_map_shifts_only_the_anchor(self):
+        m = necessity_map(4)
+        anchor = default_necessity_anchor(4)
+        assert m.relation_kind == "quasi"
+        assert np.array_equal(m.conjugator, np.eye(4))
+        assert frobenius(apply_map(m, anchor) - anchor - np.eye(4)) == 0.0
+        other = random_hermitian(4, 8)
+        assert frobenius(apply_map(m, other) - other) <= 1e-12
 
     def test_compliant_shift_exhausts(self):
         compliant = PreserverMap(1.0, np.eye(3, dtype=complex),
@@ -302,6 +310,18 @@ class TestComposition:
                 VIOLATION_FORWARD if source else "violation_backward"
             )
             assert one_step == expected
+
+    def test_composed_map_not_serializable(self):
+        from commutant_lab.suites import violation_to_payload
+
+        m1 = PreserverMap(1.0, random_unitary(3, 25), relation_kind="quasi")
+        m2 = PreserverMap(2.0, random_unitary(3, 26), relation_kind="quasi",
+                          shift=make_shift_policy("constant", value=0.5))
+        comp = compose(m2, m1)
+        a, b, c = (random_hermitian(3, [27, k]) for k in range(3))
+        violation = Violation(a=a, b=b, c=c, direction=VIOLATION_FORWARD, trial=0)
+        with pytest.raises(ValueError, match="only ShiftPolicy shifts are serializable"):
+            violation_to_payload(violation, comp)
 
     def test_kind_mismatch_rejected(self):
         m1 = PreserverMap(1.0, np.eye(3, dtype=complex), relation_kind="quasi")
