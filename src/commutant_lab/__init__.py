@@ -55,7 +55,6 @@ from .hermitian import (
     rel_c,
     rel_j,
     rel_q,
-    sample,
     triadic_relation,
 )
 from .matrixfile import load_matrix, matrix_to_payload, payload_to_matrix, save_matrix
@@ -70,7 +69,6 @@ from .preservers import (
     compose,
     is_violation,
     lemma4_check,
-    make_shift_policy,
     necessity_map,
     necessity_search,
     property_run,

@@ -12,6 +12,7 @@ reproduce identical report bodies up to the timing fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -72,19 +73,6 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if not dims:
         raise ValueError("empty dimension list")
     return dims
-
-
-def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        rel_zero=args.tol_zero,
-        rank_cut=args.tol_rank,
-        cluster_gap=args.tol_cluster,
-    )
-
-
-def _tolerance_block(tol: Tolerance) -> dict:
-    return {"rel_zero": tol.rel_zero, "rank_cut": tol.rank_cut,
-            "cluster_gap": tol.cluster_gap}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,26 +178,20 @@ def render_text(report: dict) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    body = (
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.format == "json"
-        else render_text(report)
-    )
-    sys.stdout.write(body)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text if args.format == "json" else render_text(report))
     if args.out is not None:
-        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        args.out.write_text(text)
 
 
 # --------------------------------------------------------------------------
-# Commands
+# Commands.  Each returns its report body; main() adds the seed, the
+# tolerance and the wall time, emits the report and maps ``passed`` to the
+# exit code.
 # --------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    seed = _seed(args)
-    tol = _tolerance(args)
-    start = time.perf_counter()
-
+def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
     if args.replay is not None:
         payload = json.loads(args.replay.read_text())
         if "counterexamples" in payload:  # whole report: take the first record
@@ -224,18 +206,8 @@ def cmd_verify(args) -> int:
         elif payload.get("kind") != "triadic-violation" and payload.get("violation"):
             payload = payload["violation"]
         verdict, reproduced = replay_violation(payload, tol)
-        report = {
-            "kind": "replay",
-            "command": f"verify --replay {args.replay}",
-            "seed": seed,
-            "tolerance": _tolerance_block(tol),
-            "verdict": verdict,
-            "reproduced": reproduced,
-            "passed": reproduced,
-            "elapsed_seconds": time.perf_counter() - start,
-        }
-        _emit(report, args)
-        return EXIT_PASS if reproduced else EXIT_FAIL
+        return {"kind": "replay", "command": f"verify --replay {args.replay}",
+                "verdict": verdict, "reproduced": reproduced, "passed": reproduced}
 
     if args.suite is None:
         raise ValueError("a suite name (or 'all') is required unless --replay is given")
@@ -248,28 +220,17 @@ def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        # ``all`` applies --trials to the sampled suites only.
-        trials = None if args.suite == "all" and name in FIXED_GRID_SUITES else args.trials
+        # ``all`` applies --trials to the sampled suites and --a to lemma-aef only.
+        every = args.suite == "all"
+        trials = None if every and name in FIXED_GRID_SUITES else args.trials
+        a_value = None if every and name != "lemma-aef" else args.a
         results.append(run_suite(name, dims=dims, trials=trials, seed=seed, tol=tol,
-                                 a_value=args.a))
-    passed = all(r["passed"] for r in results)
-    report = {
-        "kind": "verify",
-        "command": "verify " + " ".join(names),
-        "seed": seed,
-        "tolerance": _tolerance_block(tol),
-        "suites": results,
-        "passed": passed,
-        "elapsed_seconds": time.perf_counter() - start,
-    }
-    _emit(report, args)
-    return EXIT_PASS if passed else EXIT_FAIL
+                                 a_value=a_value))
+    return {"kind": "verify", "command": "verify " + " ".join(names), "suites": results,
+            "passed": all(r["passed"] for r in results)}
 
 
-def cmd_commutant(args) -> int:
-    seed = _seed(args)
-    tol = _tolerance(args)
-    start = time.perf_counter()
+def cmd_commutant(args, seed: int, tol: Tolerance) -> dict:
     matrix = load_matrix(args.input)
 
     def basis_payload(subspace):
@@ -278,8 +239,6 @@ def cmd_commutant(args) -> int:
     report = {
         "kind": "commutant",
         "command": f"commutant --input {args.input} --which {args.which}",
-        "seed": seed,
-        "tolerance": _tolerance_block(tol),
         "which": args.which,
         "input_dim": int(matrix.shape[0]),
     }
@@ -298,21 +257,11 @@ def cmd_commutant(args) -> int:
         report["commutant_basis"] = basis_payload(qc.commutant_part)
         report["anticommutant_basis"] = basis_payload(qc.anticommutant_part)
     report["passed"] = True
-    report["elapsed_seconds"] = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS
+    return report
 
 
-def cmd_search(args) -> int:
-    seed = _seed(args)
-    tol = _tolerance(args)
-    start = time.perf_counter()
-    report = {
-        "kind": "search",
-        "command": f"search {args.kind}",
-        "seed": seed,
-        "tolerance": _tolerance_block(tol),
-    }
+def cmd_search(args, seed: int, tol: Tolerance) -> dict:
+    report = {"kind": "search", "command": f"search {args.kind}"}
 
     if args.kind == "necessity-f":
         if args.dim < 3:
@@ -320,10 +269,7 @@ def cmd_search(args) -> int:
         try:
             trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol)
         except SearchExhausted as exc:
-            report.update({"status": str(exc), "passed": False,
-                           "elapsed_seconds": time.perf_counter() - start})
-            _emit(report, args)
-            return EXIT_FAIL
+            return {**report, "status": str(exc), "passed": False}
         violation = trial_report.violations[0]
         report.update({
             "status": f"violation found after {trial_report.trials} trials",
@@ -340,10 +286,7 @@ def cmd_search(args) -> int:
         else:
             witness = scalar_witness(matrix, seed=seed, tol=tol)
             if witness is None:
-                report.update({"status": "witness search exhausted", "passed": False,
-                               "elapsed_seconds": time.perf_counter() - start})
-                _emit(report, args)
-                return EXIT_FAIL
+                return {**report, "status": "witness search exhausted", "passed": False}
             report.update({
                 "status": "witness found",
                 "witness": matrix_to_payload(witness, label="scalar-witness"),
@@ -372,10 +315,7 @@ def cmd_search(args) -> int:
                 "witness": matrix_to_payload(witness, label="refutation-witness"),
                 "passed": True,
             })
-
-    report["elapsed_seconds"] = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS
+    return report
 
 
 def cmd_report(args) -> int:
@@ -394,13 +334,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses code 2 for usage errors
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "commutant":
-            return cmd_commutant(args)
-        if args.command == "search":
-            return cmd_search(args)
-        return cmd_report(args)
+        if args.command == "report":
+            return cmd_report(args)
+        seed = _seed(args)
+        tol = Tolerance(rel_zero=args.tol_zero, rank_cut=args.tol_rank,
+                        cluster_gap=args.tol_cluster)
+        start = time.perf_counter()
+        command = {"verify": cmd_verify, "commutant": cmd_commutant, "search": cmd_search}
+        report = command[args.command](args, seed, tol)
+        report.update(seed=seed, tolerance=dataclasses.asdict(tol),
+                      elapsed_seconds=time.perf_counter() - start)
+        _emit(report, args)
+        return EXIT_PASS if report["passed"] else EXIT_FAIL
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -30,6 +30,7 @@ import numpy as np
 from .hermitian import (
     Tolerance,
     _check_same_dim,
+    _check_seed,
     _rng,
     _tol,
     frobenius,
@@ -162,6 +163,19 @@ def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
     return MatrixSubspace(dim=v.shape[0], basis=basis)
 
 
+def _spectral_runs(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[slice, np.ndarray]]:
+    """Runs of the ascending eigenvalues ``w`` whose consecutive gaps are at
+    most ``gap``, each with the projection onto its eigenvectors (columns
+    of ``v``), symmetrized so it is exactly Hermitian."""
+    starts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1), w.size]
+    runs = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        block = v[:, lo:hi]
+        p = block @ block.conj().T
+        runs.append((slice(lo, hi), (p + p.conj().T) / 2.0))
+    return runs
+
+
 def commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     """Hermitian solutions of ``AX = XA``; always contains the identity and A.
 
@@ -219,12 +233,8 @@ def bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     # call nested inside it, so the commutant stays a call of its own.
     commutant(a, tol)
     w, v, _, cut = _eigen_cut(a, tol, -1.0)
-    runs = np.split(np.arange(w.size), np.flatnonzero(np.diff(w) > cut) + 1)
-    projections = []
-    for run in runs:
-        p = v[:, run] @ v[:, run].conj().T
-        projections.append((p + p.conj().T) / (2.0 * np.sqrt(run.size)))
-    return MatrixSubspace(dim=w.size, basis=np.array(projections))
+    basis = [p / np.sqrt(run.stop - run.start) for run, p in _spectral_runs(w, v, cut)]
+    return MatrixSubspace(dim=w.size, basis=np.array(basis))
 
 
 # --------------------------------------------------------------------------
@@ -237,15 +247,16 @@ def _kernel_subspace(images: np.ndarray, n: int, tol: Tolerance,
                      scale: float = 1.0) -> MatrixSubspace:
     """Kernel of a real-linear map given by its images on ``hermitian_basis(n)``.
 
-    ``images`` has shape (n^2, n, n); column k of the realified system is
-    the flattened real and imaginary parts of ``images[k]``.  Singular
+    ``images`` has shape (n^2, n, n), or (n^2, k, n, n) for k maps at once;
+    column i of the realified system is the flattened real and imaginary
+    parts of ``images[i]``.  Singular
     values at or below ``rank_cut`` times max(largest singular value,
     ``scale``) count as zero; the scale floor keeps maps that are pure
     float noise (e.g. commutation with a conjugated scalar) from being
     mistaken for structure.
     """
-    flat = images.reshape(n * n, n * n)
-    system = np.concatenate([flat.real, flat.imag], axis=1).T  # (2 n^2, n^2)
+    flat = images.reshape(n * n, -1)
+    system = np.concatenate([flat.real, flat.imag], axis=1).T  # (2 k n^2, n^2)
     _, svals, vt = np.linalg.svd(system, full_matrices=False)
     cut = tol.rank_cut * max(float(svals[0]) if svals.size else 0.0, scale)
     rank = int(np.sum(svals > cut))
@@ -254,24 +265,28 @@ def _kernel_subspace(images: np.ndarray, n: int, tol: Tolerance,
     return MatrixSubspace(dim=n, basis=basis)
 
 
-def kernel_commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
-    """Oracle for :func:`commutant`: kernel of the realified ``X -> AX - XA``."""
-    tol = _tol(tol)
+def _images(a: np.ndarray, basis: np.ndarray, sign: float) -> np.ndarray:
+    """Images ``A X + sign X A`` of every basis element ``X``."""
+    left, right = np.einsum("ij,kjl->kil", a, basis), np.einsum("kij,jl->kil", basis, a)
+    return left + right if sign > 0 else left - right
+
+
+def _kernel_oracle(a: np.ndarray, tol: Tolerance | None, sign: float) -> MatrixSubspace:
+    """Kernel of the realified ``X -> AX + sign XA``."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    basis = hermitian_basis(n)
-    images = np.einsum("ij,kjl->kil", a, basis) - np.einsum("kij,jl->kil", basis, a)
-    return _kernel_subspace(images, n, tol, scale=max(1.0, frobenius(a)))
+    return _kernel_subspace(_images(a, hermitian_basis(n), sign), n, _tol(tol),
+                            scale=max(1.0, frobenius(a)))
+
+
+def kernel_commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+    """Oracle for :func:`commutant`: kernel of the realified ``X -> AX - XA``."""
+    return _kernel_oracle(a, tol, -1.0)
 
 
 def kernel_anticommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     """Oracle for :func:`anticommutant`: kernel of the realified ``X -> AX + XA``."""
-    tol = _tol(tol)
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    basis = hermitian_basis(n)
-    images = np.einsum("ij,kjl->kil", a, basis) + np.einsum("kij,jl->kil", basis, a)
-    return _kernel_subspace(images, n, tol, scale=max(1.0, frobenius(a)))
+    return _kernel_oracle(a, tol, 1.0)
 
 
 def kernel_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
@@ -288,23 +303,13 @@ def kernel_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSub
     ``tests/test_commutant.py`` pins the window.
     """
     tol = _tol(tol)
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    com = kernel_commutant(a, tol)
+    n = np.asarray(a).shape[0]
     basis = hermitian_basis(n)
-    blocks = []
-    for c in com.basis:
-        blocks.append(np.einsum("ij,kjl->kil", c, basis) - np.einsum("kij,jl->kil", basis, c))
-    # Joint kernel: stack the realified commutation maps of every commutant
-    # basis element into one tall system.
-    flat = np.concatenate([b.reshape(n * n, n * n) for b in blocks], axis=1)
-    system = np.concatenate([flat.real, flat.imag], axis=1).T
-    _, svals, vt = np.linalg.svd(system, full_matrices=False)
+    # Joint kernel: the images under every commutant basis element's
+    # commutation map, side by side, form one tall realified system.
     # Generators are unit-norm, so 1.0 is the right scale floor here.
-    cut = tol.rank_cut * max(float(svals[0]) if svals.size else 0.0, 1.0)
-    rank = int(np.sum(svals > cut))
-    coeffs = vt[rank:]
-    return MatrixSubspace(dim=n, basis=np.tensordot(coeffs, basis, axes=1))
+    images = np.stack([_images(c, basis, -1.0) for c in kernel_commutant(a, tol).basis], axis=1)
+    return _kernel_subspace(images, n, tol)
 
 
 def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | None = None) -> bool:
@@ -414,13 +419,14 @@ def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance | None = None) -> np.nd
     B never commutes with B - A, and at most one real t can make the pair
     anticommute, so a two-point t grid already suffices.
     """
+    _check_seed(seed)
     tol = _tol(tol)
     a = np.asarray(a, dtype=complex)
     if is_scalar(a, tol):
         return None
     n = a.shape[0]
     for attempt in range(64):
-        t_mat = random_hermitian(n, [int(seed) & 0xFFFFFFFF, attempt])
+        t_mat = random_hermitian(n, [seed, attempt])
         if rel_c(a, t_mat, tol):
             continue
         for t in (1.0, 2.0, 0.5, -1.0):

@@ -29,7 +29,6 @@ __all__ = [
     "rel_c",
     "rel_j",
     "rel_q",
-    "sample",
     "triadic_relation",
 ]
 
@@ -65,6 +64,12 @@ DEFAULT_TOLERANCE = Tolerance()
 
 def _tol(tol: Tolerance | None) -> Tolerance:
     return DEFAULT_TOLERANCE if tol is None else tol
+
+
+def _check_seed(seed) -> None:
+    """Raise unless ``seed`` is a nonnegative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _rng(seed) -> np.random.Generator:
@@ -209,22 +214,3 @@ def random_scalar(dim: int, seed) -> np.ndarray:
     """Random real multiple of the identity."""
     rng = _rng(seed)
     return float(rng.standard_normal()) * np.eye(dim, dtype=complex)
-
-
-def sample(kind: str, dim: int, seed, rank: int | None = None) -> np.ndarray:
-    """Seeded sampler; deterministic per ``(kind, dim, seed)``.
-
-    ``kind`` is one of ``hermitian``, ``projection`` (needs ``rank``),
-    ``unitary`` or ``scalar``.
-    """
-    if kind == "hermitian":
-        return random_hermitian(dim, seed)
-    if kind == "projection":
-        if rank is None:
-            raise ValueError("projection sampling requires a rank")
-        return random_projection(dim, rank, seed)
-    if kind == "unitary":
-        return random_unitary(dim, seed)
-    if kind == "scalar":
-        return random_scalar(dim, seed)
-    raise ValueError(f"unknown sample kind {kind!r}")

@@ -11,7 +11,6 @@ dropping this constraint breaks the quasi relation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .commutant import anticommutant, noncommuting_anticommuting_partner
 from .hermitian import (
     RELATION_KINDS,
     Tolerance,
+    _check_seed,
     _tol,
     frobenius,
     random_hermitian,
@@ -47,7 +47,6 @@ __all__ = [
     "default_necessity_anchor",
     "is_violation",
     "lemma4_check",
-    "make_shift_policy",
     "necessity_map",
     "necessity_search",
     "property_run",
@@ -73,16 +72,18 @@ class ShiftPolicy:
     (trace divided by dimension); ``pinned`` (``value`` on one anchor
     matrix, byte-exact after symmetrization, zero elsewhere);
     ``theorem_compliant_quasi`` (zero whenever a noncommuting anticommuting
-    partner exists, otherwise the inner policy).
+    partner exists, otherwise the inner policy).  ``tol=None`` means the
+    default :class:`Tolerance`.
     """
 
     kind: str
     value: float = 0.0
     anchor: np.ndarray | None = None
     inner: "ShiftPolicy | None" = None
-    tol: Tolerance = field(default_factory=Tolerance)
+    tol: Tolerance | None = None
 
     def __post_init__(self) -> None:
+        self.tol = _tol(self.tol)
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if self.kind == "pinned" and self.anchor is None:
@@ -105,12 +106,6 @@ class ShiftPolicy:
         if noncommuting_anticommuting_partner(a, self.tol) is not None:
             return 0.0
         return self.inner(a)
-
-
-def make_shift_policy(kind: str, value: float = 0.0, inner: ShiftPolicy | None = None,
-                      anchor: np.ndarray | None = None, tol: Tolerance | None = None) -> ShiftPolicy:
-    """Build a shift rule; see :class:`ShiftPolicy` for the kinds."""
-    return ShiftPolicy(kind=kind, value=value, anchor=anchor, inner=inner, tol=_tol(tol))
 
 
 @dataclass(eq=False)
@@ -216,19 +211,15 @@ class Violation:
 class TrialReport:
     """Outcome of one property suite run."""
 
-    suite: str
-    seed: int
-    dims: tuple[int, ...]
     trials: int
     violations: list[Violation]
-    elapsed: float
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
 
-def _structured_triple(rng: np.random.Generator, dim: int, kind: str, tol: Tolerance):
+def _structured_triple(rng: np.random.Generator, dim: int, tol: Tolerance):
     """Triple biased so the source relation is often true or a near miss.
 
     Random triples essentially never satisfy the relation, so generators
@@ -289,55 +280,39 @@ def _structured_triple(rng: np.random.Generator, dim: int, kind: str, tol: Toler
     return b + d, b, c
 
 
-def _random_triple(rng: np.random.Generator, dim: int):
-    return (
-        random_hermitian(dim, rng),
-        random_hermitian(dim, rng),
-        random_hermitian(dim, rng),
-    )
-
-
 def property_run(
     maps: PreserverMap | dict[int, PreserverMap],
     trials: int,
     seed: int = 0,
     tol: Tolerance | None = None,
-    generators: tuple[str, ...] = ("random", "structured"),
-    suite: str = "property",
 ) -> TrialReport:
     """Aggregate triadic verdicts on ``trials`` sampled triples.
 
     ``maps`` is one map or a dict keyed by dimension; each trial derives its
     own generator from ``(seed, trial index)``, so runs replay exactly and
-    trials may be evaluated in any order.
+    trials may be evaluated in any order.  Each trial draws a structured
+    or a fully random triple with equal probability.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_seed(seed)
     tol = _tol(tol)
     if isinstance(maps, PreserverMap):
         maps = {maps.dim: maps}
     dims = tuple(sorted(maps))
-    start = time.perf_counter()
     violations: list[Violation] = []
     for t in range(trials):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, t])
+        rng = np.random.default_rng([seed, t])
         dim = dims[int(rng.integers(len(dims)))]
         m = maps[dim]
-        if "structured" in generators and ("random" not in generators or rng.random() < 0.5):
-            a, b, c = _structured_triple(rng, dim, m.relation_kind, tol)
+        if rng.random() < 0.5:
+            a, b, c = _structured_triple(rng, dim, tol)
         else:
-            a, b, c = _random_triple(rng, dim)
+            a, b, c = (random_hermitian(dim, rng) for _ in range(3))
         verdict = check_triadic(m, a, b, c, tol)
         if is_violation(verdict):
             violations.append(Violation(a=a, b=b, c=c, direction=verdict, trial=t))
-    return TrialReport(
-        suite=suite,
-        seed=int(seed),
-        dims=dims,
-        trials=trials,
-        violations=violations,
-        elapsed=time.perf_counter() - start,
-    )
+    return TrialReport(trials=trials, violations=violations)
 
 
 def default_necessity_anchor(dim: int) -> np.ndarray:
@@ -357,8 +332,7 @@ def necessity_map(dim: int, tol: Tolerance | None = None) -> PreserverMap:
         scale=1.0,
         conjugator=np.eye(dim, dtype=complex),
         antiunitary=False,
-        shift=make_shift_policy("pinned", value=1.0, anchor=default_necessity_anchor(dim),
-                                tol=tol),
+        shift=ShiftPolicy("pinned", value=1.0, anchor=default_necessity_anchor(dim), tol=tol),
         relation_kind="quasi",
     )
 
@@ -379,6 +353,7 @@ def necessity_search(
     :class:`SearchExhausted` when no violation shows up within ``budget``
     trials, which is the expected outcome for a compliant (all-zero) shift.
     """
+    _check_seed(seed)
     tol = _tol(tol)
     a0 = default_necessity_anchor(dim)
     if preserver is None:
@@ -396,21 +371,14 @@ def necessity_search(
                 return c
         return swap
 
-    start = time.perf_counter()
     zero = np.zeros((dim, dim), dtype=complex)
     for t in range(budget):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, t])
+        rng = np.random.default_rng([seed, t])
         c = candidate(t, rng)
         verdict = check_triadic(preserver, a0, zero, c, tol)
         if is_violation(verdict):
-            return TrialReport(
-                suite="necessity-f",
-                seed=int(seed),
-                dims=(dim,),
-                trials=t + 1,
-                violations=[Violation(a=a0, b=zero, c=c, direction=verdict, trial=t)],
-                elapsed=time.perf_counter() - start,
-            )
+            return TrialReport(trials=t + 1, violations=[
+                Violation(a=a0, b=zero, c=c, direction=verdict, trial=t)])
     raise SearchExhausted(
         f"no violating triple within {budget} trials; the shift appears compliant"
     )
@@ -432,6 +400,7 @@ def lemma4_check(
     """
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
+    _check_seed(seed)
     tol = _tol(tol)
     a = lam * np.asarray(projection, dtype=complex)
     n = a.shape[0]
@@ -443,7 +412,7 @@ def lemma4_check(
     if not premises(a, a):
         return False
     for t in range(candidates):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, t])
+        rng = np.random.default_rng([seed, t])
         mode = t % 3
         if mode == 0:
             x = random_hermitian(n, rng)

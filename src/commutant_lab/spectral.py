@@ -18,7 +18,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .commutant import kernel_bicommutant, quasi_equals_commutant, subspace_proper_lt
+from .commutant import (_spectral_runs, kernel_bicommutant, quasi_equals_commutant,
+                        subspace_proper_lt)
 from .hermitian import Tolerance, _tol, frobenius, is_scalar
 
 __all__ = [
@@ -77,23 +78,11 @@ def spectral_decompose(a: np.ndarray, tol: Tolerance | None = None) -> SpectralD
     tol = _tol(tol)
     a = np.asarray(a, dtype=complex)
     w, v = np.linalg.eigh(a)
-    gap = tol.cluster_gap * max(1.0, float(w[-1] - w[0]))
-    starts = [0]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap:
-            starts.append(i)
-    starts.append(w.size)
-    values, mults, projs = [], [], []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        block = v[:, lo:hi]
-        p = block @ block.conj().T
-        values.append(float(np.mean(w[lo:hi])))
-        mults.append(hi - lo)
-        projs.append((p + p.conj().T) / 2.0)
+    runs = _spectral_runs(w, v, tol.cluster_gap * max(1.0, float(w[-1] - w[0])))
     return SpectralData(
-        distinct_values=np.array(values),
-        multiplicities=np.array(mults, dtype=int),
-        projections=np.array(projs),
+        distinct_values=np.array([float(np.mean(w[run])) for run, _ in runs]),
+        multiplicities=np.array([run.stop - run.start for run, _ in runs], dtype=int),
+        projections=np.array([p for _, p in runs]),
     )
 
 

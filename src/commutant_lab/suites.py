@@ -27,6 +27,7 @@ from .commutant import (
 )
 from .hermitian import (
     Tolerance,
+    _check_seed,
     _tol,
     frobenius,
     is_scalar,
@@ -44,7 +45,6 @@ from .preservers import (
     ShiftPolicy,
     check_triadic,
     lemma4_check,
-    make_shift_policy,
     property_run,
 )
 from .spectral import (
@@ -72,6 +72,10 @@ __all__ = [
 ]
 
 LAMBDA_TOLERANCE = 1e-6
+# Commuting and anticommuting pairs the brooke suite builds, of each kind.
+CONSTRUCTED_PAIRS = 200
+# Trials of theorem-5's exploratory run of a compliant nonzero shift.
+EXPLORATORY_TRIALS = 200
 
 
 class _Recorder:
@@ -124,11 +128,11 @@ def _composition(rng, total: int, parts: int) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None, constructed=200):
+def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     """Whenever AB is proportional to BA for a Hermitian pair, the factor is +-1.
 
-    Runs ``trials`` random pairs plus ``constructed`` commuting and
-    ``constructed`` anticommuting pairs; the constructed ones must be
+    Runs ``trials`` random pairs plus ``CONSTRUCTED_PAIRS`` commuting and
+    ``CONSTRUCTED_PAIRS`` anticommuting pairs; the constructed ones must be
     detected with the matching sign.
     """
     tol = _tol(tol)
@@ -162,14 +166,14 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None, constructed=2
         rng = np.random.default_rng([seed, 1, t])
         dim = dims[int(rng.integers(len(dims)))]
         lambda_check(random_hermitian(dim, rng), random_hermitian(dim, rng))
-    for t in range(constructed):
+    for t in range(CONSTRUCTED_PAIRS):
         rng = np.random.default_rng([seed, 2, t])
         dim = dims[int(rng.integers(len(dims)))]
         a = random_hermitian(dim, rng)
         w, v = np.linalg.eigh(a)
         b = (v * rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)) @ v.conj().T
         lambda_check(a, (b + b.conj().T) / 2.0, expected_sign=1.0)
-    for t in range(constructed):
+    for t in range(CONSTRUCTED_PAIRS):
         rng = np.random.default_rng([seed, 3, t])
         dim = dims[int(rng.integers(len(dims)))]
         lam = float(rng.uniform(0.5, 2.0))
@@ -183,7 +187,8 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None, constructed=2
         b = v @ swap @ v.conj().T
         lambda_check(a, (b + b.conj().T) / 2.0, expected_sign=-1.0)
 
-    return rec.result("brooke", {"random_pairs": trials, "constructed_pairs": 2 * constructed,
+    return rec.result("brooke", {"random_pairs": trials,
+                                 "constructed_pairs": 2 * CONSTRUCTED_PAIRS,
                                  "detected": len(errors),
                                  "max_lambda_error": max(errors, default=0.0)})
 
@@ -506,11 +511,8 @@ def _theorem_suite(name, relation_kind, dims, trials, seed, tol, configs, zero_s
     rec = _Recorder()
     config_list = [_MAP_CONFIGS[i % len(_MAP_CONFIGS)] for i in range(configs)]
     for idx, (scale, anti, (shift_kind, shift_value)) in enumerate(config_list):
-        shift = (
-            make_shift_policy("zero")
-            if zero_shift
-            else make_shift_policy(shift_kind, value=shift_value, tol=tol)
-        )
+        shift = (ShiftPolicy("zero") if zero_shift
+                 else ShiftPolicy(shift_kind, shift_value, tol=tol))
         maps = {
             dim: PreserverMap(
                 scale=scale,
@@ -521,8 +523,7 @@ def _theorem_suite(name, relation_kind, dims, trials, seed, tol, configs, zero_s
             )
             for dim in dims
         }
-        report = property_run(maps, trials=trials, seed=seed + 7919 * idx, tol=tol,
-                              suite=name)
+        report = property_run(maps, trials=trials, seed=seed + 7919 * idx, tol=tol)
         # One check per triple; the first four violations of a map keep a record.
         rec.checks += report.trials
         rec.failures += len(report.violations)
@@ -539,8 +540,7 @@ def suite_theorem_4(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10)
                           zero_shift=False)
 
 
-def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10,
-                    exploratory_trials=200):
+def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10):
     """Quasi form-check with an identically vanishing shift, plus a
     non-acceptance exploratory run of a compliant nonzero shift whose
     violation count is reported without being asserted."""
@@ -554,14 +554,13 @@ def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10,
             scale=1.0,
             conjugator=random_unitary(dim, [seed, 11, dim]),
             antiunitary=False,
-            shift=make_shift_policy("theorem_compliant_quasi",
-                                    inner=make_shift_policy("trace_based"), tol=tol),
+            shift=ShiftPolicy("theorem_compliant_quasi", inner=ShiftPolicy("trace_based"),
+                              tol=tol),
             relation_kind="quasi",
         )
         for dim in dims
     }
-    report = property_run(exploratory, trials=exploratory_trials, seed=seed + 104729,
-                          tol=tol, suite="theorem-5-exploratory")
+    report = property_run(exploratory, trials=EXPLORATORY_TRIALS, seed=seed + 104729, tol=tol)
     result["details"]["exploratory_nonzero_shift"] = {
         "trials": report.trials,
         "violations_observed": len(report.violations),
@@ -589,20 +588,16 @@ def shift_to_payload(shift: ShiftPolicy) -> dict:
 def shift_from_payload(payload: dict, tol: Tolerance | None = None) -> ShiftPolicy:
     anchor = payload_to_matrix(payload["anchor"]) if "anchor" in payload else None
     inner = shift_from_payload(payload["inner"], tol) if payload.get("inner") else None
-    return make_shift_policy(payload["kind"], value=float(payload.get("value", 0.0)),
-                             anchor=anchor, inner=inner, tol=tol)
+    return ShiftPolicy(payload["kind"], value=float(payload.get("value", 0.0)),
+                       anchor=anchor, inner=inner, tol=tol)
 
 
 def map_to_payload(m: PreserverMap) -> dict:
-    u = m.conjugator
     return {
         "scale": m.scale,
         "antiunitary": m.antiunitary,
         "relation_kind": m.relation_kind,
-        "conjugator": {
-            "dim": int(u.shape[0]),
-            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in u],
-        },
+        "conjugator": matrix_to_payload(m.conjugator),
         "shift": shift_to_payload(m.shift),
     }
 
@@ -674,14 +669,14 @@ FIXED_GRID_SUITES = ("lemma-aef", *_PRIMITIVE_SUITES)
 
 
 def run_suite(name, dims=None, trials=None, seed=0, tol=None, a_value=None):
-    """Run one named suite with optional overrides for dims/trials/seed.
+    """Run one named suite with optional overrides for dims/trials/seed, and
+    for the block-fixture weight (``a_value``, lemma-aef only).
 
     The result carries the suite's wall time as ``elapsed_seconds``.
     """
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(_SUITES)}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_seed(seed)
     fn = _SUITES[name]
     kwargs = {"seed": seed, "tol": tol}
     if dims is not None:
@@ -697,7 +692,9 @@ def run_suite(name, dims=None, trials=None, seed=0, tol=None, a_value=None):
         if trials < 1:
             raise ValueError("trials must be positive")
         kwargs["trials"] = int(trials)
-    if a_value is not None and name == "lemma-aef":
+    if a_value is not None:
+        if name != "lemma-aef":
+            raise ValueError(f"suite {name} takes no block-fixture weight; only lemma-aef does")
         kwargs["a_values"] = (float(a_value),)
     start = time.perf_counter()
     result = fn(**kwargs)

@@ -1,7 +1,16 @@
+import os
 import pathlib
 import sys
 
-import numpy as np
+# One BLAS thread, as in benchmarks/workloads.py: on a small shared host,
+# BLAS threads competing with another process slowed the suites by more
+# than 10x, enough to trip the wall-time bounds in test_acceptance.py.
+# This must run before numpy is first imported.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                  "BLIS_NUM_THREADS"):
+    os.environ[_variable] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))

@@ -102,10 +102,20 @@ class TestVerify:
         assert out == ""
         assert f"suite {suite} runs a fixed grid and takes no trials" in err
 
+    @pytest.mark.parametrize("suite", ["lemma-scalar", "theorem-4", "lemma-primitive"])
+    def test_a_rejected_on_other_suite(self, capsys, suite):
+        code, out, err = run_cli(capsys, ["verify", suite, "--a", "2.0"])
+        assert code == 2
+        assert out == ""
+        assert f"suite {suite} takes no block-fixture weight; only lemma-aef does" in err
+
     def test_all_applies_trials_to_sampled_suites(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "all", "--trials", "2", "--format", "json"])
+        """``all`` also applies --a to lemma-aef alone."""
+        code, out, _ = run_cli(capsys, ["verify", "all", "--trials", "2", "--a", "2.0",
+                                        "--format", "json"])
         assert code == 0
         suites = {s["name"]: s for s in json.loads(out)["suites"]}
+        assert suites["lemma-aef"]["details"]["a_values"] == [2.0]
         trial_keys = {"brooke": "random_pairs", "lemma-scalar": "nonscalar_samples",
                       "lemma-4": "configurations", "lemma-1.8": "samples",
                       "lemma-7": "operators", "lemma-1.81": "samples",

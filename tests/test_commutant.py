@@ -4,6 +4,8 @@ constructions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutant_lab import (
     MatrixSubspace,
@@ -166,6 +168,24 @@ class TestDimensionFormulas:
             assert commutant(a).real_dimension == commutant_dim_formula(a)
             assert anticommutant(a).real_dimension == anticommutant_dim_formula(a)
             assert bicommutant(a).real_dimension == bicommutant_dim_formula(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dimensions_invariant_under_unitary_and_antiunitary_conjugation(values, seed):
+    """Integer spectra keep every eigenvalue gap far from the cut, so the
+    real dimensions of all three subspaces must survive ``A -> U A U*`` and
+    entrywise conjugation ``A -> conj(A)``."""
+    dim = len(values)
+    a = spectrum_matrix(np.random.default_rng([seed, 0]), dim, values)
+    u = random_unitary(dim, [seed, 1])
+    rotated = u @ a @ u.conj().T
+    for image in ((rotated + rotated.conj().T) / 2.0, a.conj()):
+        for solver in (commutant, anticommutant, bicommutant):
+            assert solver(image).real_dimension == solver(a).real_dimension, solver.__name__
 
 
 class TestGapSweep:

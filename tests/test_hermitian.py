@@ -18,7 +18,6 @@ from commutant_lab import (
     rel_c,
     rel_j,
     rel_q,
-    sample,
     triadic_relation,
 )
 
@@ -168,18 +167,12 @@ class TestSampling:
             random_projection(3, 4, 1)
 
     def test_determinism_per_seed(self):
-        for kind, extra in (("hermitian", {}), ("unitary", {}), ("scalar", {}),
-                            ("projection", {"rank": 2})):
-            first = sample(kind, 4, 123, **extra)
-            second = sample(kind, 4, 123, **extra)
-            assert np.array_equal(first, second)
+        for sampler in (random_hermitian, random_unitary, random_scalar,
+                        lambda dim, seed: random_projection(dim, 2, seed)):
+            assert np.array_equal(sampler(4, 123), sampler(4, 123))
 
     def test_scalar_sample_is_scalar(self):
         assert is_scalar(random_scalar(5, 11))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="sample kind"):
-            sample("symplectic", 3, 0)
 
 
 class TestIngestion:

@@ -7,6 +7,7 @@ import pytest
 from commutant_lab import (
     PreserverMap,
     SearchExhausted,
+    ShiftPolicy,
     Violation,
     apply_map,
     check_triadic,
@@ -14,7 +15,6 @@ from commutant_lab import (
     frobenius,
     is_violation,
     lemma4_check,
-    make_shift_policy,
     necessity_map,
     necessity_search,
     noncommuting_anticommuting_partner,
@@ -24,6 +24,7 @@ from commutant_lab import (
     random_unitary,
     rel_c,
     rel_j,
+    scalar_witness,
     triadic_relation,
 )
 from commutant_lab.preservers import (
@@ -41,7 +42,7 @@ def identity_map(dim, kind="commutative", shift=None):
         scale=1.0,
         conjugator=np.eye(dim, dtype=complex),
         antiunitary=False,
-        shift=shift or make_shift_policy("zero"),
+        shift=shift or ShiftPolicy("zero"),
         relation_kind=kind,
     )
 
@@ -60,14 +61,14 @@ class TestApplyMap:
     def test_scale_and_shift_spectrum(self):
         p = random_projection(3, 1, 1)
         m = PreserverMap(2.0, np.eye(3, dtype=complex),
-                         shift=make_shift_policy("constant", value=1.0))
+                         shift=ShiftPolicy("constant", value=1.0))
         out = apply_map(m, p)
         values = np.unique(np.round(np.linalg.eigvalsh(out), 9))
         assert np.allclose(values, [1.0, 3.0])
 
     def test_output_hermitian(self):
         m = PreserverMap(-1.7, random_unitary(4, 2), antiunitary=True,
-                         shift=make_shift_policy("trace_based"))
+                         shift=ShiftPolicy("trace_based"))
         a = random_hermitian(4, 3)
         out = apply_map(m, a)
         assert frobenius(out - out.conj().T) <= 1e-12
@@ -88,15 +89,15 @@ class TestApplyMap:
 class TestShiftPolicies:
     def test_zero_and_constant(self):
         a = random_hermitian(3, 4)
-        assert make_shift_policy("zero")(a) == 0.0
-        assert make_shift_policy("constant", value=-2.5)(a) == -2.5
+        assert ShiftPolicy("zero")(a) == 0.0
+        assert ShiftPolicy("constant", value=-2.5)(a) == -2.5
 
     def test_trace_based(self):
-        assert make_shift_policy("trace_based")(diag(1, 2, 3)) == pytest.approx(2.0)
+        assert ShiftPolicy("trace_based")(diag(1, 2, 3)) == pytest.approx(2.0)
 
     def test_theorem_compliant_vanishes_on_partnered_matrices(self):
-        shift = make_shift_policy("theorem_compliant_quasi",
-                                  inner=make_shift_policy("trace_based"))
+        shift = ShiftPolicy("theorem_compliant_quasi",
+                                  inner=ShiftPolicy("trace_based"))
         partnered = diag(1, -1, 0)
         assert noncommuting_anticommuting_partner(partnered) is not None
         assert shift(partnered) == 0.0
@@ -104,20 +105,20 @@ class TestShiftPolicies:
         assert shift(partner_free) == pytest.approx(2.0)
 
     def test_theorem_compliant_with_zero_inner_is_zero(self):
-        shift = make_shift_policy("theorem_compliant_quasi")
+        shift = ShiftPolicy("theorem_compliant_quasi")
         for seed in range(10):
             assert shift(random_hermitian(4, seed)) == 0.0
 
     def test_pinned_is_byte_exact(self):
         anchor = default_necessity_anchor(3)
-        shift = make_shift_policy("pinned", value=1.0, anchor=anchor)
+        shift = ShiftPolicy("pinned", value=1.0, anchor=anchor)
         assert shift(anchor) == 1.0
         assert shift(anchor + 1e-15 * np.eye(3)) == 0.0
         assert shift(random_hermitian(3, 5)) == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="shift kind"):
-            make_shift_policy("affine")
+            ShiftPolicy("affine")
 
 
 class TestCheckTriadic:
@@ -132,7 +133,7 @@ class TestCheckTriadic:
         # scalar which destroys anticommutation with the partner
         a0 = default_necessity_anchor(3)
         m = PreserverMap(1.0, np.eye(3, dtype=complex),
-                         shift=make_shift_policy("pinned", value=1.0, anchor=a0),
+                         shift=ShiftPolicy("pinned", value=1.0, anchor=a0),
                          relation_kind="quasi")
         c = np.zeros((3, 3), dtype=complex)
         c[0, 1] = c[1, 0] = 1.0 / np.sqrt(2.0)
@@ -142,7 +143,7 @@ class TestCheckTriadic:
     def test_scalar_shift_cancels_for_commutative_kind(self):
         maps = {
             d: PreserverMap(-2.0, random_unitary(d, [6, d]), antiunitary=True,
-                            shift=make_shift_policy("trace_based"),
+                            shift=ShiftPolicy("trace_based"),
                             relation_kind="commutative")
             for d in (3, 4)
         }
@@ -177,7 +178,7 @@ class TestPropertyRun:
     def test_commutative_form_clean(self):
         maps = {
             d: PreserverMap(-2.0, random_unitary(d, [11, d]), antiunitary=True,
-                            shift=make_shift_policy("trace_based"),
+                            shift=ShiftPolicy("trace_based"),
                             relation_kind="commutative")
             for d in (3, 4, 5)
         }
@@ -187,7 +188,7 @@ class TestPropertyRun:
     def test_quasi_zero_shift_clean(self):
         maps = {
             d: PreserverMap(1.0, random_unitary(d, [12, d]),
-                            shift=make_shift_policy("zero"), relation_kind="quasi")
+                            shift=ShiftPolicy("zero"), relation_kind="quasi")
             for d in (3, 4, 5)
         }
         report = property_run(maps, trials=600, seed=2)
@@ -207,7 +208,7 @@ class TestPropertyRun:
         hits = 0
         for t in range(200):
             rng = np.random.default_rng([13, t])
-            a, b, c = _structured_triple(rng, 4, "commutative", Tolerance())
+            a, b, c = _structured_triple(rng, 4, Tolerance())
             if triadic_relation(a, b, c, "commutative"):
                 hits += 1
         assert hits > 40
@@ -239,7 +240,7 @@ class TestNecessitySearch:
 
     def test_compliant_shift_exhausts(self):
         compliant = PreserverMap(1.0, np.eye(3, dtype=complex),
-                                 shift=make_shift_policy("zero"), relation_kind="quasi")
+                                 shift=ShiftPolicy("zero"), relation_kind="quasi")
         with pytest.raises(SearchExhausted):
             necessity_search(3, budget=25, seed=5, preserver=compliant)
 
@@ -278,9 +279,9 @@ class TestComposition:
                                              (False, True), (True, True)])
     def test_pointwise_agreement(self, anti1, anti2):
         m1 = PreserverMap(2.0, random_unitary(3, 19), antiunitary=anti1,
-                          shift=make_shift_policy("trace_based"))
+                          shift=ShiftPolicy("trace_based"))
         m2 = PreserverMap(-0.5, random_unitary(3, 20), antiunitary=anti2,
-                          shift=make_shift_policy("constant", value=0.3))
+                          shift=ShiftPolicy("constant", value=0.3))
         comp = compose(m2, m1)
         for seed in range(20):
             a = random_hermitian(3, [seed, 21])
@@ -316,7 +317,7 @@ class TestComposition:
 
         m1 = PreserverMap(1.0, random_unitary(3, 25), relation_kind="quasi")
         m2 = PreserverMap(2.0, random_unitary(3, 26), relation_kind="quasi",
-                          shift=make_shift_policy("constant", value=0.5))
+                          shift=ShiftPolicy("constant", value=0.5))
         comp = compose(m2, m1)
         a, b, c = (random_hermitian(3, [27, k]) for k in range(3))
         violation = Violation(a=a, b=b, c=c, direction=VIOLATION_FORWARD, trial=0)
@@ -328,3 +329,18 @@ class TestComposition:
         m2 = PreserverMap(1.0, np.eye(3, dtype=complex), relation_kind="commutative")
         with pytest.raises(ValueError, match="matching relation kinds"):
             compose(m2, m1)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5")],
+                             ids=["negative", "fractional"])
+    @pytest.mark.parametrize("search", [
+        lambda seed: property_run(identity_map(3), trials=1, seed=seed),
+        lambda seed: necessity_search(3, budget=1, seed=seed),
+        lambda seed: lemma4_check(2.0, diag(1, 0, 0), candidates=1, seed=seed),
+        lambda seed: scalar_witness(diag(1, 2, 3), seed=seed),
+    ], ids=["property_run", "necessity_search", "lemma4_check", "scalar_witness"])
+    def test_bad_seed_rejected(self, search, seed, shown):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be a nonnegative integer, got {shown}$"):
+            search(seed)
