@@ -5,7 +5,8 @@ anticommutants, second commutants and relation-preserving maps into
 seeded, reproducible desk-scale computations:
 
 * :mod:`~commutant_lab.hermitian` — the binary relations (commute,
-  anticommute, either) with tolerance semantics, plus seeded sampling of
+  anticommute, either) with tolerance semantics, one pair at a time or
+  over stacks of pairs, plus seeded sampling of
   Hermitian matrices, projections and Haar unitaries;
 * :mod:`~commutant_lab.commutant` — commutant / anticommutant /
   quasi-commutant / second-commutant subspaces read off one
@@ -55,6 +56,7 @@ from .hermitian import (
     rel_c,
     rel_j,
     rel_q,
+    rel_stack,
     triadic_relation,
 )
 from .matrixfile import load_matrix, matrix_to_payload, payload_to_matrix, save_matrix

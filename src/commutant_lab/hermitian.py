@@ -29,6 +29,7 @@ __all__ = [
     "rel_c",
     "rel_j",
     "rel_q",
+    "rel_stack",
     "triadic_relation",
 ]
 
@@ -147,6 +148,34 @@ def rel_j(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
 def rel_q(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
     """True when ``A`` and ``B`` either commute or anticommute."""
     return rel_c(a, b, tol) or rel_j(a, b, tol)
+
+
+def _frobenius_stack(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack ``(T, n, n)``."""
+    flat = np.ascontiguousarray(x, dtype=complex).view(np.float64).reshape(len(x), -1)
+    return np.sqrt(np.einsum("ti,ti->t", flat, flat))
+
+
+def rel_stack(
+    x: np.ndarray, y: np.ndarray, tol: Tolerance | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`rel_c` and :func:`rel_j` of each pair of slices of two stacks.
+
+    ``x`` and ``y`` are ``(T, n, n)`` arrays; returns two boolean arrays of
+    length ``T``, the slices that commute and the slices that anticommute.
+    Each slice gets its own threshold ``rel_zero * max(1, |X|_F |Y|_F)``,
+    so a verdict equals the serial one except for last-bit differences in
+    the norms.
+    """
+    tol = _tol(tol)
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.ndim != 3 or x.shape != y.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    xy = x @ y
+    yx = y @ x
+    bound = tol.rel_zero * np.maximum(1.0, _frobenius_stack(x) * _frobenius_stack(y))
+    return _frobenius_stack(xy - yx) <= bound, _frobenius_stack(xy + yx) <= bound
 
 
 def triadic_relation(

@@ -134,6 +134,16 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     Runs ``trials`` random pairs plus ``CONSTRUCTED_PAIRS`` commuting and
     ``CONSTRUCTED_PAIRS`` anticommuting pairs; the constructed ones must be
     detected with the matching sign.
+
+    A pair with ``|BA|_F <= 1e-12 * max(1, |A|_F |B|_F)`` passes as
+    trivially proportional; this floor is fixed and does not follow
+    ``tol.rel_zero``.  Otherwise the least-squares factor ``lam`` is
+    accepted when ``|AB - lam BA|_F <= rel_zero * max(1, |A|_F |B|_F)``.
+    That residual never exceeds ``|BA|_F`` (``AB = (BA)*``), so a pair
+    between the floor and ``rel_zero`` is accepted with an uninformative
+    ``lam`` of modulus at most 1 and fails the sign check.  The window is
+    empty when ``rel_zero <= 1e-12``, and then the floor is looser than
+    the tolerance.
     """
     tol = _tol(tol)
     dims = tuple(dims)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commutant_lab import (
     Tolerance,
     as_hermitian,
+    commutator,
     frobenius,
     is_scalar,
     jordan_product,
@@ -18,6 +19,7 @@ from commutant_lab import (
     rel_c,
     rel_j,
     rel_q,
+    rel_stack,
     triadic_relation,
 )
 
@@ -111,6 +113,71 @@ class TestTriadic:
         a = np.eye(2)
         with pytest.raises(ValueError, match="relation kind"):
             triadic_relation(a, a, a, "sideways")
+
+
+def relation_pairs(seed, dim):
+    """A commuting, an anticommuting and a generic pair of Hermitian matrices."""
+    rng = np.random.default_rng([seed, dim])
+    a = random_hermitian(dim, rng)
+    w, v = np.linalg.eigh(a)
+    commuting = (v * rng.standard_normal(dim)) @ v.conj().T
+    lam = float(rng.uniform(0.5, 2.0))
+    u = random_unitary(dim, rng)
+    signed = (u * np.concatenate([[lam, -lam], np.zeros(dim - 2)])) @ u.conj().T
+    swap = np.zeros((dim, dim), dtype=complex)
+    swap[0, 1] = swap[1, 0] = 1.0
+    return [
+        (a, (commuting + commuting.conj().T) / 2.0),
+        ((signed + signed.conj().T) / 2.0, u @ swap @ u.conj().T),
+        (a, random_hermitian(dim, rng)),
+    ]
+
+
+class TestRelStack:
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_matches_serial_relations(self, dim):
+        pairs = [pair for seed in range(5) for pair in relation_pairs(seed, dim)]
+        x, y = (np.array(side) for side in zip(*pairs))
+        commutes, anticommutes = rel_stack(x, y)
+        assert list(commutes) == [rel_c(a, b) for a, b in pairs]
+        assert list(anticommutes) == [rel_j(a, b) for a, b in pairs]
+        assert commutes.any() and anticommutes.any() and not (commutes | anticommutes).all()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rel_stack(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rel_stack(np.eye(3), np.eye(3))
+
+
+class TestScaleFloor:
+    """The threshold ``rel_zero * max(1, |A|_F |B|_F)`` is relative only
+    while the norm product is at least 1; below, it is an absolute
+    ``rel_zero``."""
+
+    @staticmethod
+    def verdicts(a, b, c):
+        commutes, anticommutes = rel_stack(a[None], b[None])
+        return (rel_c(a, b), rel_j(a, b), rel_q(a, b),
+                triadic_relation(a, b, c, "commutative"), triadic_relation(a, b, c, "quasi"),
+                bool(commutes[0]), bool(anticommutes[0]))
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_invariant_under_scaling_up(self, dim):
+        seen = set()
+        for seed in range(10):
+            c = random_hermitian(dim, [seed, 40])
+            for a, b in relation_pairs(seed, dim):
+                plain = self.verdicts(a, b, c)
+                assert self.verdicts(1e6 * a, 1e6 * b, 1e6 * c) == plain
+                seen.add(plain)
+        assert len(seen) == 3  # commuting, anticommuting and generic pairs
+
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    def test_every_pair_passes_when_scaled_down(self, dim):
+        for seed in range(10):
+            a, b, c = (1e-6 * random_hermitian(dim, [seed, k]) for k in range(3))
+            assert all(self.verdicts(a, b, c))
 
 
 class TestBrookeProperty:
@@ -226,3 +293,34 @@ def test_relation_invariants_hold_generically(seed, dim, t):
     assert rel_c(a + t * np.eye(dim), b) == rel_c(a, b)
     if rel_c(a, b) or rel_j(a, b):
         assert rel_q(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=3, max_value=6),
+    shift=st.floats(min_value=-5, max_value=5, allow_nan=False),
+)
+def test_triadic_verdicts_invariant_under_unitary_and_antiunitary_conjugation(seed, dim, shift):
+    """Stacked triadic verdicts on a scalar-difference triple (holds) and a
+    random triple (fails), each at least 10x away from the threshold."""
+    rng = np.random.default_rng(seed)
+    b = random_hermitian(dim, rng)
+    triples = [(b + shift * np.eye(dim), b, random_hermitian(dim, rng)),
+               tuple(random_hermitian(dim, rng) for _ in range(3))]
+    for a, b, c in triples:
+        scale = 1e-9 * max(1.0, frobenius(a - b) * frobenius(c))
+        for product in (commutator(a - b, c), jordan_product(a - b, c)):
+            margin = frobenius(product) / scale
+            assume(margin <= 0.1 or margin >= 10.0)
+    u = random_unitary(dim, rng)
+    stack = np.array(triples)
+
+    def verdicts(x):
+        commutes, anticommutes = rel_stack(x[:, 0] - x[:, 1], x[:, 2])
+        return list(commutes), list(commutes | anticommutes)
+
+    expected = verdicts(stack)
+    assert expected == ([True, False], [True, False])
+    assert verdicts(u @ stack @ u.conj().T) == expected
+    assert verdicts(stack.conj()) == expected

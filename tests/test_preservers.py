@@ -8,6 +8,7 @@ from commutant_lab import (
     PreserverMap,
     SearchExhausted,
     ShiftPolicy,
+    Tolerance,
     Violation,
     apply_map,
     check_triadic,
@@ -28,9 +29,11 @@ from commutant_lab import (
     triadic_relation,
 )
 from commutant_lab.preservers import (
+    BLOCK,
     BOTH_FAIL,
     BOTH_HOLD,
     VIOLATION_FORWARD,
+    _structured_triple,
     default_necessity_anchor,
 )
 
@@ -202,9 +205,6 @@ class TestPropertyRun:
 
     def test_structured_generator_hits_true_sources(self):
         # without structured triples the forward direction would be vacuous
-        from commutant_lab import Tolerance
-        from commutant_lab.preservers import _structured_triple
-
         hits = 0
         for t in range(200):
             rng = np.random.default_rng([13, t])
@@ -216,6 +216,109 @@ class TestPropertyRun:
     def test_trials_validation(self):
         with pytest.raises(ValueError, match="trials"):
             property_run(identity_map(3), trials=0)
+
+    def test_map_of_wrong_dimension_rejected(self):
+        wrong = PreserverMap(1.0, random_unitary(4, 28))
+        message = r"^dimension mismatch: map is \(4, 4\), input \(3, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            property_run({3: wrong}, trials=5)
+
+
+def serial_property_run(maps, trials, seed):
+    """``property_run`` with the same draws, one ``check_triadic`` per trial."""
+    tol = Tolerance()
+    dims = tuple(sorted(maps))
+    found = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        dim = dims[int(rng.integers(len(dims)))]
+        if rng.random() < 0.5:
+            a, b, c = _structured_triple(rng, dim, tol)
+        else:
+            a, b, c = (random_hermitian(dim, rng) for _ in range(3))
+        verdict = check_triadic(maps[dim], a, b, c, tol)
+        if is_violation(verdict):
+            found.append((t, verdict, a, b, c))
+    return found
+
+
+def quasi_map(dim, seed, antiunitary=False, shift=None, scale=1.0):
+    return PreserverMap(scale, random_unitary(dim, [seed, dim]), antiunitary=antiunitary,
+                        shift=shift or ShiftPolicy("zero"), relation_kind="quasi")
+
+
+ORACLE_MAPS = {
+    "trace_based": (True, lambda d: quasi_map(d, 30, shift=ShiftPolicy("trace_based"))),
+    "antiunitary": (True, lambda d: quasi_map(d, 31, antiunitary=True, scale=-0.5,
+                                              shift=ShiftPolicy("trace_based"))),
+    "composed": (True, lambda d: compose(
+        quasi_map(d, 32, scale=2.0, shift=ShiftPolicy("constant", value=0.5)),
+        quasi_map(d, 33, antiunitary=True, scale=1.5, shift=ShiftPolicy("trace_based")))),
+    "theorem_compliant": (True, lambda d: quasi_map(d, 34, shift=ShiftPolicy(
+        "theorem_compliant_quasi", inner=ShiftPolicy("trace_based")))),
+    "necessity_map": (False, necessity_map),
+    "commutative": (False, lambda d: PreserverMap(
+        -3.0, random_unitary(d, [35, d]), antiunitary=True, shift=ShiftPolicy("trace_based"))),
+}
+
+
+class TestBatchedOracle:
+    """The stacked evaluation in ``property_run`` and ``lemma4_check``
+    against serial loops over ``check_triadic`` and ``rel_j``."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MAPS))
+    def test_property_run_matches_check_triadic(self, name):
+        violates, build = ORACLE_MAPS[name]
+        maps = {d: build(d) for d in (3, 4, 5)}
+        trials = BLOCK + 44  # two blocks, the second one partial
+        report = property_run(maps, trials=trials, seed=5)
+        expected = serial_property_run(maps, trials, seed=5)
+        assert bool(expected) == violates
+        assert [(v.trial, v.direction) for v in report.violations] == [
+            (t, direction) for t, direction, *_ in expected]
+        for v, (_, _, a, b, c) in zip(report.violations, expected):
+            assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                       for x, y in ((v.a, a), (v.b, b), (v.c, c)))
+        if violates:
+            assert {v.a.shape[0] for v in report.violations} == {3, 4, 5}
+
+    @staticmethod
+    def serial_lemma4(lam, projection, candidates, seed, tol):
+        """``lemma4_check`` as a loop over ``rel_j``, same candidate draws."""
+        a = lam * np.asarray(projection, dtype=complex)
+        n = a.shape[0]
+        eye = np.eye(n, dtype=complex)
+
+        def premises(x, y):
+            return rel_j(x - lam * eye, y, tol) and rel_j(y - lam * eye, x, tol)
+
+        if not premises(a, a):
+            return False
+        for t in range(candidates):
+            rng = np.random.default_rng([seed, t])
+            if t % 3 == 0:
+                x = random_hermitian(n, rng)
+                x = x / frobenius(x)
+                b = a + 10.0 ** rng.uniform(-4, 1) * x
+            elif t % 3 == 1:
+                b = random_hermitian(n, rng) * max(1.0, frobenius(a))
+            else:
+                b = float(rng.uniform(-3.0, 3.0)) * a
+            if frobenius(b - a) > 1e-6 and premises(a, b):
+                return False
+        return True
+
+    @pytest.mark.parametrize("lam, projection, tol, rigid", [
+        (2.0, random_projection(4, 2, 36), Tolerance(), True),
+        # a loose zero test lets small perturbations of A pass both premises
+        (2.0, random_projection(4, 2, 36), Tolerance(rel_zero=0.05), False),
+        # not a projection: B = A already fails the premises
+        (1.5, random_hermitian(3, 37), Tolerance(), False),
+    ], ids=["rigid", "loose-tolerance", "not-a-projection"])
+    def test_lemma4_matches_rel_j_loop(self, lam, projection, tol, rigid):
+        candidates = BLOCK + 44
+        assert self.serial_lemma4(lam, projection, candidates, 8, tol) == rigid
+        assert lemma4_check(lam, projection, candidates=candidates, seed=8, tol=tol) == rigid
 
 
 class TestNecessitySearch:
