@@ -10,8 +10,8 @@ seeded, reproducible desk-scale computations:
   Hermitian matrices, projections and Haar unitaries;
 * :mod:`~commutant_lab.commutant` — commutant / anticommutant /
   quasi-commutant / second-commutant subspaces read off one
-  eigendecomposition, realified SVD kernel solves kept as their oracles,
-  subspace comparison and refutation search;
+  eigendecomposition, a Krylov oracle for the second commutant, subspace
+  comparison and refutation search;
 * :mod:`~commutant_lab.spectral` — clustered eigendecomposition,
   two-point-spectrum and primitivity predicates, partition oracles and the
   explicit block fixtures;
@@ -28,10 +28,6 @@ from .commutant import (
     anticommutant,
     bicommutant,
     commutant,
-    hermitian_basis,
-    kernel_anticommutant,
-    kernel_bicommutant,
-    kernel_commutant,
     noncommuting_anticommuting_partner,
     quasi_commutant,
     quasi_equals_commutant,

@@ -8,7 +8,9 @@ commutant of B is properly contained in that of A, then B lies in the
 second commutant of A, i.e. B is a function of A.  Such functions only
 matter through the partition they induce on the distinct eigenvalues of A,
 so quantifying over all B reduces to enumerating proper partitions of the
-eigenvalue clusters (feasible for at most ten clusters).
+eigenvalue clusters (feasible for at most ten clusters).  Each containment
+is tested on Krylov bicommutants, which share no code with the
+eigendecomposition that finds the clusters.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .commutant import (_spectral_runs, kernel_bicommutant, quasi_equals_commutant,
+from .commutant import (_krylov_bicommutant, _spectral_runs, quasi_equals_commutant,
                         subspace_proper_lt)
 from .hermitian import Tolerance, _tol, frobenius, is_scalar
 
@@ -200,18 +202,19 @@ def _partition_oracle(a: np.ndarray, tol: Tolerance,
                       accept: Callable[[np.ndarray], bool]) -> bool:
     """False when some proper cluster merge B of ``a`` that is nonscalar
     and passes ``accept`` has a second commutant strictly inside that of
-    ``a`` (kernel-solver bicommutants); True otherwise."""
+    ``a`` (Krylov bicommutants, independent of the eigendecomposition that
+    finds the clusters); True otherwise."""
     sd = spectral_decompose(a, tol)
     if sd.count > MAX_PARTITION_CLUSTERS:
         raise ValueError(f"partition enumeration infeasible for {sd.count} clusters")
-    bic_a = kernel_bicommutant(a, tol)
+    bic_a = _krylov_bicommutant(a, tol)
     for blocks in _set_partitions(range(sd.count)):
         if len(blocks) >= sd.count or len(blocks) == 1:
             continue  # not a proper merge / scalar image cannot violate
         b = _merge_clusters(sd, blocks)
         if is_scalar(b, tol) or not accept(b):
             continue
-        if subspace_proper_lt(kernel_bicommutant(b, tol), bic_a, tol):
+        if subspace_proper_lt(_krylov_bicommutant(b, tol), bic_a, tol):
             return False
     return True
 
@@ -222,7 +225,7 @@ def lemma18_minimality(a: np.ndarray, tol: Tolerance | None = None) -> bool:
 
     Any B with a strictly smaller second commutant is a function of ``a``,
     hence determined up to values by a proper partition of the eigenvalue
-    clusters; each candidate is checked against the kernel-solver
+    clusters; each candidate is checked against the Krylov
     bicommutant.  Holds exactly for two-point spectra.  Raises on scalar
     input and on more than ten clusters (enumeration infeasible).
     """
@@ -259,7 +262,7 @@ def lemma181_oracle(a: np.ndarray, tol: Tolerance | None = None) -> bool:
 
     Enumerates proper cluster merges of ``a`` restricted to candidates whose
     anticommutant the engine verifies to sit inside their commutant, and
-    tests the bicommutant containment with the kernel solver.
+    tests the bicommutant containment with the Krylov bicommutant.
     """
     tol = _tol(tol)
     _require(a, tol, "oracle", quasi_side=True)

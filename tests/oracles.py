@@ -1,17 +1,26 @@
-"""Spectral-formula oracles for subspace dimensions, independent of the
-kernel solver they cross-check.
+"""Oracles for the subspace routes of ``commutant_lab.commutant``, independent
+of the eigenbasis routes they cross-check.
 
-For a Hermitian matrix with distinct eigenvalues v_i of multiplicities m_i:
+Spectral formulas.  For a Hermitian matrix with distinct eigenvalues v_i of
+multiplicities m_i:
 
 * commutant dimension   = sum of m_i^2,
 * bicommutant dimension = number of distinct eigenvalues,
 * anticommutant dimension = m_0^2 (kernel block) plus 2 m_i m_j over pairs
   with v_i = -v_j and v_i != 0.
+
+Kernel solvers.  ``kernel_commutant``, ``kernel_anticommutant`` and
+``kernel_bicommutant`` realify each commutation map into a ``2 n^2 x n^2``
+system on ``hermitian_basis(n)`` and read its kernel off an SVD.  They use
+neither the eigendecomposition of the production routes nor the Krylov
+bicommutant of the partition oracles.  Their cost, O(n^6) time and
+``2 k n^4`` entries for the bicommutant (k the commutant dimension), keeps
+them in the tests.
 """
 
 import numpy as np
 
-from commutant_lab import Tolerance, frobenius, spectral_decompose
+from commutant_lab import MatrixSubspace, Tolerance, frobenius, spectral_decompose
 
 
 def _zero_threshold(a, tol: Tolerance) -> float:
@@ -54,3 +63,98 @@ def spectrum_has_sign_pair(a, tol: Tolerance | None = None) -> bool:
             if abs(vi + sd.distinct_values[j]) <= thr:
                 return True
     return False
+
+
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the n^2-dimensional real space of Hermitian matrices.
+
+    Order: diagonal units, then symmetric off-diagonal pairs, then
+    antisymmetric imaginary pairs; all unit-norm under ``Re tr(X* Y)``.
+    """
+    mats = np.zeros((n * n, n, n), dtype=complex)
+    k = 0
+    for i in range(n):
+        mats[k, i, i] = 1.0
+        k += 1
+    s = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mats[k, i, j] = s
+            mats[k, j, i] = s
+            k += 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            mats[k, i, j] = 1j * s
+            mats[k, j, i] = -1j * s
+            k += 1
+    return mats
+
+
+def _kernel_subspace(images: np.ndarray, n: int, tol: Tolerance,
+                     scale: float = 1.0) -> MatrixSubspace:
+    """Kernel of a real-linear map given by its images on ``hermitian_basis(n)``.
+
+    ``images`` has shape (n^2, n, n), or (n^2, k, n, n) for k maps at once;
+    column i of the realified system is the flattened real and imaginary
+    parts of ``images[i]``.  Singular
+    values at or below ``rank_cut`` times max(largest singular value,
+    ``scale``) count as zero; the scale floor keeps maps that are pure
+    float noise (e.g. commutation with a conjugated scalar) from being
+    mistaken for structure.
+    """
+    flat = images.reshape(n * n, -1)
+    system = np.concatenate([flat.real, flat.imag], axis=1).T  # (2 k n^2, n^2)
+    _, svals, vt = np.linalg.svd(system, full_matrices=False)
+    cut = tol.rank_cut * max(float(svals[0]) if svals.size else 0.0, scale)
+    rank = int(np.sum(svals > cut))
+    coeffs = vt[rank:]
+    basis = np.tensordot(coeffs, hermitian_basis(n), axes=1)
+    return MatrixSubspace(dim=n, basis=basis)
+
+
+def _images(a: np.ndarray, basis: np.ndarray, sign: float) -> np.ndarray:
+    """Images ``A X + sign X A`` of every basis element ``X``."""
+    left, right = np.einsum("ij,kjl->kil", a, basis), np.einsum("kij,jl->kil", basis, a)
+    return left + right if sign > 0 else left - right
+
+
+def _kernel_oracle(a: np.ndarray, tol: Tolerance | None, sign: float) -> MatrixSubspace:
+    """Kernel of the realified ``X -> AX + sign XA``."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    return _kernel_subspace(_images(a, hermitian_basis(n), sign), n, tol or Tolerance(),
+                            scale=max(1.0, frobenius(a)))
+
+
+def kernel_commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+    """Oracle for ``commutant``: kernel of the realified ``X -> AX - XA``."""
+    return _kernel_oracle(a, tol, -1.0)
+
+
+def kernel_anticommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+    """Oracle for ``anticommutant``: kernel of the realified ``X -> AX + XA``."""
+    return _kernel_oracle(a, tol, 1.0)
+
+
+def kernel_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+    """Oracle for ``bicommutant``: joint kernel of the commutation maps
+    of every basis element of ``kernel_commutant(A)``.
+
+    Known fault: for two eigenvalues a relative gap of about 5e-10 to 3e-6
+    apart, the SVD null vectors of :func:`kernel_commutant` are accurate
+    only to about ``eps |A| / gap`` (``eps`` the float epsilon).  The
+    difference of the two spectral projections then fails to commute with
+    that basis by more than the cut, so this solve merges two eigenvalue
+    clusters that its own commutant keeps apart and returns one dimension
+    too few (5 where the answer is 6 at n = 6).  The gap sweep in
+    ``tests/test_commutant.py`` pins the window.  The partition oracles of
+    ``commutant_lab.spectral`` no longer use this solve.
+    """
+    tol = tol or Tolerance()
+    n = np.asarray(a).shape[0]
+    basis = hermitian_basis(n)
+    # Joint kernel: the images under every commutant basis element's
+    # commutation map, side by side, form one tall realified system.
+    # Generators are unit-norm, so 1.0 is the right scale floor here.
+    images = np.stack([_images(c, basis, -1.0) for c in kernel_commutant(a, tol).basis], axis=1)
+    return _kernel_subspace(images, n, tol)

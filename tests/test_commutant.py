@@ -1,6 +1,9 @@
-"""Commutant engine: the eigenbasis route against the kernel-solver and
-spectral-formula oracles, subspace comparison, refutation search, witness
+"""Commutant engine: the eigenbasis route against the kernel-solver, Krylov
+and spectral-formula oracles, subspace comparison, refutation search, witness
 constructions."""
+
+import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,11 +16,7 @@ from commutant_lab import (
     bicommutant,
     commutant,
     frobenius,
-    hermitian_basis,
     is_scalar,
-    kernel_anticommutant,
-    kernel_bicommutant,
-    kernel_commutant,
     noncommuting_anticommuting_partner,
     quasi_commutant,
     quasi_equals_commutant,
@@ -32,10 +31,15 @@ from commutant_lab import (
     subspace_leq,
     subspace_proper_lt,
 )
+from commutant_lab.commutant import _krylov_bicommutant
 from oracles import (
     anticommutant_dim_formula,
     bicommutant_dim_formula,
     commutant_dim_formula,
+    hermitian_basis,
+    kernel_anticommutant,
+    kernel_bicommutant,
+    kernel_commutant,
     spectrum_has_sign_pair,
 )
 
@@ -72,7 +76,8 @@ class TestSubspaceInvariants:
     def test_computed_subspaces_are_orthonormal_hermitian(self):
         for seed in range(8):
             a = mixed_sample(np.random.default_rng([seed, 90]), 5)
-            for sub in (commutant(a), anticommutant(a), bicommutant(a)):
+            for sub in (commutant(a), anticommutant(a), bicommutant(a),
+                        _krylov_bicommutant(a)):
                 k = sub.real_dimension
                 assert k <= 25
                 if k == 0:
@@ -157,6 +162,21 @@ class TestBicommutant:
             for p in sd.projections:
                 assert bic.residual(p) <= 1e-8
 
+    def test_krylov_oracle_keeps_at_most_n_elements(self):
+        # Cayley-Hamilton caps the algebra at n dimensions.  With a close
+        # pair in a spread-out spectrum, roundoff can keep the residual
+        # above the cut after n steps: without the cap one of these draws
+        # (n = 16) ran to 255 elements.
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 12])
+            n = int(rng.integers(2, 17))
+            values = rng.uniform(-3, 3, size=n)
+            values[-1] = values[0] * (1 + 10 ** rng.uniform(-12, -4))
+            a = spectrum_matrix(rng, n, values)
+            assert _krylov_bicommutant(a).real_dimension <= n, seed
+        assert _krylov_bicommutant(np.zeros((3, 3), dtype=complex)).real_dimension == 1
+        assert _krylov_bicommutant(diag(2.0)).real_dimension == 1
+
 
 class TestDimensionFormulas:
     """Eigenbasis route and spectral formulas agree on random matrices."""
@@ -198,11 +218,20 @@ class TestGapSweep:
     null vectors of the kernel oracles are off by about eps |A| / gap, more
     than ``rel_zero``, so there the oracles and the eigenbasis route give
     different subspaces (see ``kernel_bicommutant``).
+
+    The Krylov oracle stops at a residual of ``eps max(1, |A|_F) /
+    rel_zero``; here the pair leaves a last residual of about 0.29 gap
+    |A|_F, so the oracle joins the pair up to a gap of about 7.5e-7.
+    Inside ``KRYLOV_WINDOW`` it returns one dimension fewer than the
+    eigenbasis route, outside it the same subspace.  On a grid of 57 gaps
+    it returned 5 dimensions against the eigenbasis route's 6 from 5.6e-10
+    to 7.5e-7, and agreed at every other gap.
     """
 
     LAM = 1.3
     GAPS = np.logspace(-12, -5, 15)
     WINDOW = (4e-10, 5e-6)
+    KRYLOV_WINDOW = (4e-10, 8e-7)
 
     def values(self, gap):
         return np.array([-self.LAM, self.LAM, self.LAM * (1.0 + gap), 1e-13, 2.1, -3.4])
@@ -232,6 +261,18 @@ class TestGapSweep:
             assert subspace_eq(commutant(a), kernel_commutant(a)), gap
             assert subspace_eq(anticommutant(a), kernel_anticommutant(a)), gap
             assert subspace_eq(bicommutant(a), kernel_bicommutant(a)), gap
+
+    def test_krylov_oracle_window(self):
+        lo, hi = self.KRYLOV_WINDOW
+        for gap in self.GAPS:
+            a = self.matrix(gap)
+            krylov, fast = _krylov_bicommutant(a), bicommutant(a)
+            assert all(rel_c(a, b) for b in krylov.basis), gap
+            if lo < gap < hi:
+                assert krylov.real_dimension == fast.real_dimension - 1 == 5, gap
+            else:
+                assert krylov.real_dimension == fast.real_dimension, gap
+                assert subspace_eq(krylov, fast), gap
 
     def test_eigenbasis_elements_satisfy_the_relation(self):
         # the only guarantee inside the window, and it holds at every gap
@@ -389,3 +430,19 @@ class TestScalarWitness:
             a = random_hermitian(4, [seed, 8])
             assert commutant(a).real_dimension < 16
         assert commutant(1.5 * np.eye(4, dtype=complex)).real_dimension == 16
+
+
+def test_package_attribute_commutant_is_the_function_not_the_module():
+    """The package re-exports the function ``commutant`` under the name of
+    its submodule, so attribute access, ``from ... import`` and
+    ``import ... as`` all give the function; ``importlib.import_module`` and
+    ``sys.modules`` give the module."""
+    import commutant_lab
+    import commutant_lab.commutant as via_import
+    from commutant_lab import commutant as via_from
+
+    module = importlib.import_module("commutant_lab.commutant")
+    assert module is sys.modules["commutant_lab.commutant"]
+    assert hasattr(module, "MatrixSubspace")
+    assert commutant_lab.commutant is via_import is via_from is commutant
+    assert not hasattr(commutant, "MatrixSubspace")

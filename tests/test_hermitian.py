@@ -295,6 +295,33 @@ def test_relation_invariants_hold_generically(seed, dim, t):
         assert rel_q(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dim=st.integers(min_value=2, max_value=6),
+    kind=st.sampled_from(["commuting", "perturbed", "random"]),
+    exponent=st.floats(min_value=-14, max_value=-4, allow_nan=False),
+    s=st.floats(min_value=-100, max_value=100, allow_nan=False),
+)
+def test_rel_c_invariant_under_scalar_shift(seed, dim, kind, exponent, s):
+    """``rel_c(A + sI, B) == rel_c(A, B)``: the commutator does not change,
+    but the threshold ``rel_zero max(1, |A|_F |B|_F)`` moves with s, so
+    only pairs at least 10x from both thresholds are compared."""
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(dim, rng)
+    w, v = np.linalg.eigh(a)
+    b = (v * np.cos(w)) @ v.conj().T  # a function of A: commutes
+    if kind == "perturbed":
+        b = b + 10.0 ** exponent * random_hermitian(dim, rng)
+    elif kind == "random":
+        b = random_hermitian(dim, rng)
+    shifted = a + s * np.eye(dim)
+    norm = frobenius(commutator(a, b))
+    margins = [norm / (1e-9 * max(1.0, frobenius(x) * frobenius(b))) for x in (a, shifted)]
+    assume(all(m <= 0.1 for m in margins) or all(m >= 10.0 for m in margins))
+    assert rel_c(shifted, b) == rel_c(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
