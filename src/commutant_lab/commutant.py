@@ -39,7 +39,6 @@ from .hermitian import (
     is_scalar,
     random_hermitian,
     rel_c,
-    rel_j,
     rel_q,
 )
 
@@ -94,30 +93,31 @@ class MatrixSubspace:
         tol = _tol(tol)
         return self.residual(x) <= tol.rel_zero * max(1.0, frobenius(x))
 
-    def random_element(self, rng, unit: bool = True) -> np.ndarray:
-        """Random real combination of the basis, unit Frobenius norm by default."""
+    def random_element(self, rng) -> np.ndarray:
+        """Random real combination of the basis with unit Frobenius norm."""
         if self.real_dimension == 0:
             raise ValueError("cannot sample from the zero subspace")
         c = _rng(rng).standard_normal(self.real_dimension)
-        if unit:
-            c = c / np.linalg.norm(c)
-        return np.tensordot(c, self.basis, axes=1)
+        return np.tensordot(c / np.linalg.norm(c), self.basis, axes=1)
 
 
-def _eigen_cut(a: np.ndarray, tol: Tolerance, sign: float):
-    """Eigendecomposition of ``A`` and the kernel cut of ``X -> AX + sign XA``.
+def _pair_masks(a: np.ndarray, tol: Tolerance):
+    """``w``, ``V`` of ``A = V diag(w) V*``, the commutant and anticommutant
+    pair masks, and the commutant cut.
 
-    In the eigenbasis ``A = V diag(w) V*`` the realified map is diagonal on
-    the unit Hermitian matrices built from eigenvector pairs (a, b): its
-    singular values are ``|w_a + sign w_b|``.  Returns ``w``, ``V``, that
-    matrix of singular values and the cut a realified SVD solve applies to
-    them: ``rank_cut`` times max(largest singular value, max(1, |A|_F)).
+    The eigenvector pair (a, b) spans singular vectors of ``X -> AX - XA``
+    and ``X -> AX + XA`` with singular values ``|w_a - w_b|`` and
+    ``|w_a + w_b|``; it is in a mask when that value is at or below the cut
+    of a realified SVD solve: ``rank_cut`` * max(largest singular value of
+    that map, max(1, |A|_F)).
     """
     a = np.asarray(a, dtype=complex)
     w, v = np.linalg.eigh(a)
-    svals = np.abs(w[:, None] + sign * w[None, :])
-    cut = tol.rank_cut * max(float(svals.max()), max(1.0, frobenius(a)))
-    return w, v, svals, cut
+    scale = max(1.0, frobenius(a))
+    diffs, sums = np.abs(w[:, None] - w), np.abs(w[:, None] + w)
+    cut = tol.rank_cut * max(float(diffs.max()), scale)
+    anti_cut = tol.rank_cut * max(float(sums.max()), scale)
+    return w, v, diffs <= cut, sums <= anti_cut, cut
 
 
 def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
@@ -152,21 +152,21 @@ def _spectral_runs(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[slice
 def commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     """Hermitian solutions of ``AX = XA``; always contains the identity and A.
 
-    Read off one eigendecomposition: the eigenvector pairs (a, b) with
-    ``|w_a - w_b|`` at or below the cut of :func:`_eigen_cut`.
+    Read off one eigendecomposition: the commutant pairs of
+    :func:`_pair_masks`, ``|w_a - w_b|`` at or below its cut.
     """
-    _, v, svals, cut = _eigen_cut(a, _tol(tol), -1.0)
-    return _pair_subspace(v, svals <= cut)
+    _, v, comm, _, _ = _pair_masks(a, _tol(tol))
+    return _pair_subspace(v, comm)
 
 
 def anticommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     """Hermitian solutions of ``AX + XA = 0``; possibly the zero subspace.
 
-    Read off one eigendecomposition: the eigenvector pairs (a, b) with
-    ``|w_a + w_b|`` at or below the cut of :func:`_eigen_cut`.
+    Read off one eigendecomposition: the anticommutant pairs of
+    :func:`_pair_masks`, ``|w_a + w_b|`` at or below its cut.
     """
-    _, v, svals, cut = _eigen_cut(a, _tol(tol), 1.0)
-    return _pair_subspace(v, svals <= cut)
+    _, v, _, anti, _ = _pair_masks(a, _tol(tol))
+    return _pair_subspace(v, anti)
 
 
 @dataclass
@@ -189,8 +189,9 @@ class QuasiCommutant:
 
 
 def quasi_commutant(a: np.ndarray, tol: Tolerance | None = None) -> QuasiCommutant:
-    """Commutant and anticommutant of ``A``, paired."""
-    return QuasiCommutant(commutant(a, tol), anticommutant(a, tol))
+    """Commutant and anticommutant of ``A``, paired, from one eigendecomposition."""
+    _, v, comm, anti, _ = _pair_masks(a, _tol(tol))
+    return QuasiCommutant(_pair_subspace(v, comm), _pair_subspace(v, anti))
 
 
 def bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
@@ -205,7 +206,7 @@ def bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     # benchmarks/tracer.py sizes each bicommutant call by the commutant
     # call nested inside it, so the commutant stays a call of its own.
     commutant(a, tol)
-    w, v, _, cut = _eigen_cut(a, tol, -1.0)
+    w, v, _, _, cut = _pair_masks(a, tol)
     basis = [p / np.sqrt(run.stop - run.start) for run, p in _spectral_runs(w, v, cut)]
     return MatrixSubspace(dim=w.size, basis=np.array(basis))
 
@@ -282,39 +283,29 @@ def subspace_proper_lt(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | No
 
 
 def quasi_equals_commutant(a: np.ndarray, tol: Tolerance | None = None) -> bool:
-    """True when every anticommuting Hermitian partner of ``A`` also commutes.
-
-    Equivalent spectral statement (used as an oracle in tests): the spectrum
-    of ``A`` meets its negative only in 0.
-    """
-    return subspace_leq(anticommutant(a, tol), commutant(a, tol), tol)
+    """True when the anticommutant of ``A`` sits inside its commutant: no
+    eigenvector pair of :func:`_pair_masks` is in the anticommutant mask
+    and outside the commutant mask.  Away from the cuts, the spectrum of
+    ``A`` then meets its negative only in 0."""
+    _, _, comm, anti, _ = _pair_masks(a, _tol(tol))
+    return not np.any(anti & ~comm)
 
 
 def noncommuting_anticommuting_partner(
     a: np.ndarray, tol: Tolerance | None = None
 ) -> np.ndarray | None:
-    """Unit-norm Hermitian B with ``AB + BA = 0`` and ``AB != BA``, if one exists.
-
-    Built in the eigenbasis of ``A`` from an eigenvalue pair (lam, -lam)
-    with lam != 0; returns ``None`` when the spectrum has no such pair,
-    which happens exactly when the anticommutant sits inside the commutant.
+    """Unit Hermitian ``B = (v_a v_b* + v_b v_a*) / sqrt(2)`` of the first
+    eigenvector pair (a, b) that :func:`quasi_equals_commutant` rules out;
+    ``None`` exactly when it holds.  ``|AB - BA|_F = |w_a - w_b|`` is above
+    the commutant cut but may be below ``rel_zero * max(1, |A|_F)``, where
+    ``rel_c`` reads B as commuting with ``A``.
     """
-    tol = _tol(tol)
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(a)
-    thr = tol.rel_zero * max(1.0, frobenius(a))
-    n = a.shape[0]
-    for i in range(n):
-        if abs(w[i]) <= thr:
-            continue
-        for j in range(i + 1, n):
-            if abs(w[i] + w[j]) > thr:
-                continue
-            b = np.outer(v[:, i], v[:, j].conj()) + np.outer(v[:, j], v[:, i].conj())
-            b = b / frobenius(b)
-            if rel_j(a, b, tol) and not rel_c(a, b, tol):
-                return b
-    return None
+    _, v, comm, anti, _ = _pair_masks(a, _tol(tol))
+    pairs = np.argwhere(anti & ~comm)
+    if len(pairs) == 0:
+        return None
+    b = np.outer(v[:, pairs[0][0]], v[:, pairs[0][1]].conj())
+    return (b + b.conj().T) / np.sqrt(2.0)
 
 
 def refute_biquasi_membership(
@@ -331,8 +322,10 @@ def refute_biquasi_membership(
     ``None`` (no witness within budget) is not a membership proof.  The
     candidate pool holds the basis of both parts, scalar-shifted copies
     ``lam I + M`` of commutant elements, and ``budget`` random unit
-    combinations inside each part.
+    combinations inside each part; a negative ``budget`` raises ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     tol = _tol(tol)
     _check_same_dim(np.asarray(x), np.asarray(a))
     qc = quasi if quasi is not None else quasi_commutant(a, tol)
@@ -341,10 +334,8 @@ def refute_biquasi_membership(
     shifts = (1.0, -1.0, 0.5)
 
     def candidates():
-        for m in qc.commutant_part.basis:
-            yield m
-        for m in qc.anticommutant_part.basis:
-            yield m
+        yield from qc.commutant_part.basis
+        yield from qc.anticommutant_part.basis
         for m in qc.commutant_part.basis:
             for s in shifts:
                 yield s * eye + m

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import anticommutant, noncommuting_anticommuting_partner
+from .commutant import anticommutant, quasi_equals_commutant
 from .hermitian import (
     RELATION_KINDS,
     Tolerance,
@@ -78,9 +78,9 @@ class ShiftPolicy:
     Kinds: ``zero``; ``constant`` (always ``value``); ``trace_based``
     (trace divided by dimension); ``pinned`` (``value`` on one anchor
     matrix, byte-exact after symmetrization, zero elsewhere);
-    ``theorem_compliant_quasi`` (zero whenever a noncommuting anticommuting
-    partner exists, otherwise the inner policy).  ``tol=None`` means the
-    default :class:`Tolerance`.
+    ``theorem_compliant_quasi`` (the inner policy where
+    :func:`quasi_equals_commutant` holds, zero elsewhere).  ``tol=None``
+    means the default :class:`Tolerance`.
     """
 
     kind: str
@@ -110,9 +110,7 @@ class ShiftPolicy:
             anchor = (self.anchor + self.anchor.conj().T) / 2.0
             return self.value if np.array_equal(sym, anchor) else 0.0
         # theorem_compliant_quasi
-        if noncommuting_anticommuting_partner(a, self.tol) is not None:
-            return 0.0
-        return self.inner(a)
+        return self.inner(a) if quasi_equals_commutant(a, self.tol) else 0.0
 
 
 @dataclass(eq=False)
@@ -400,6 +398,8 @@ def necessity_search(
     trials, which is the expected outcome for a compliant (all-zero) shift.
     """
     _check_seed(seed)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     tol = _tol(tol)
     a0 = default_necessity_anchor(dim)
     if preserver is None:

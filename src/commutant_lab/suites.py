@@ -76,6 +76,11 @@ LAMBDA_TOLERANCE = 1e-6
 CONSTRUCTED_PAIRS = 200
 # Trials of theorem-5's exploratory run of a compliant nonzero shift.
 EXPLORATORY_TRIALS = 200
+# Candidates per lemma-4 configuration, the lemma-aef weight grid and the
+# random candidates per part of each lemma-7 refutation search.
+LEMMA4_CANDIDATES = 1000
+AEF_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
+REFUTATION_BUDGET = 16
 
 
 class _Recorder:
@@ -128,6 +133,20 @@ def _composition(rng, total: int, parts: int) -> list[int]:
 # --------------------------------------------------------------------------
 
 
+def _proportionality_fit(a, b, tol: Tolerance):
+    """Fit of ``AB = lam BA``: ``None`` when ``|BA|_F <= 1e-12 * scale``
+    with ``scale = max(1, |A|_F |B|_F)``, else the least-squares ``lam``,
+    ``|AB - lam BA|_F`` and whether that is at most ``rel_zero * scale``."""
+    ba = b @ a
+    scale = max(1.0, frobenius(a) * frobenius(b))
+    if frobenius(ba) <= 1e-12 * scale:
+        return None
+    ab = a @ b
+    lam = complex(np.sum(ba.conj() * ab)) / (frobenius(ba) ** 2)
+    residual = frobenius(ab - lam * ba)
+    return lam, residual, residual <= tol.rel_zero * scale
+
+
 def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     """Whenever AB is proportional to BA for a Hermitian pair, the factor is +-1.
 
@@ -135,15 +154,11 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     ``CONSTRUCTED_PAIRS`` anticommuting pairs; the constructed ones must be
     detected with the matching sign.
 
-    A pair with ``|BA|_F <= 1e-12 * max(1, |A|_F |B|_F)`` passes as
-    trivially proportional; this floor is fixed and does not follow
-    ``tol.rel_zero``.  Otherwise the least-squares factor ``lam`` is
-    accepted when ``|AB - lam BA|_F <= rel_zero * max(1, |A|_F |B|_F)``.
-    That residual never exceeds ``|BA|_F`` (``AB = (BA)*``), so a pair
-    between the floor and ``rel_zero`` is accepted with an uninformative
-    ``lam`` of modulus at most 1 and fails the sign check.  The window is
-    empty when ``rel_zero <= 1e-12``, and then the floor is looser than
-    the tolerance.
+    Pairs go through :func:`_proportionality_fit`, whose 1e-12 floor does
+    not follow ``tol.rel_zero``.  Its residual never exceeds ``|BA|_F``
+    (``AB = (BA)*``), so a pair between the floor and ``rel_zero`` is
+    accepted with an uninformative ``lam``, ``|lam| <= 1``, and fails the
+    sign check.  For ``rel_zero <= 1e-12`` the floor is the looser test.
     """
     tol = _tol(tol)
     dims = tuple(dims)
@@ -151,15 +166,12 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     errors = []  # distance of each detected factor from +-1
 
     def lambda_check(a, b, expected_sign=None):
-        ba = b @ a
-        scale = max(1.0, frobenius(a) * frobenius(b))
-        if frobenius(ba) <= 1e-12 * scale:
+        fit = _proportionality_fit(a, b, tol)
+        if fit is None:
             rec.check(True)
             return
-        ab = a @ b
-        lam = complex(np.sum(ba.conj() * ab)) / (frobenius(ba) ** 2)
-        residual = frobenius(ab - lam * ba)
-        if residual > tol.rel_zero * scale:
+        lam, residual, accepted = fit
+        if not accepted:
             rec.check(expected_sign is None, lambda: {
                 "a": matrix_to_payload(a), "b": matrix_to_payload(b),
                 "reason": "constructed pair not detected"})
@@ -249,7 +261,7 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None, candidates=1000):
+def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None):
     """Mutual shifted anticommutation at a nonzero shift pins B to A."""
     tol = _tol(tol)
     rec = _Recorder()
@@ -259,10 +271,10 @@ def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None, candidates=100
         lam = float(rng.choice([0.7, -1.5, 2.0, 3.0, -0.5]))
         rank = int(rng.integers(1, dim + 1))
         p = random_projection(dim, rank, rng)
-        rec.check(lemma4_check(lam, p, candidates=candidates, seed=seed + 7 * t, tol=tol),
-                  lambda: {"p": matrix_to_payload(p), "lambda": lam})
+        ok = lemma4_check(lam, p, candidates=LEMMA4_CANDIDATES, seed=seed + 7 * t, tol=tol)
+        rec.check(ok, lambda: {"p": matrix_to_payload(p), "lambda": lam})
     return rec.result("lemma-4", {"configurations": trials,
-                                  "candidates_per_configuration": candidates})
+                                  "candidates_per_configuration": LEMMA4_CANDIDATES})
 
 
 # --------------------------------------------------------------------------
@@ -270,8 +282,7 @@ def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None, candidates=100
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None,
-                    a_values=(0.25, 0.5, 1.0, 2.0, 4.0), grid=(-2.0, -1.0, 0.5, 1.0, 2.0)):
+def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None, a_values=(0.25, 0.5, 1.0, 2.0, 4.0)):
     """Spectra and the exact commutation pattern of the A/E/F block fixtures,
     over a finite exact grid."""
     tol = _tol(tol)
@@ -296,9 +307,9 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None,
                      "rank-one reflection direction"),
                 ):
                     rec.check(ok, {"context": f"{label}: {what} (a={a}, dim={dim})"})
-            for alpha in grid:
+            for alpha in AEF_GRID:
                 for sub, probe, term, name in ((fe, ff, "eps E", "F"), (ff, fe, "phi F", "E")):
-                    for w in grid:
+                    for w in AEF_GRID:
                         lhs = alpha * fa - w * sub
                         where = f"(a={a}, dim={dim}, {alpha}, {w})"
                         rec.check(rel_c(lhs, probe, tol) == (alpha == w),
@@ -307,7 +318,7 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None,
                                   {"context": f"(alpha A - {term}) o {name} nonzero {where}"})
 
     return rec.result("lemma-aef", {"a_values": list(a_values), "dims": list(dims),
-                                    "grid": list(grid)})
+                                    "grid": list(AEF_GRID)})
 
 
 # --------------------------------------------------------------------------
@@ -379,7 +390,7 @@ def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12, budget=16):
+def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12):
     """The second quasi-commutant sits inside the second commutant: every
     sampled matrix outside the latter is conclusively refuted, and when the
     quasi-commutant is a subspace, no member of the second commutant is."""
@@ -396,8 +407,8 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12, bu
             x = random_hermitian(dim, np.random.default_rng([seed, 9, i, j]))
             if bic.residual(x) <= 1e-6 * max(1.0, frobenius(x)):
                 continue  # vanishing-probability resample guard
-            witness = refute_biquasi_membership(x, a, budget=budget, seed=seed + j, tol=tol,
-                                                quasi=qc)
+            witness = refute_biquasi_membership(x, a, budget=REFUTATION_BUDGET, seed=seed + j,
+                                                tol=tol, quasi=qc)
             ok = (
                 witness is not None
                 and qc.contains(witness, tol)
@@ -410,8 +421,8 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12, bu
             members += [bic.random_element(rng) for _ in range(3)]
             for z in members:
                 members_checked += 1
-                witness = refute_biquasi_membership(z, a, budget=budget, seed=seed, tol=tol,
-                                                    quasi=qc)
+                witness = refute_biquasi_membership(z, a, budget=REFUTATION_BUDGET, seed=seed,
+                                                    tol=tol, quasi=qc)
                 rec.check(witness is None, lambda: {"a": matrix_to_payload(a),
                                                     "z": matrix_to_payload(z),
                                                     "witness": matrix_to_payload(witness)})
@@ -516,11 +527,10 @@ _MAP_CONFIGS = (
 )
 
 
-def _theorem_suite(name, relation_kind, dims, trials, seed, tol, configs, zero_shift):
+def _theorem_suite(name, relation_kind, dims, trials, seed, tol, zero_shift):
     tol = _tol(tol)
     rec = _Recorder()
-    config_list = [_MAP_CONFIGS[i % len(_MAP_CONFIGS)] for i in range(configs)]
-    for idx, (scale, anti, (shift_kind, shift_value)) in enumerate(config_list):
+    for idx, (scale, anti, (shift_kind, shift_value)) in enumerate(_MAP_CONFIGS):
         shift = (ShiftPolicy("zero") if zero_shift
                  else ShiftPolicy(shift_kind, shift_value, tol=tol))
         maps = {
@@ -539,23 +549,22 @@ def _theorem_suite(name, relation_kind, dims, trials, seed, tol, configs, zero_s
         rec.failures += len(report.violations)
         rec.counterexamples += [violation_to_payload(v, maps[v.a.shape[0]])
                                 for v in report.violations[:4]]
-    return rec.result(name, {"configurations": configs, "trials_per_configuration": trials,
-                             "dims": list(dims)})
+    return rec.result(name, {"configurations": len(_MAP_CONFIGS),
+                             "trials_per_configuration": trials, "dims": list(dims)})
 
 
-def suite_theorem_4(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10):
+def suite_theorem_4(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None):
     """Maps of the classified commutative form preserve the triadic relation
     in both directions: zero violations over structured and random triples."""
-    return _theorem_suite("theorem-4", "commutative", dims, trials, seed, tol, configs,
+    return _theorem_suite("theorem-4", "commutative", dims, trials, seed, tol,
                           zero_shift=False)
 
 
-def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None, configs=10):
+def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None):
     """Quasi form-check with an identically vanishing shift, plus a
     non-acceptance exploratory run of a compliant nonzero shift whose
     violation count is reported without being asserted."""
-    result = _theorem_suite("theorem-5", "quasi", dims, trials, seed, tol, configs,
-                            zero_shift=True)
+    result = _theorem_suite("theorem-5", "quasi", dims, trials, seed, tol, zero_shift=True)
     tol = _tol(tol)
     # A constant inner shift cancels in differences, so probe with a
     # matrix-dependent one; its behavior is recorded, never asserted.

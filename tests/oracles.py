@@ -9,6 +9,11 @@ multiplicities m_i:
 * anticommutant dimension = m_0^2 (kernel block) plus 2 m_i m_j over pairs
   with v_i = -v_j and v_i != 0.
 
+Subspace route.  ``subspace_quasi_equals_commutant`` decides whether the
+anticommutant sits inside the commutant by projecting the anticommutant
+basis onto the commutant, where ``quasi_equals_commutant`` compares two
+eigenvalue-pair masks; it shares only the bases with the route it checks.
+
 Kernel solvers.  ``kernel_commutant``, ``kernel_anticommutant`` and
 ``kernel_bicommutant`` realify each commutation map into a ``2 n^2 x n^2``
 system on ``hermitian_basis(n)`` and read its kernel off an SVD.  They use
@@ -20,7 +25,15 @@ them in the tests.
 
 import numpy as np
 
-from commutant_lab import MatrixSubspace, Tolerance, frobenius, spectral_decompose
+from commutant_lab import (
+    MatrixSubspace,
+    Tolerance,
+    anticommutant,
+    commutant,
+    frobenius,
+    spectral_decompose,
+    subspace_leq,
+)
 
 
 def _zero_threshold(a, tol: Tolerance) -> float:
@@ -63,6 +76,12 @@ def spectrum_has_sign_pair(a, tol: Tolerance | None = None) -> bool:
             if abs(vi + sd.distinct_values[j]) <= thr:
                 return True
     return False
+
+
+def subspace_quasi_equals_commutant(a, tol: Tolerance | None = None) -> bool:
+    """Oracle for ``quasi_equals_commutant``: the anticommutant basis, one
+    element at a time, projected onto the commutant basis."""
+    return subspace_leq(anticommutant(a, tol), commutant(a, tol), tol)
 
 
 def hermitian_basis(n: int) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Run ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 Every tolerance and budget is pinned here; the library defaults are only
-used where the criterion states none.
+used where the criterion states none.  Counts that have one value in every
+run (lemma-4 candidates, the lemma-aef grid, the lemma-7 refutation budget,
+the ten theorem map configurations) are constants of
+``commutant_lab.suites``.
 """
 
 import time
@@ -116,7 +119,6 @@ def test_lemma_aef_fixtures():
     result = suite_lemma_aef(
         dims=(3, 4, 7), seed=SEED,
         a_values=(0.25, 0.5, 1.0, 2.0, 4.0),
-        grid=(-2.0, -1.0, 0.5, 1.0, 2.0),
     )
     report(
         "lemma-aef", result["passed"],
@@ -164,7 +166,7 @@ def test_lemma_7_containment():
     """200 operators (dims 3-6), 50 outsiders each: every outsider refuted;
     second-commutant members never refuted when the quasi-commutant is a
     subspace."""
-    result = suite_lemma_7(dims=(3, 4, 5, 6), trials=200, seed=SEED, targets=50, budget=16)
+    result = suite_lemma_7(dims=(3, 4, 5, 6), trials=200, seed=SEED, targets=50)
     report(
         "lemma-7", result["passed"],
         f"{result['details']['outsiders_refuted']} outsiders refuted, "
@@ -195,7 +197,7 @@ def test_theorem_4_form_check():
     flags, three shift kinds), 2000 structured+random triples each at dims
     {3, 4, 5}: zero violations, under 60 s."""
     start = time.perf_counter()
-    result = suite_theorem_4(dims=(3, 4, 5), trials=2000, seed=SEED, configs=10)
+    result = suite_theorem_4(dims=(3, 4, 5), trials=2000, seed=SEED)
     elapsed = time.perf_counter() - start
     passed = result["passed"] and elapsed < 60.0
     report(
@@ -210,7 +212,7 @@ def test_theorem_5_form_check():
     """Same regime with the identically vanishing shift on the quasi
     relation: zero violations."""
     start = time.perf_counter()
-    result = suite_theorem_5(dims=(3, 4, 5), trials=2000, seed=SEED, configs=10)
+    result = suite_theorem_5(dims=(3, 4, 5), trials=2000, seed=SEED)
     elapsed = time.perf_counter() - start
     passed = result["passed"] and elapsed < 60.0
     exploratory = result["details"]["exploratory_nonzero_shift"]
@@ -251,7 +253,7 @@ def test_lemma_4_and_scalar_witness_searches():
     """Rigidity holds for 20 (lambda, P) configurations; the scalar-witness
     search succeeds on 100 nonscalar matrices and correctly returns nothing
     for scalars."""
-    r4 = suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=SEED, candidates=1000)
+    r4 = suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=SEED)
     witness_ok = 0
     checked = 0
     for i in range(100):

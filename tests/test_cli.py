@@ -272,6 +272,21 @@ class TestSearchCommand:
         assert code == 0
         assert json.loads(out)["status"].startswith("unrefuted")
 
+    def test_necessity_budget_below_one_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["search", "necessity-f", "--budget", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "budget must be at least 1, got -1" in err
+
+    def test_lemma7_negative_budget_is_usage_error(self, capsys, tmp_path):
+        a_path = tmp_path / "a.json"
+        save_matrix(a_path, diag(1, 1, 2))
+        code, out, err = run_cli(capsys, ["search", "lemma7-refute", "--input", str(a_path),
+                                          "--budget", "-3"])
+        assert code == 2
+        assert out == ""
+        assert "budget must be nonnegative, got -3" in err
+
 
 class TestReportCommand:
     def test_pretty_print(self, capsys, tmp_path):

@@ -41,6 +41,7 @@ from oracles import (
     kernel_bicommutant,
     kernel_commutant,
     spectrum_has_sign_pair,
+    subspace_quasi_equals_commutant,
 )
 
 from conftest import diag
@@ -197,8 +198,8 @@ class TestDimensionFormulas:
 )
 def test_dimensions_invariant_under_unitary_and_antiunitary_conjugation(values, seed):
     """Integer spectra keep every eigenvalue gap far from the cut, so the
-    real dimensions of all three subspaces must survive ``A -> U A U*`` and
-    entrywise conjugation ``A -> conj(A)``."""
+    real dimensions of all three subspaces and the quasi decision must
+    survive ``A -> U A U*`` and entrywise conjugation ``A -> conj(A)``."""
     dim = len(values)
     a = spectrum_matrix(np.random.default_rng([seed, 0]), dim, values)
     u = random_unitary(dim, [seed, 1])
@@ -206,6 +207,7 @@ def test_dimensions_invariant_under_unitary_and_antiunitary_conjugation(values, 
     for image in ((rotated + rotated.conj().T) / 2.0, a.conj()):
         for solver in (commutant, anticommutant, bicommutant):
             assert solver(image).real_dimension == solver(a).real_dimension, solver.__name__
+        assert quasi_equals_commutant(image) == quasi_equals_commutant(a)
 
 
 class TestGapSweep:
@@ -281,6 +283,74 @@ class TestGapSweep:
             assert all(rel_c(a, b) for b in commutant(a).basis), gap
             assert all(rel_c(a, b) for b in bicommutant(a).basis), gap
             assert all(rel_j(a, b) for b in anticommutant(a).basis), gap
+
+
+class TestQuasiGapSweep:
+    """The quasi decision swept across its cuts: one eigenvalue pair of
+    each spectrum moves by ``delta`` from 1e-12 to 1e-6, conjugated by a
+    fixed Haar unitary.
+
+    ``quasi_equals_commutant`` and ``noncommuting_anticommuting_partner``
+    read one pair rule: a pair lies in the anticommutant mask (``|w_a +
+    w_b|`` at or below its ``rank_cut`` cut) and outside the commutant mask
+    (``|w_a - w_b|`` above its cut).
+
+    * (0, delta, 5, 5.0001): the pair (0, delta) leaves the commutant at a
+      difference cut of about 7.1e-10 and the anticommutant at a sum cut
+      of about 1.0e-9, so a partner exists only in between.  There
+      ``|[A, B]|_F = delta`` is below ``rel_zero |A|_F`` (7.1e-9), so
+      ``rel_c`` still reads the partner as commuting: ``PARTNER_COMMUTES``.
+    * (lam, -lam + delta, 2): the pair anticommutes up to a sum cut of
+      4e-10 and never commutes, so its partner passes ``rel_j`` only.
+    """
+
+    LAM = 1.3
+    DELTAS = np.sort(np.concatenate([np.geomspace(1.2e-12, 1.2e-6, 19), [8e-10, 9e-10]]))
+    PARTNER_COMMUTES = (7e-10, 1.01e-9)
+
+    def spectra(self, delta):
+        return ([0.0, delta, 5.0, 5.0001], [self.LAM, -self.LAM + delta, 2.0])
+
+    def matrices(self, delta):
+        for values in self.spectra(delta):
+            u = random_unitary(len(values), 77)
+            m = (u * np.asarray(values)) @ u.conj().T
+            yield np.asarray(values), (m + m.conj().T) / 2.0
+
+    def test_partner_exists_exactly_when_the_decision_is_false(self):
+        for delta in self.DELTAS:
+            for _, a in self.matrices(delta):
+                assert (noncommuting_anticommuting_partner(a) is None) == \
+                    quasi_equals_commutant(a), delta
+
+    def test_decision_matches_the_subspace_route(self):
+        for delta in self.DELTAS:
+            for _, a in self.matrices(delta):
+                assert quasi_equals_commutant(a) == subspace_quasi_equals_commutant(a), delta
+
+    def test_decision_follows_the_pair_cuts(self, tol):
+        for delta in self.DELTAS:
+            for values, a in self.matrices(delta):
+                scale = max(1.0, np.linalg.norm(values))
+                diff_cut = tol.rank_cut * max(np.ptp(values), scale)
+                sum_cut = tol.rank_cut * max(2.0 * np.abs(values).max(), scale)
+                pair_sum, pair_diff = abs(values[0] + values[1]), abs(values[1] - values[0])
+                partnered = pair_sum <= sum_cut and pair_diff > diff_cut
+                assert quasi_equals_commutant(a) == (not partnered), delta
+
+    def test_partner_commutes_only_inside_the_window(self):
+        lo, hi = self.PARTNER_COMMUTES
+        assert any(lo < delta < hi for delta in self.DELTAS)
+        for delta in self.DELTAS:
+            (_, first), (_, second) = self.matrices(delta)
+            for a, window in ((first, (lo, hi)), (second, (0.0, 0.0))):
+                b = noncommuting_anticommuting_partner(a)
+                if b is None:
+                    continue
+                assert abs(frobenius(b) - 1.0) <= 1e-12
+                assert frobenius(b - b.conj().T) == 0.0
+                assert rel_j(a, b), delta
+                assert rel_c(a, b) == (window[0] < delta < window[1]), delta
 
 
 class TestSubspaceComparison:
@@ -399,6 +469,14 @@ class TestRefutation:
             if bic.residual(x) <= 1e-6 * max(1.0, frobenius(x)):
                 continue
             assert refute_biquasi_membership(x, a, seed=seed) is not None
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="^budget must be nonnegative, got -3$"):
+            refute_biquasi_membership(diag(1, 2, 3), diag(1, 1, 2), budget=-3)
+
+    def test_zero_budget_searches_the_fixed_candidates_only(self):
+        # basis and shifted candidates alone refute this outsider
+        assert refute_biquasi_membership(diag(1, 2, 3), diag(1, 1, 2), budget=0) is not None
 
     def test_shifted_candidates_catch_anticommuting_members(self):
         # X anticommutes with a commutant element M: only lam I + M separates

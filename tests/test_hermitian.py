@@ -22,6 +22,7 @@ from commutant_lab import (
     rel_stack,
     triadic_relation,
 )
+from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
 
 from conftest import SWAP2, diag
 
@@ -211,6 +212,33 @@ class TestBrookeProperty:
             lam = self.least_squares_factor(a, b)
             assert abs(lam + 1.0) <= 1e-6
             assert rel_j(a, b) and not rel_c(a, b)
+
+
+class TestBrookeWindow:
+    """The brooke suite's fixed 1e-12 floor on ``|BA|_F`` sits below
+    ``rel_zero``.  A pair between the two is accepted with an uninformative
+    factor, which then fails the suite's sign check and is recorded as a
+    failure.  This pins today's behaviour; it does not decide whether the
+    floor should follow ``rel_zero``."""
+
+    A = diag(1, 0, 0)
+    B = diag(0, 1, 1) + 1e-10 * random_hermitian(3, 1)
+
+    def test_pair_inside_the_window_is_accepted_with_a_wrong_factor(self, tol):
+        scale = frobenius(self.A) * frobenius(self.B)
+        assert 1e-12 < frobenius(self.B @ self.A) / scale < tol.rel_zero
+        lam, residual, accepted = _proportionality_fit(self.A, self.B, tol)
+        assert accepted
+        assert residual / scale == pytest.approx(3.82e-11, rel=1e-2)
+        assert lam == pytest.approx(0.3565, abs=1e-4)
+        assert min(abs(lam - 1.0), abs(lam + 1.0)) > LAMBDA_TOLERANCE
+
+    def test_window_edges(self):
+        # rel_zero at the floor rejects the fit; a pair under the floor is
+        # trivially proportional
+        assert not _proportionality_fit(self.A, self.B, Tolerance(rel_zero=1e-12))[2]
+        below = diag(0, 1, 1) + 1e-13 * random_hermitian(3, 1)
+        assert _proportionality_fit(self.A, below, Tolerance()) is None
 
 
 class TestSampling:

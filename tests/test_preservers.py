@@ -347,6 +347,11 @@ class TestNecessitySearch:
         with pytest.raises(SearchExhausted):
             necessity_search(3, budget=25, seed=5, preserver=compliant)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
+            necessity_search(3, budget=budget)
+
 
 class TestLemma4Check:
     def test_reference_configuration(self):
