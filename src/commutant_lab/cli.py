@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 
 from .commutant import (
+    SearchExhausted,
     anticommutant,
     bicommutant,
     commutant,
@@ -27,9 +28,9 @@ from .commutant import (
     refute_biquasi_membership,
     scalar_witness,
 )
-from .hermitian import Tolerance, frobenius, is_scalar, random_hermitian
+from .hermitian import Tolerance, frobenius, random_hermitian
 from .matrixfile import load_matrix, matrix_to_payload
-from .preservers import SearchExhausted, necessity_map, necessity_search
+from .preservers import necessity_map, necessity_search
 from .suites import (
     FIXED_GRID_SUITES,
     SUITE_NAMES,
@@ -111,13 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(comm)
 
     search = sub.add_parser("search", help="counterexample and witness searches")
-    search.add_argument("kind", choices=("necessity-f", "scalar-witness", "lemma7-refute"))
-    search.add_argument("--dim", type=int, default=3)
-    search.add_argument("--budget", type=int, default=100)
-    search.add_argument("--input", type=Path, default=None, help="matrix file (A)")
-    search.add_argument("--target", type=Path, default=None,
-                        help="matrix file (X) for lemma7-refute")
-    add_common(search)
+    kinds = search.add_subparsers(dest="kind", required=True)
+    necessity = kinds.add_parser("necessity-f", help="triple broken by a nonzero shift")
+    necessity.add_argument("--dim", type=int, default=3)
+    witness = kinds.add_parser("scalar-witness", help="witness that A is not scalar")
+    refute = kinds.add_parser("lemma7-refute", help="refute second quasi-commutant membership")
+    refute.add_argument("--target", type=Path, default=None, help="matrix file (X)")
+    for p in (necessity, refute):
+        p.add_argument("--budget", type=int, default=100)
+    for p in (witness, refute):
+        p.add_argument("--input", type=Path, required=True, help="matrix file (A)")
+    for p in (necessity, witness, refute):
+        add_common(p)
 
     rep = sub.add_parser("report", help="pretty-print a saved JSON report")
     rep.add_argument("path", type=Path)
@@ -262,59 +268,51 @@ def cmd_commutant(args, seed: int, tol: Tolerance) -> dict:
 
 def cmd_search(args, seed: int, tol: Tolerance) -> dict:
     report = {"kind": "search", "command": f"search {args.kind}"}
-
-    if args.kind == "necessity-f":
-        if args.dim < 3:
-            raise ValueError("dimension must be at least 3")
-        try:
+    try:
+        if args.kind == "necessity-f":
+            if args.dim < 3:
+                raise ValueError("dimension must be at least 3")
             trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol)
-        except SearchExhausted as exc:
-            return {**report, "status": str(exc), "passed": False}
-        violation = trial_report.violations[0]
-        report.update({
-            "status": f"violation found after {trial_report.trials} trials",
-            "violation": violation_to_payload(violation, necessity_map(args.dim, tol)),
-            "passed": True,
-        })
-    elif args.kind == "scalar-witness":
-        if args.input is None:
-            raise ValueError("scalar-witness needs --input")
-        matrix = load_matrix(args.input)
-        if is_scalar(matrix, tol):
-            report.update({"status": "scalar input, no witness exists",
-                           "witness": None, "passed": True})
-        else:
-            witness = scalar_witness(matrix, seed=seed, tol=tol)
+            violation = trial_report.violations[0]
+            report.update({
+                "status": f"violation found after {trial_report.trials} trials",
+                "violation": violation_to_payload(violation, necessity_map(args.dim, tol)),
+                "passed": True,
+            })
+        elif args.kind == "scalar-witness":
+            witness = scalar_witness(load_matrix(args.input), seed=seed, tol=tol)
             if witness is None:
-                return {**report, "status": "witness search exhausted", "passed": False}
-            report.update({
-                "status": "witness found",
-                "witness": matrix_to_payload(witness, label="scalar-witness"),
-                "passed": True,
-            })
-    else:  # lemma7-refute
-        if args.input is None:
-            raise ValueError("lemma7-refute needs --input")
-        matrix = load_matrix(args.input)
-        if args.target is not None:
-            target = load_matrix(args.target)
-        else:
-            bic = bicommutant(matrix, tol)
-            target = random_hermitian(matrix.shape[0], seed)
-            if bic.residual(target) <= 1e-6 * max(1.0, frobenius(target)):
-                target = random_hermitian(matrix.shape[0], seed + 1)
-            report["target"] = matrix_to_payload(target, label="sampled-target")
-        witness = refute_biquasi_membership(target, matrix, budget=args.budget,
-                                            seed=seed, tol=tol)
-        if witness is None:
-            report.update({"status": "unrefuted (not a membership proof)",
-                           "witness": None, "passed": True})
-        else:
-            report.update({
-                "status": "refuted: target is outside the second quasi-commutant",
-                "witness": matrix_to_payload(witness, label="refutation-witness"),
-                "passed": True,
-            })
+                report.update({"status": "scalar input, no witness exists",
+                               "witness": None, "passed": True})
+            else:
+                report.update({
+                    "status": "witness found",
+                    "witness": matrix_to_payload(witness, label="scalar-witness"),
+                    "passed": True,
+                })
+        else:  # lemma7-refute
+            matrix = load_matrix(args.input)
+            if args.target is not None:
+                target = load_matrix(args.target)
+            else:
+                bic = bicommutant(matrix, tol)
+                target = random_hermitian(matrix.shape[0], seed)
+                if bic.residual(target) <= 1e-6 * max(1.0, frobenius(target)):
+                    target = random_hermitian(matrix.shape[0], seed + 1)
+                report["target"] = matrix_to_payload(target, label="sampled-target")
+            witness = refute_biquasi_membership(target, matrix, budget=args.budget,
+                                                seed=seed, tol=tol)
+            if witness is None:
+                report.update({"status": "unrefuted (not a membership proof)",
+                               "witness": None, "passed": True})
+            else:
+                report.update({
+                    "status": "refuted: target is outside the second quasi-commutant",
+                    "witness": matrix_to_payload(witness, label="refutation-witness"),
+                    "passed": True,
+                })
+    except SearchExhausted as exc:
+        return {**report, "status": str(exc), "passed": False}
     return report
 
 

@@ -45,6 +45,7 @@ from .hermitian import (
 __all__ = [
     "MatrixSubspace",
     "QuasiCommutant",
+    "SearchExhausted",
     "anticommutant",
     "bicommutant",
     "commutant",
@@ -57,6 +58,10 @@ __all__ = [
     "subspace_leq",
     "subspace_proper_lt",
 ]
+
+
+class SearchExhausted(RuntimeError):
+    """A search that must produce a finding ran out of budget."""
 
 
 @dataclass
@@ -90,8 +95,7 @@ class MatrixSubspace:
         return frobenius(x - self.project(x))
 
     def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
-        tol = _tol(tol)
-        return self.residual(x) <= tol.rel_zero * max(1.0, frobenius(x))
+        return bool(_tol(tol).is_zero(self.residual(x), frobenius(x)))
 
     def random_element(self, rng) -> np.ndarray:
         """Random real combination of the basis with unit Frobenius norm."""
@@ -271,7 +275,7 @@ def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | None = N
     tol = _tol(tol)
     if s.dim != t.dim:
         raise ValueError(f"ambient dimension mismatch: {s.dim} vs {t.dim}")
-    return all(t.residual(b) <= tol.rel_zero for b in s.basis)
+    return all(tol.is_zero(t.residual(b)) for b in s.basis)
 
 
 def subspace_eq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | None = None) -> bool:
@@ -361,7 +365,8 @@ def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance | None = None) -> np.nd
 
     Search over B = tT with T a sampled matrix not commuting with A: such a
     B never commutes with B - A, and at most one real t can make the pair
-    anticommute, so a two-point t grid already suffices.
+    anticommute, so a two-point t grid already suffices.  A loose ``rel_zero``
+    can exhaust its 64 attempts: :class:`SearchExhausted`.
     """
     _check_seed(seed)
     tol = _tol(tol)
@@ -377,4 +382,4 @@ def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance | None = None) -> np.nd
             b = t * t_mat
             if not rel_q(b - a, b, tol):
                 return b
-    raise RuntimeError("no scalar witness found for a nonscalar matrix; widen the search")
+    raise SearchExhausted("no scalar witness found for a nonscalar matrix; widen the search")

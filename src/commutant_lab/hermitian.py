@@ -41,8 +41,8 @@ class Tolerance:
     """Numerical thresholds shared by every zero test in the package.
 
     rel_zero
-        Relative threshold for "this matrix is zero" tests (commutators,
-        Jordan products, projection residuals).
+        Threshold of :meth:`is_zero`, the zero test of every relation
+        verdict (commutators, Jordan products, projection residuals).
     rank_cut
         Relative singular-value cutoff for kernel computations.
     cluster_gap
@@ -58,6 +58,10 @@ class Tolerance:
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+    def is_zero(self, norm, scale=1.0):
+        """The one zero test, elementwise: ``norm <= rel_zero * max(1, scale)``."""
+        return norm <= self.rel_zero * np.maximum(1.0, scale)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -128,21 +132,14 @@ def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _zero_scale(a: np.ndarray, b: np.ndarray) -> float:
-    # Relative to max(1, |A|_F * |B|_F): guards near-zero and large inputs.
-    return max(1.0, frobenius(a) * frobenius(b))
-
-
 def rel_c(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
     """True when ``A`` and ``B`` commute: ``AB - BA = 0`` up to tolerance."""
-    tol = _tol(tol)
-    return frobenius(commutator(a, b)) <= tol.rel_zero * _zero_scale(a, b)
+    return bool(_tol(tol).is_zero(frobenius(commutator(a, b)), frobenius(a) * frobenius(b)))
 
 
 def rel_j(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
     """True when ``A`` and ``B`` anticommute: ``A o B = 0`` up to tolerance."""
-    tol = _tol(tol)
-    return frobenius(jordan_product(a, b)) <= tol.rel_zero * _zero_scale(a, b)
+    return bool(_tol(tol).is_zero(frobenius(jordan_product(a, b)), frobenius(a) * frobenius(b)))
 
 
 def rel_q(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
@@ -163,7 +160,7 @@ def rel_stack(
 
     ``x`` and ``y`` are ``(T, n, n)`` arrays; returns two boolean arrays of
     length ``T``, the slices that commute and the slices that anticommute.
-    Each slice gets its own threshold ``rel_zero * max(1, |X|_F |Y|_F)``,
+    Each slice gets its own zero test with scale ``|X|_F |Y|_F``,
     so a verdict equals the serial one except for last-bit differences in
     the norms.
     """
@@ -174,8 +171,9 @@ def rel_stack(
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     xy = x @ y
     yx = y @ x
-    bound = tol.rel_zero * np.maximum(1.0, _frobenius_stack(x) * _frobenius_stack(y))
-    return _frobenius_stack(xy - yx) <= bound, _frobenius_stack(xy + yx) <= bound
+    scale = _frobenius_stack(x) * _frobenius_stack(y)
+    return (tol.is_zero(_frobenius_stack(xy - yx), scale),
+            tol.is_zero(_frobenius_stack(xy + yx), scale))
 
 
 def triadic_relation(
@@ -202,11 +200,10 @@ def triadic_relation(
 
 def is_scalar(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     """True when ``A`` is a real multiple of the identity (0 included)."""
-    tol = _tol(tol)
     a = np.asarray(a)
     n = a.shape[0]
     mean = np.trace(a).real / n
-    return frobenius(a - mean * np.eye(n)) <= tol.rel_zero * max(1.0, frobenius(a))
+    return bool(_tol(tol).is_zero(frobenius(a - mean * np.eye(n)), frobenius(a)))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

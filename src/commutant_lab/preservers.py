@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import anticommutant, quasi_equals_commutant
+from .commutant import SearchExhausted, anticommutant, quasi_equals_commutant
 from .hermitian import (
     RELATION_KINDS,
     Tolerance,
@@ -65,10 +65,6 @@ SHIFT_KINDS = ("zero", "constant", "trace_based", "theorem_compliant_quasi", "pi
 # ran as fast as blocks of 256 (64 was 4% slower) and raised the peak
 # resident set by under 1 MiB, against 1.5 MiB for 256 and 6.5 MiB for 1024.
 BLOCK = 128
-
-
-class SearchExhausted(RuntimeError):
-    """A search that must produce a finding ran out of budget."""
 
 
 @dataclass(eq=False)

@@ -135,11 +135,11 @@ def projection_decomposition(
     """
     tol = _tol(tol)
     sd = spectral_decompose(a, tol)
-    thr = tol.rel_zero * max(1.0, frobenius(a))
+    scale = frobenius(a)
     return [
         (float(value), proj)
         for value, proj in zip(sd.distinct_values, sd.projections)
-        if abs(value) > thr
+        if not tol.is_zero(abs(value), scale)
     ]
 
 
@@ -153,9 +153,7 @@ def in_k(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     sd = spectral_decompose(a, tol)
     if sd.count != 2:
         return False
-    return abs(sd.distinct_values[0] + sd.distinct_values[1]) <= tol.rel_zero * max(
-        1.0, frobenius(a)
-    )
+    return bool(tol.is_zero(abs(sd.distinct_values[0] + sd.distinct_values[1]), frobenius(a)))
 
 
 def is_primitive(a: np.ndarray, tol: Tolerance | None = None) -> bool:

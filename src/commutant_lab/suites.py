@@ -31,12 +31,12 @@ from .hermitian import (
     _tol,
     frobenius,
     is_scalar,
-    jordan_product,
     random_hermitian,
     random_projection,
     random_scalar,
     random_unitary,
     rel_c,
+    rel_j,
     rel_q,
 )
 from .matrixfile import matrix_to_payload, payload_to_matrix
@@ -134,17 +134,18 @@ def _composition(rng, total: int, parts: int) -> list[int]:
 
 
 def _proportionality_fit(a, b, tol: Tolerance):
-    """Fit of ``AB = lam BA``: ``None`` when ``|BA|_F <= 1e-12 * scale``
-    with ``scale = max(1, |A|_F |B|_F)``, else the least-squares ``lam``,
-    ``|AB - lam BA|_F`` and whether that is at most ``rel_zero * scale``."""
+    """Fit of ``AB = lam BA``: ``None`` when ``|BA|_F`` passes the zero test
+    at scale ``|A|_F |B|_F`` (the pair then commutes and anticommutes), else
+    the least-squares ``lam``, ``|AB - lam BA|_F`` and whether that passes
+    the same zero test."""
     ba = b @ a
-    scale = max(1.0, frobenius(a) * frobenius(b))
-    if frobenius(ba) <= 1e-12 * scale:
+    scale = frobenius(a) * frobenius(b)
+    if tol.is_zero(frobenius(ba), scale):
         return None
     ab = a @ b
     lam = complex(np.sum(ba.conj() * ab)) / (frobenius(ba) ** 2)
     residual = frobenius(ab - lam * ba)
-    return lam, residual, residual <= tol.rel_zero * scale
+    return lam, residual, bool(tol.is_zero(residual, scale))
 
 
 def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
@@ -154,11 +155,11 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     ``CONSTRUCTED_PAIRS`` anticommuting pairs; the constructed ones must be
     detected with the matching sign.
 
-    Pairs go through :func:`_proportionality_fit`, whose 1e-12 floor does
-    not follow ``tol.rel_zero``.  Its residual never exceeds ``|BA|_F``
-    (``AB = (BA)*``), so a pair between the floor and ``rel_zero`` is
-    accepted with an uninformative ``lam``, ``|lam| <= 1``, and fails the
-    sign check.  For ``rel_zero <= 1e-12`` the floor is the looser test.
+    Pairs go through :func:`_proportionality_fit`.  A pair whose ``|BA|_F``
+    passes the zero test is trivially proportional.  For Hermitian pairs
+    the fit residual is ``|BA|_F sqrt(1 - |lam|^2)``, so a relative
+    ``|BA|_F`` in ``(rel_zero, rel_zero / sqrt(1 - |lam|^2)]`` is still
+    accepted with an uninformative ``lam`` and fails the sign check.
     """
     tol = _tol(tol)
     dims = tuple(dims)
@@ -314,7 +315,7 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None, a_values=(0.25, 0.5, 1.
                         where = f"(a={a}, dim={dim}, {alpha}, {w})"
                         rec.check(rel_c(lhs, probe, tol) == (alpha == w),
                                   {"context": f"alpha A - {term} vs {name} commutation {where}"})
-                        rec.check(frobenius(jordan_product(lhs, probe)) > tol.rel_zero,
+                        rec.check(not rel_j(lhs, probe, tol),
                                   {"context": f"(alpha A - {term}) o {name} nonzero {where}"})
 
     return rec.result("lemma-aef", {"a_values": list(a_values), "dims": list(dims),

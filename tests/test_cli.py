@@ -272,6 +272,40 @@ class TestSearchCommand:
         assert code == 0
         assert json.loads(out)["status"].startswith("unrefuted")
 
+    def test_exhausted_scalar_witness_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        save_matrix(path, diag(1, -1, 0.5))
+        code, out, err = run_cli(capsys, ["search", "scalar-witness", "--input", str(path),
+                                          "--tol-zero", "0.9", "--format", "json"])
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["status"].startswith("no scalar witness found")
+
+    @pytest.mark.parametrize("kind, option", [
+        ("necessity-f", "--input"), ("necessity-f", "--target"),
+        ("scalar-witness", "--dim"), ("scalar-witness", "--budget"),
+        ("scalar-witness", "--target"), ("lemma7-refute", "--dim"),
+    ])
+    def test_option_the_kind_does_not_read_is_usage_error(self, capsys, tmp_path,
+                                                          kind, option):
+        path = tmp_path / "a.json"
+        save_matrix(path, diag(1, 2, 3))
+        inputs = [] if kind == "necessity-f" else ["--input", str(path)]
+        value = str(path) if option in ("--input", "--target") else "4"
+        code, out, err = run_cli(capsys, ["search", kind, *inputs, option, value])
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {option}" in err
+
+    @pytest.mark.parametrize("kind", ["scalar-witness", "lemma7-refute"])
+    def test_missing_input_is_usage_error(self, capsys, kind):
+        code, out, err = run_cli(capsys, ["search", kind])
+        assert code == 2
+        assert out == ""
+        assert "required: --input" in err
+
     def test_necessity_budget_below_one_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["search", "necessity-f", "--budget", "-1"])
         assert code == 2

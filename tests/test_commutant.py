@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from commutant_lab import (
     MatrixSubspace,
+    SearchExhausted,
+    Tolerance,
     anticommutant,
     bicommutant,
     commutant,
@@ -502,6 +504,15 @@ class TestScalarWitness:
             b = scalar_witness(a, seed=seed)
             assert b is not None
             assert not rel_q(b - a, b)
+
+    def test_loose_tolerance_exhausts_the_search(self):
+        # nonscalar at rel_zero 0.9, but every sampled T then passes rel_c
+        loose = Tolerance(rel_zero=0.9)
+        a = diag(1, -1, 0.5)
+        assert not is_scalar(a, loose)
+        with pytest.raises(SearchExhausted, match="no scalar witness"):
+            scalar_witness(a, tol=loose)
+        assert issubclass(SearchExhausted, RuntimeError)
 
     def test_full_commutant_characterizes_scalars(self):
         for seed in range(10):

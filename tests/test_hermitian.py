@@ -6,12 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commutant_lab import (
+    MatrixSubspace,
     Tolerance,
     as_hermitian,
+    commutant,
     commutator,
     frobenius,
+    in_k,
     is_scalar,
     jordan_product,
+    projection_decomposition,
     random_hermitian,
     random_projection,
     random_scalar,
@@ -20,6 +24,7 @@ from commutant_lab import (
     rel_j,
     rel_q,
     rel_stack,
+    subspace_leq,
     triadic_relation,
 )
 from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
@@ -181,6 +186,110 @@ class TestScaleFloor:
             assert all(self.verdicts(a, b, c))
 
 
+def _commutator_norm(a, b):
+    return frobenius(a @ b - b @ a)
+
+
+def _jordan_norm(a, b):
+    return frobenius(a @ b + b @ a)
+
+
+def _pair_site(verdict, norm):
+    def site(s):
+        a, b = s * random_hermitian(3, 60), s * random_hermitian(3, 61)
+        return norm(a, b), frobenius(a) * frobenius(b), lambda tol: verdict(a, b, tol)
+    return site
+
+
+def _triadic_site(kind, norm):
+    def site(s):
+        a, b, c = (s * random_hermitian(3, [62, k]) for k in range(3))
+        d = a - b
+        return (norm(d, c), frobenius(d) * frobenius(c),
+                lambda tol: triadic_relation(a, b, c, kind, tol))
+    return site
+
+
+def _stack_site(index, norm):
+    return _pair_site(lambda a, b, tol: bool(rel_stack(a[None], b[None], tol)[index][0]), norm)
+
+
+def _either_norm(a, b):
+    return min(_commutator_norm(a, b), _jordan_norm(a, b))
+
+
+def _scalar_site(s):
+    a = s * (np.eye(3) + 1e-3 * diag(1, -1, 0))
+    spread = frobenius(a - np.trace(a).real / 3 * np.eye(3))
+    return spread, frobenius(a), lambda tol: is_scalar(a, tol)
+
+
+DIAGONALS = diag(1, 2, 3)  # its commutant is the real diagonal matrices
+
+
+def _contains_site(s):
+    x = s * (DIAGONALS + 1e-3 * random_hermitian(3, 63))
+    off = frobenius(x - np.diag(np.diag(x)))
+    return off, frobenius(x), lambda tol: commutant(DIAGONALS).contains(x, tol)
+
+
+def _leq_site(s):
+    x = DIAGONALS + s * 1e-3 * random_hermitian(3, 64)
+    x = x / frobenius(x)
+    inner = MatrixSubspace(dim=3, basis=x[None])
+    return (frobenius(x - np.diag(np.diag(x))), 1.0,
+            lambda tol: subspace_leq(inner, commutant(DIAGONALS), tol))
+
+
+def _in_k_site(s):
+    a = s * diag(1, -(1 - 1e-3), -(1 - 1e-3))
+    return abs(s - s * (1 - 1e-3)), frobenius(a), lambda tol: in_k(a, tol)
+
+
+def _dropped_term_site(s):
+    a = s * diag(2, 0.01, 0.01)
+    return s * 0.01, frobenius(a), lambda tol: len(projection_decomposition(a, tol)) == 1
+
+
+def _unfitted_site(s):
+    a = s * diag(1, 0, 0)
+    b = s * (diag(0, 1, 1) + 1e-3 * random_hermitian(3, 65))
+    return (frobenius(b @ a), frobenius(a) * frobenius(b),
+            lambda tol: _proportionality_fit(a, b, tol) is None)
+
+
+# Each site maps a factor s to (norm, scale, verdict): the verdict reads
+# True on the zero side of ``Tolerance.is_zero(norm, scale)``.
+ZERO_TEST_SITES = {
+    "rel_c": _pair_site(rel_c, _commutator_norm),
+    "rel_j": _pair_site(rel_j, _jordan_norm),
+    "rel_q": _pair_site(rel_q, _either_norm),
+    "rel_stack-commutes": _stack_site(0, _commutator_norm),
+    "rel_stack-anticommutes": _stack_site(1, _jordan_norm),
+    "triadic-commutative": _triadic_site("commutative", _commutator_norm),
+    "triadic-quasi": _triadic_site("quasi", _either_norm),
+    "is_scalar": _scalar_site,
+    "contains": _contains_site,
+    "subspace_leq": _leq_site,
+    "in_k": _in_k_site,
+    "projection_decomposition": _dropped_term_site,
+    "proportionality_fit": _unfitted_site,
+}
+
+
+@pytest.mark.parametrize("s", [0.1, 10.0])
+@pytest.mark.parametrize("site", sorted(ZERO_TEST_SITES))
+def test_every_verdict_flips_at_its_zero_test_ratio(site, s):
+    """Each verdict reads the one zero test: it flips where ``rel_zero``
+    crosses ``r = norm / max(1, scale)``, for scales below and above 1
+    (``subspace_leq`` always uses scale 1)."""
+    norm, scale, verdict = ZERO_TEST_SITES[site](s)
+    assert scale == 1.0 or (scale < 1.0) == (s < 1.0)
+    r = norm / max(1.0, scale)
+    assert verdict(Tolerance(rel_zero=r * (1 + 1e-6)))
+    assert not verdict(Tolerance(rel_zero=r * (1 - 1e-6)))
+
+
 class TestBrookeProperty:
     """Quasi-commuting Hermitian pairs have proportionality factor +-1."""
 
@@ -215,30 +324,36 @@ class TestBrookeProperty:
 
 
 class TestBrookeWindow:
-    """The brooke suite's fixed 1e-12 floor on ``|BA|_F`` sits below
-    ``rel_zero``.  A pair between the two is accepted with an uninformative
-    factor, which then fails the suite's sign check and is recorded as a
-    failure.  This pins today's behaviour; it does not decide whether the
-    floor should follow ``rel_zero``."""
+    """A pair whose ``|BA|_F`` passes the zero test commutes and
+    anticommutes, so the brooke fit counts it as trivially proportional.
+    Above that, the fit residual of a Hermitian pair is
+    ``|BA|_F sqrt(1 - |lam|^2)``: a relative ``|BA|_F`` in
+    ``(rel_zero, rel_zero / sqrt(1 - |lam|^2)]`` is still accepted with an
+    uninformative factor, which fails the suite's sign check.  On this pair
+    (relative ``|BA|_F`` 4.09e-11, residual 3.82e-11) that is ``rel_zero``
+    in [3.82e-11, 4.09e-11)."""
 
     A = diag(1, 0, 0)
     B = diag(0, 1, 1) + 1e-10 * random_hermitian(3, 1)
 
-    def test_pair_inside_the_window_is_accepted_with_a_wrong_factor(self, tol):
+    def test_pair_inside_the_window_is_accepted_with_a_wrong_factor(self):
         scale = frobenius(self.A) * frobenius(self.B)
-        assert 1e-12 < frobenius(self.B @ self.A) / scale < tol.rel_zero
-        lam, residual, accepted = _proportionality_fit(self.A, self.B, tol)
+        ba = frobenius(self.B @ self.A)
+        assert ba / scale == pytest.approx(4.09e-11, rel=1e-2)
+        lam, residual, accepted = _proportionality_fit(self.A, self.B, Tolerance(rel_zero=3.9e-11))
         assert accepted
         assert residual / scale == pytest.approx(3.82e-11, rel=1e-2)
+        assert residual == pytest.approx(ba * np.sqrt(1.0 - abs(lam) ** 2), rel=1e-6)
         assert lam == pytest.approx(0.3565, abs=1e-4)
         assert min(abs(lam - 1.0), abs(lam + 1.0)) > LAMBDA_TOLERANCE
 
-    def test_window_edges(self):
-        # rel_zero at the floor rejects the fit; a pair under the floor is
-        # trivially proportional
-        assert not _proportionality_fit(self.A, self.B, Tolerance(rel_zero=1e-12))[2]
-        below = diag(0, 1, 1) + 1e-13 * random_hermitian(3, 1)
-        assert _proportionality_fit(self.A, below, Tolerance()) is None
+    def test_window_edges(self, tol):
+        # below the window the fit is rejected; above it, and at the default
+        # tolerance, the pair passes both relations and is not fitted
+        assert not _proportionality_fit(self.A, self.B, Tolerance(rel_zero=3.7e-11))[2]
+        assert _proportionality_fit(self.A, self.B, Tolerance(rel_zero=4.2e-11)) is None
+        assert _proportionality_fit(self.A, self.B, tol) is None
+        assert rel_c(self.A, self.B, tol) and rel_j(self.A, self.B, tol)
 
 
 class TestSampling:

@@ -5,7 +5,9 @@ theorem-4`` and ``verify theorem-5`` at ``--trials 2000 --seed 0``, with
 every ``elapsed_seconds`` removed, must hash to the digests recorded in
 ``benchmarks/digests.json``; any change to a suite's checks, counts,
 details or counterexamples shows up here.  The theorem suites pin the
-triadic verdict engine (``preservers.property_run``).
+triadic verdict engine (``preservers.property_run``).  ``verify all`` is
+also pinned at ``--tol-zero`` 1e-6 and 1e-12, where verdicts sit at other
+distances from the zero test.
 """
 
 import hashlib
@@ -18,6 +20,13 @@ from commutant_lab.cli import main
 
 DIGESTS = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "digests.json").read_text())
+
+# Body digests of ``verify all --seed 0`` at other tolerances, recorded
+# before the verdicts shared ``Tolerance.is_zero``; that change kept them.
+TOLERANCE_DIGESTS = {
+    "1e-6": "162cf18d29e52cc4fcbc60e9a7db031dd5b5719b5bfc5f9702b15d31ecb217f5",
+    "1e-12": "447ca527e11ed7ae223804325a7f0e2f90cf272fc51f38a2715b5b59288497fe",
+}
 
 
 def strip_elapsed(obj):
@@ -44,3 +53,9 @@ def test_verify_all_seed_0_matches_recorded_digest(capsys):
 def test_form_check_seed_0_matches_recorded_digest(capsys, index, suite):
     digest = body_digest(capsys, ["verify", suite, "--trials", "2000"])
     assert digest == DIGESTS["form-check"]["0"][index]
+
+
+@pytest.mark.parametrize("tol_zero", sorted(TOLERANCE_DIGESTS))
+def test_verify_all_seed_0_at_other_tolerances_matches_recorded_digest(capsys, tol_zero):
+    digest = body_digest(capsys, ["verify", "all", "--tol-zero", tol_zero])
+    assert digest == TOLERANCE_DIGESTS[tol_zero]
