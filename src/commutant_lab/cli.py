@@ -197,21 +197,25 @@ def _emit(report: dict, args) -> None:
 # --------------------------------------------------------------------------
 
 
+def _replay_record(path: Path) -> dict:
+    """The record ``verify --replay`` re-decides: the file itself when it is
+    a triadic-violation record, else the first one a report holds, as a
+    search's ``violation`` or among its suites' counterexamples."""
+    payload = json.loads(path.read_text())
+    held = [payload]
+    if isinstance(payload, dict):
+        held.append(payload.get("violation"))
+        for suite in payload.get("suites", [payload]):
+            held += suite.get("counterexamples", []) if isinstance(suite, dict) else []
+    for record in held:
+        if isinstance(record, dict) and record.get("kind") == "triadic-violation":
+            return record
+    raise ValueError(f"{path} holds no triadic-violation record")
+
+
 def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
     if args.replay is not None:
-        payload = json.loads(args.replay.read_text())
-        if "counterexamples" in payload:  # whole report: take the first record
-            records = [ce for s in payload.get("suites", [payload])
-                       for ce in s.get("counterexamples", [])
-                       if ce.get("kind") == "triadic-violation"]
-            if not records and payload.get("violation"):
-                records = [payload["violation"]]
-            if not records:
-                raise ValueError("no replayable counterexample in the report")
-            payload = records[0]
-        elif payload.get("kind") != "triadic-violation" and payload.get("violation"):
-            payload = payload["violation"]
-        verdict, reproduced = replay_violation(payload, tol)
+        verdict, reproduced = replay_violation(_replay_record(args.replay), tol)
         return {"kind": "replay", "command": f"verify --replay {args.replay}",
                 "verdict": verdict, "reproduced": reproduced, "passed": reproduced}
 

@@ -182,20 +182,26 @@ def triadic_relation(
     c: np.ndarray,
     kind: str = "commutative",
     tol: Tolerance | None = None,
-) -> bool:
+) -> bool | np.ndarray:
     """Evaluate the three-operator relation on (A, B, C).
 
     ``commutative``: the difference ``A - B`` commutes with ``C``.
     ``quasi``: the difference commutes or anticommutes with ``C``.
+    Takes one triple of ``(n, n)`` matrices and returns a ``bool``, or
+    three stacks ``(T, n, n)`` and returns a boolean array of length ``T``;
+    either way every verdict is a :func:`rel_stack` verdict.
     """
     if kind not in RELATION_KINDS:
         raise ValueError(f"unknown relation kind {kind!r}; expected one of {RELATION_KINDS}")
     _check_same_dim(a, b)
     _check_same_dim(a, c)
     d = a - b
-    if kind == "commutative":
-        return rel_c(d, c, tol)
-    return rel_q(d, c, tol)
+    single = d.ndim == 2
+    if single:
+        d, c = d[None], c[None]
+    commutes, anticommutes = rel_stack(d, c, tol)
+    held = commutes if kind == "commutative" else commutes | anticommutes
+    return bool(held[0]) if single else held
 
 
 def is_scalar(a: np.ndarray, tol: Tolerance | None = None) -> bool:

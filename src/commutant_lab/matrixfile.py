@@ -34,16 +34,20 @@ def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
     return payload
 
 
-def payload_to_matrix(payload: dict) -> np.ndarray:
-    """Validate a payload dict and return the (symmetrized) matrix."""
+def _payload_entries(payload: dict) -> np.ndarray:
+    """The complex entry grid of a payload, checked against its ``dim``."""
     if "dim" not in payload or "entries" not in payload:
         raise ValueError("matrix payload needs 'dim' and 'entries'")
     dim = int(payload["dim"])
     rows = payload["entries"]
     if len(rows) != dim or any(len(row) != dim for row in rows):
         raise ValueError(f"entry grid does not match dim={dim}")
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return as_hermitian(m, rel=HERMITIAN_FILE_TOLERANCE)
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+def payload_to_matrix(payload: dict) -> np.ndarray:
+    """Validate a payload dict and return the (symmetrized) matrix."""
+    return as_hermitian(_payload_entries(payload), rel=HERMITIAN_FILE_TOLERANCE)
 
 
 def save_matrix(path, m: np.ndarray, label: str | None = None) -> None:

@@ -57,6 +57,8 @@ BOTH_HOLD = "both_hold"
 BOTH_FAIL = "both_fail"
 VIOLATION_FORWARD = "violation_forward"
 VIOLATION_BACKWARD = "violation_backward"
+# Indexed by 2 * (source verdict) + (image verdict).
+_VERDICTS = np.array([BOTH_FAIL, VIOLATION_BACKWARD, VIOLATION_FORWARD, BOTH_HOLD])
 
 SHIFT_KINDS = ("zero", "constant", "trace_based", "theorem_compliant_quasi", "pinned")
 
@@ -89,6 +91,8 @@ class ShiftPolicy:
         self.tol = _tol(self.tol)
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
+        if not np.isfinite(self.value):
+            raise ValueError(f"shift value must be finite, got {self.value!r}")
         if self.kind == "pinned" and self.anchor is None:
             raise ValueError("pinned shift needs an anchor matrix")
         if self.kind == "theorem_compliant_quasi" and self.inner is None:
@@ -125,6 +129,10 @@ class PreserverMap:
         if not (np.isfinite(self.scale) and self.scale != 0.0):
             raise ValueError("scale must be nonzero and finite")
         u = np.asarray(self.conjugator, dtype=complex)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValueError(f"conjugator must be a square matrix, got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("conjugator has non-finite entries")
         n = u.shape[0]
         if frobenius(u.conj().T @ u - np.eye(n)) > 1e-12:
             raise ValueError("conjugator is not unitary within 1e-12")
@@ -138,31 +146,18 @@ class PreserverMap:
 
 
 def apply_map(m: PreserverMap, a: np.ndarray) -> np.ndarray:
-    """Evaluate the map on one Hermitian matrix; the output is Hermitian."""
+    """Evaluate the map on one Hermitian matrix, or on each matrix of a stack
+    ``(..., n, n)``; the output is Hermitian.  The shift is evaluated
+    matrix by matrix."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != m.conjugator.shape:
-        raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape}")
+    if a.shape[-2:] != m.conjugator.shape:
+        raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape[-2:]}")
+    n = m.dim
     x = a.conj() if m.antiunitary else a
     out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
-    out = (out + out.conj().T) / 2.0
-    return out + m.shift(a) * np.eye(a.shape[0])
-
-
-def _apply_map_stack(m: PreserverMap, x: np.ndarray) -> np.ndarray:
-    """:func:`apply_map` on every matrix of a stack ``(..., n, n)``; the
-    shift is still evaluated matrix by matrix."""
-    x = np.asarray(x, dtype=complex)
-    n = x.shape[-1]
-    if x.shape[-2:] != m.conjugator.shape:
-        raise ValueError(
-            f"dimension mismatch: map is {m.conjugator.shape}, input {x.shape[-2:]}")
-    y = x.conj() if m.antiunitary else x
-    out = m.scale * (m.conjugator @ y @ m.conjugator.conj().T)
     out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    shifts = np.array([m.shift(a) for a in x.reshape(-1, n, n)], dtype=float)
-    diagonal = np.arange(n)
-    out[..., diagonal, diagonal] += shifts.reshape(x.shape[:-2] + (1,))
-    return out
+    shifts = np.array([m.shift(y) for y in a.reshape(-1, n, n)], dtype=float)
+    return out + shifts.reshape(a.shape[:-2] + (1, 1)) * np.eye(n)
 
 
 def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
@@ -192,22 +187,19 @@ def check_triadic(
     b: np.ndarray,
     c: np.ndarray,
     tol: Tolerance | None = None,
-) -> str:
+) -> str | np.ndarray:
     """Compare the triadic relation on (A, B, C) against its image triple.
 
     Returns ``both_hold``/``both_fail`` when the map preserves the verdict,
     ``violation_forward`` when the relation holds only at the source and
-    ``violation_backward`` when it holds only at the image.
+    ``violation_backward`` when it holds only at the image.  Takes one
+    triple and returns a ``str``, or three stacks ``(T, n, n)`` and returns
+    an array of ``T`` verdicts.
     """
     source = triadic_relation(a, b, c, m.relation_kind, tol)
-    image = triadic_relation(
-        apply_map(m, a), apply_map(m, b), apply_map(m, c), m.relation_kind, tol
-    )
-    if source and not image:
-        return VIOLATION_FORWARD
-    if image and not source:
-        return VIOLATION_BACKWARD
-    return BOTH_HOLD if source else BOTH_FAIL
+    image = triadic_relation(*apply_map(m, np.stack([a, b, c])), m.relation_kind, tol)
+    verdict = _VERDICTS[2 * np.asarray(source, dtype=int) + image]
+    return verdict if verdict.ndim else str(verdict)
 
 
 def is_violation(verdict: str) -> bool:
@@ -298,23 +290,6 @@ def _structured_triple(rng: np.random.Generator, dim: int, tol: Tolerance):
     return b + d, b, c
 
 
-def _triadic_stack(triples: np.ndarray, kind: str, tol: Tolerance) -> np.ndarray:
-    """Triadic relation of each triple of a ``(T, 3, n, n)`` stack."""
-    commutes, anticommutes = rel_stack(triples[:, 0] - triples[:, 1], triples[:, 2], tol)
-    return commutes if kind == "commutative" else commutes | anticommutes
-
-
-def _violations_stack(m: PreserverMap, drawn: list, tol: Tolerance) -> list[Violation]:
-    """:func:`check_triadic` on every ``(trial, (a, b, c))`` of ``drawn`` in
-    one stack; returns the violations in the order of ``drawn``."""
-    source = np.array([triple for _, triple in drawn], dtype=complex)
-    held = _triadic_stack(source, m.relation_kind, tol)
-    mapped = _triadic_stack(_apply_map_stack(m, source), m.relation_kind, tol)
-    return [Violation(*drawn[i][1], trial=drawn[i][0],
-                      direction=VIOLATION_FORWARD if held[i] else VIOLATION_BACKWARD)
-            for i in np.flatnonzero(held != mapped)]
-
-
 def property_run(
     maps: PreserverMap | dict[int, PreserverMap],
     trials: int,
@@ -349,8 +324,13 @@ def property_run(
             else:
                 triple = tuple(random_hermitian(dim, rng) for _ in range(3))
             drawn.setdefault(dim, []).append((t, triple))
-        found = [v for dim, group in drawn.items()
-                 for v in _violations_stack(maps[dim], group, tol)]
+        found = []
+        for dim, group in drawn.items():
+            stack = np.array([triple for _, triple in group], dtype=complex)
+            verdicts = check_triadic(maps[dim], stack[:, 0], stack[:, 1], stack[:, 2], tol)
+            found += [Violation(*group[i][1], direction=str(verdicts[i]), trial=group[i][0])
+                      for i in np.flatnonzero((verdicts == VIOLATION_FORWARD)
+                                              | (verdicts == VIOLATION_BACKWARD))]
         violations += sorted(found, key=lambda v: v.trial)
     return TrialReport(trials=trials, violations=violations)
 

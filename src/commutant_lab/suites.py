@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from .commutant import (
+    SearchExhausted,
     bicommutant,
     commutant,
     quasi_commutant,
@@ -39,7 +40,7 @@ from .hermitian import (
     rel_j,
     rel_q,
 )
-from .matrixfile import matrix_to_payload, payload_to_matrix
+from .matrixfile import _payload_entries, matrix_to_payload, payload_to_matrix
 from .preservers import (
     PreserverMap,
     ShiftPolicy,
@@ -248,7 +249,10 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
             continue
         rec.check(commutant(a, tol).real_dimension < dim * dim,
                   lambda: {"a": matrix_to_payload(a), "reason": "full commutant"})
-        b = scalar_witness(a, seed=seed + t, tol=tol)
+        try:
+            b = scalar_witness(a, seed=seed + t, tol=tol)
+        except SearchExhausted:  # a loose rel_zero: counted as a failed check
+            b = None
         if rec.check(b is not None and not rel_q(b - a, b, tol),
                      lambda: {"a": matrix_to_payload(a), "reason": "witness search failed"}):
             witnesses += 1
@@ -623,11 +627,9 @@ def map_to_payload(m: PreserverMap) -> dict:
 
 
 def map_from_payload(payload: dict, tol: Tolerance | None = None) -> PreserverMap:
-    cj = payload["conjugator"]
-    u = np.array([[complex(re, im) for re, im in row] for row in cj["entries"]])
     return PreserverMap(
         scale=float(payload["scale"]),
-        conjugator=u,
+        conjugator=_payload_entries(payload["conjugator"]),
         antiunitary=bool(payload["antiunitary"]),
         shift=shift_from_payload(payload["shift"], tol),
         relation_kind=payload["relation_kind"],

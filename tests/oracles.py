@@ -1,5 +1,6 @@
-"""Oracles for the subspace routes of ``commutant_lab.commutant``, independent
-of the eigenbasis routes they cross-check.
+"""Oracles for the subspace routes of ``commutant_lab.commutant`` and the
+triadic verdict engine of ``commutant_lab.preservers``, independent of the
+routes they cross-check.
 
 Spectral formulas.  For a Hermitian matrix with distinct eigenvalues v_i of
 multiplicities m_i:
@@ -21,6 +22,14 @@ neither the eigendecomposition of the production routes nor the Krylov
 bicommutant of the partition oracles.  Their cost, O(n^6) time and
 ``2 k n^4`` entries for the bicommutant (k the commutant dimension), keeps
 them in the tests.
+
+Serial triadic route.  ``serial_apply_map`` and ``serial_check_triadic``
+evaluate a map and a triadic verdict one matrix at a time, deciding the
+relation with the serial ``rel_c`` / ``rel_q``.  The production
+``apply_map`` and ``check_triadic`` take stacks and decide through
+``rel_stack``; the two routes share no relation code, so their norms may
+differ in the last bits and a verdict within those bits of the zero test
+may differ too.
 """
 
 import numpy as np
@@ -31,8 +40,16 @@ from commutant_lab import (
     anticommutant,
     commutant,
     frobenius,
+    rel_c,
+    rel_q,
     spectral_decompose,
     subspace_leq,
+)
+from commutant_lab.preservers import (
+    BOTH_FAIL,
+    BOTH_HOLD,
+    VIOLATION_BACKWARD,
+    VIOLATION_FORWARD,
 )
 
 
@@ -177,3 +194,29 @@ def kernel_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSub
     # Generators are unit-norm, so 1.0 is the right scale floor here.
     images = np.stack([_images(c, basis, -1.0) for c in kernel_commutant(a, tol).basis], axis=1)
     return _kernel_subspace(images, n, tol)
+
+
+def serial_apply_map(m, a) -> np.ndarray:
+    """Oracle for ``apply_map`` on one matrix."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != m.conjugator.shape:
+        raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape}")
+    x = a.conj() if m.antiunitary else a
+    out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
+    out = (out + out.conj().T) / 2.0
+    return out + m.shift(a) * np.eye(a.shape[0])
+
+
+def serial_check_triadic(m, a, b, c, tol: Tolerance | None = None) -> str:
+    """Oracle for ``check_triadic`` on one triple: ``rel_c`` (commutative)
+    or ``rel_q`` (quasi) of ``A - B`` and ``C``, at the source and at the
+    ``serial_apply_map`` image."""
+    relation = rel_c if m.relation_kind == "commutative" else rel_q
+    source = relation(a - b, c, tol)
+    fa, fb, fc = (serial_apply_map(m, x) for x in (a, b, c))
+    image = relation(fa - fb, fc, tol)
+    if source and not image:
+        return VIOLATION_FORWARD
+    if image and not source:
+        return VIOLATION_BACKWARD
+    return BOTH_HOLD if source else BOTH_FAIL

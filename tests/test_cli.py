@@ -135,6 +135,15 @@ class TestVerify:
         assert f"COMMUTANT_LAB_SEED must be a nonnegative integer, got {shown}" in err
 
 
+    def test_exhausted_witness_search_is_a_recorded_failure(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "lemma-scalar", "--tol-zero", "0.9",
+                                          "--trials", "20", "--format", "json"])
+        assert (code, err) == (1, "")
+        suite = json.loads(out)["suites"][0]
+        assert suite["failures"] > 0
+        assert {ce["reason"] for ce in suite["counterexamples"]} == {"witness search failed"}
+
+
 class TestRunSuite:
     @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5"), ("3", "'3'"),
                                              (True, "True")])
@@ -320,6 +329,76 @@ class TestSearchCommand:
         assert code == 2
         assert out == ""
         assert "budget must be nonnegative, got -3" in err
+
+
+def necessity_report(capsys, path):
+    """Write a ``search necessity-f`` report to ``path`` and return it."""
+    code, _, _ = run_cli(capsys, ["search", "necessity-f", "--out", str(path)])
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+# Map fields of a recorded violation set to bad values: (key path, value, message).
+CORRUPT_MAPS = {
+    "nan conjugator entry": (("conjugator", "entries", 0, 0, 0), float("nan"),
+                             "conjugator has non-finite entries"),
+    "2x3 conjugator": (("conjugator",), {"dim": 2, "entries": [[[1.0, 0.0]] * 3] * 2},
+                       "entry grid does not match dim=2"),
+    "nan shift value": (("shift", "value"), float("nan"), "shift value must be finite, got nan"),
+}
+
+
+class TestReplayCommand:
+    def test_bare_record_replays(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        record = necessity_report(capsys, path)["violation"]
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == record["verdict"]
+
+    def test_suite_counterexample_replays_at_its_tolerance(self, capsys, tmp_path):
+        path = tmp_path / "t4.json"
+        tol = ["--tol-zero", "0.5"]
+        code, _, _ = run_cli(capsys, ["verify", "theorem-4", "--dims", "3", "--trials", "100",
+                                      *tol, "--out", str(path)])
+        assert code == 1
+        first = json.loads(path.read_text())["suites"][0]["counterexamples"][0]
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path), *tol,
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == first["verdict"]
+
+    @pytest.mark.parametrize("name", list(CORRUPT_MAPS))
+    def test_corrupt_map_rejected(self, capsys, tmp_path, name):
+        keys, value, message = CORRUPT_MAPS[name]
+        path = tmp_path / "v.json"
+        report = necessity_report(capsys, path)
+        target = report["violation"]["map"]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["json array", "scalar-witness report", "matrix file"])
+    def test_file_without_record_rejected(self, capsys, tmp_path, kind):
+        path = tmp_path / "x.json"
+        if kind == "json array":
+            path.write_text("[1, 2]")
+        elif kind == "matrix file":
+            save_matrix(path, diag(1, 2, 3))
+        else:
+            a_path = tmp_path / "a.json"
+            save_matrix(a_path, diag(1, 2, 3))
+            code, _, _ = run_cli(capsys, ["search", "scalar-witness", "--input", str(a_path),
+                                          "--out", str(path)])
+            assert code == 0
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} holds no triadic-violation record\n"
 
 
 class TestReportCommand:

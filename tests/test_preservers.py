@@ -32,12 +32,15 @@ from commutant_lab.preservers import (
     BLOCK,
     BOTH_FAIL,
     BOTH_HOLD,
+    VIOLATION_BACKWARD,
     VIOLATION_FORWARD,
     _structured_triple,
     default_necessity_anchor,
 )
+from commutant_lab.suites import replay_violation, violation_to_payload
 
 from conftest import diag
+from oracles import serial_apply_map, serial_check_triadic
 
 
 def identity_map(dim, kind="commutative", shift=None):
@@ -79,6 +82,15 @@ class TestApplyMap:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply_map(identity_map(3), np.eye(4))
+
+    @pytest.mark.parametrize("conjugator, message", [
+        (np.ones((2, 3)), r"^conjugator must be a square matrix, got shape \(2, 3\)$"),
+        (np.diag([1.0, np.nan]), "^conjugator has non-finite entries$"),
+        (np.diag([1.0, np.inf]), "^conjugator has non-finite entries$"),
+    ], ids=["2x3", "nan", "inf"])
+    def test_malformed_conjugator_rejected(self, conjugator, message):
+        with pytest.raises(ValueError, match=message):
+            PreserverMap(1.0, conjugator)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="scale"):
@@ -123,6 +135,11 @@ class TestShiftPolicies:
         with pytest.raises(ValueError, match="shift kind"):
             ShiftPolicy("affine")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^shift value must be finite, got {value!r}$"):
+            ShiftPolicy("constant", value=value)
+
 
 class TestCheckTriadic:
     def test_identity_never_violates(self):
@@ -157,6 +174,45 @@ class TestCheckTriadic:
             w, v = np.linalg.eigh(a - b)
             c = (v * rng.standard_normal(dim)) @ v.conj().T
             assert not is_violation(check_triadic(maps[dim], a, b, (c + c.conj().T) / 2))
+
+
+def near_tie():
+    """A map, a triple and a tolerance at which the image relation sits
+    within the last bits of the zero test: norms computed another way
+    (``np.linalg.norm`` in ``rel_c``) land on the other side of it."""
+    rng = np.random.default_rng(3)
+    triple = tuple(random_hermitian(3, rng) for _ in range(3))
+    m = PreserverMap(2.0, random_unitary(3, 0), relation_kind="commutative")
+    return m, triple, Tolerance(rel_zero=0.8739356328160828)
+
+
+class TestOneEngine:
+    """A triple gets the same verdict alone, inside a stack and on replay."""
+
+    def test_recorded_violation_replays(self):
+        m, triple, tol = near_tie()
+        violation = Violation(*triple, direction=VIOLATION_BACKWARD, trial=0)
+        assert replay_violation(violation_to_payload(violation, m), tol) == (
+            VIOLATION_BACKWARD, True)
+
+    def test_verdict_alone_equals_verdict_in_stack(self):
+        m, triple, tol = near_tie()
+        others = [tuple(random_hermitian(3, [37, t, k]) for k in range(3)) for t in range(4)]
+        triples = others[:2] + [triple] + others[2:]
+        verdicts = check_triadic(m, *(np.array(x) for x in zip(*triples)), tol)
+        assert isinstance(verdicts, np.ndarray) and verdicts.shape == (5,)
+        alone = [check_triadic(m, *t, tol) for t in triples]
+        assert all(type(v) is str for v in alone)
+        assert alone == list(verdicts)
+        assert alone[2] == VIOLATION_BACKWARD
+
+    def test_relation_returns_bool_alone_and_array_on_a_stack(self):
+        _, (a, b, c), tol = near_tie()
+        held = triadic_relation(np.array([a, b]), np.array([b, b]), np.array([c, c]),
+                                "commutative", tol)
+        assert held.dtype == bool and list(held) == [
+            triadic_relation(a, b, c, "commutative", tol), True]
+        assert type(triadic_relation(a, b, c, "quasi", tol)) is bool
 
 
 class TestAntiunitaryConsistency:
@@ -225,7 +281,8 @@ class TestPropertyRun:
 
 
 def serial_property_run(maps, trials, seed):
-    """``property_run`` with the same draws, one ``check_triadic`` per trial."""
+    """``property_run`` with the same draws, one ``serial_check_triadic``
+    per trial."""
     tol = Tolerance()
     dims = tuple(sorted(maps))
     found = []
@@ -236,7 +293,7 @@ def serial_property_run(maps, trials, seed):
             a, b, c = _structured_triple(rng, dim, tol)
         else:
             a, b, c = (random_hermitian(dim, rng) for _ in range(3))
-        verdict = check_triadic(maps[dim], a, b, c, tol)
+        verdict = serial_check_triadic(maps[dim], a, b, c, tol)
         if is_violation(verdict):
             found.append((t, verdict, a, b, c))
     return found
@@ -263,8 +320,23 @@ ORACLE_MAPS = {
 
 
 class TestBatchedOracle:
-    """The stacked evaluation in ``property_run`` and ``lemma4_check``
-    against serial loops over ``check_triadic`` and ``rel_j``."""
+    """The stacked evaluation in ``apply_map``, ``property_run`` and
+    ``lemma4_check`` against serial loops over the oracles
+    ``serial_apply_map`` and ``serial_check_triadic`` and over ``rel_j``."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_MAPS))
+    def test_apply_map_stack_matches_serial_per_slice(self, name):
+        _, build = ORACLE_MAPS[name]
+        m = build(4)
+        # the anchor makes the pinned shift of the necessity map fire
+        stack = np.array([default_necessity_anchor(4)]
+                         + [random_hermitian(4, [36, t]) for t in range(5)])
+        out = apply_map(m, stack)
+        assert out.shape == stack.shape
+        for x, y in zip(out, stack):
+            assert x.tobytes() == serial_apply_map(m, y).tobytes()
+        single = apply_map(m, stack[0])
+        assert single.shape == (4, 4) and single.tobytes() == out[0].tobytes()
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic(self, name):
