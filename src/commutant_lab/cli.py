@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", type=float, default=None,
                         help="block-fixture weight (lemma-aef only)")
     verify.add_argument("--replay", type=Path, default=None,
-                        help="re-validate a recorded counterexample file")
+                        help="re-validate a recorded counterexample file, at the "
+                             "tolerance the file records (--tol-* for a bare record)")
     add_common(verify)
 
     comm = sub.add_parser("commutant", help="commutant structure of a matrix file")
@@ -197,10 +198,26 @@ def _emit(report: dict, args) -> None:
 # --------------------------------------------------------------------------
 
 
-def _replay_record(path: Path) -> dict:
-    """The record ``verify --replay`` re-decides: the file itself when it is
-    a triadic-violation record, else the first one a report holds, as a
-    search's ``violation`` or among its suites' counterexamples."""
+def _recorded_tolerance(payload, path: Path) -> Tolerance | None:
+    """The tolerance block at the top of a report, or None when the file
+    has none (a bare record)."""
+    if not isinstance(payload, dict) or "tolerance" not in payload:
+        return None
+    block = payload["tolerance"]
+    names = [f.name for f in dataclasses.fields(Tolerance)]
+    if (not isinstance(block, dict) or sorted(block) != sorted(names)
+            or any(isinstance(block[n], bool) or not isinstance(block[n], (int, float))
+                   for n in names)):
+        raise ValueError(f"{path} has a malformed tolerance block {json.dumps(block)}; "
+                         f"expected the numbers {', '.join(names)}")
+    return Tolerance(**block)
+
+
+def _replay_record(path: Path) -> tuple[dict, Tolerance | None]:
+    """The record ``verify --replay`` re-decides, and the tolerance the file
+    records.  The record is the file itself when it is a triadic-violation
+    record, else the first one a report holds, as a search's ``violation``
+    or among its suites' counterexamples."""
     payload = json.loads(path.read_text())
     held = [payload]
     if isinstance(payload, dict):
@@ -209,14 +226,19 @@ def _replay_record(path: Path) -> dict:
             held += suite.get("counterexamples", []) if isinstance(suite, dict) else []
     for record in held:
         if isinstance(record, dict) and record.get("kind") == "triadic-violation":
-            return record
+            return record, _recorded_tolerance(payload, path)
     raise ValueError(f"{path} holds no triadic-violation record")
 
 
 def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
     if args.replay is not None:
-        verdict, reproduced = replay_violation(_replay_record(args.replay), tol)
+        # A report decides at the tolerance that found its record; a bare
+        # record at the --tol-* options.
+        record, recorded = _replay_record(args.replay)
+        tol = tol if recorded is None else recorded
+        verdict, reproduced = replay_violation(record, tol)
         return {"kind": "replay", "command": f"verify --replay {args.replay}",
+                "tolerance": dataclasses.asdict(tol),
                 "verdict": verdict, "reproduced": reproduced, "passed": reproduced}
 
     if args.suite is None:
@@ -343,9 +365,11 @@ def main(argv=None) -> int:
                         cluster_gap=args.tol_cluster)
         start = time.perf_counter()
         command = {"verify": cmd_verify, "commutant": cmd_commutant, "search": cmd_search}
-        report = command[args.command](args, seed, tol)
-        report.update(seed=seed, tolerance=dataclasses.asdict(tol),
-                      elapsed_seconds=time.perf_counter() - start)
+        # A replay report states the tolerance it decided at, which may be
+        # the replayed file's own.
+        report = {"seed": seed, "tolerance": dataclasses.asdict(tol),
+                  **command[args.command](args, seed, tol)}
+        report["elapsed_seconds"] = time.perf_counter() - start
         _emit(report, args)
         return EXIT_PASS if report["passed"] else EXIT_FAIL
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

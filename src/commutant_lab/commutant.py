@@ -105,9 +105,9 @@ class MatrixSubspace:
         return np.tensordot(c / np.linalg.norm(c), self.basis, axes=1)
 
 
-def _pair_masks(a: np.ndarray, tol: Tolerance):
-    """``w``, ``V`` of ``A = V diag(w) V*``, the commutant and anticommutant
-    pair masks, and the commutant cut.
+def _cut_masks(w: np.ndarray, norm: float, tol: Tolerance):
+    """The commutant and anticommutant pair masks of the eigenvalues ``w`` of
+    a matrix of Frobenius norm ``norm``, and the commutant cut.
 
     The eigenvector pair (a, b) spans singular vectors of ``X -> AX - XA``
     and ``X -> AX + XA`` with singular values ``|w_a - w_b|`` and
@@ -115,13 +115,18 @@ def _pair_masks(a: np.ndarray, tol: Tolerance):
     of a realified SVD solve: ``rank_cut`` * max(largest singular value of
     that map, max(1, |A|_F)).
     """
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(a)
-    scale = max(1.0, frobenius(a))
+    scale = max(1.0, norm)
     diffs, sums = np.abs(w[:, None] - w), np.abs(w[:, None] + w)
     cut = tol.rank_cut * max(float(diffs.max()), scale)
     anti_cut = tol.rank_cut * max(float(sums.max()), scale)
-    return w, v, diffs <= cut, sums <= anti_cut, cut
+    return diffs <= cut, sums <= anti_cut, cut
+
+
+def _pair_masks(a: np.ndarray, tol: Tolerance):
+    """``w``, ``V`` of ``A = V diag(w) V*`` and the :func:`_cut_masks` of ``w``."""
+    a = np.asarray(a, dtype=complex)
+    w, v = np.linalg.eigh(a)
+    return w, v, *_cut_masks(w, frobenius(a), tol)
 
 
 def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:

@@ -212,11 +212,37 @@ def is_scalar(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     return bool(_tol(tol).is_zero(frobenius(a - mean * np.eye(n)), frobenius(a)))
 
 
+def _hermitian(normals: np.ndarray) -> np.ndarray:
+    """The symmetrized complex Gaussian of :func:`random_hermitian` from real
+    normals of shape ``(..., 2, n, n)``: one matrix, or one per leading index.
+
+    ``normals[..., 0, :, :]`` and ``normals[..., 1, :, :]`` are the real and
+    imaginary parts.  A generator fills one ``(2, n, n)`` draw in the order
+    of two ``(n, n)`` draws, so the samplers' one draw reproduces the two.
+    """
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _unitary(normals: np.ndarray) -> np.ndarray:
+    """The phase-fixed QR factor of :func:`random_unitary` from real normals
+    of shape ``(..., 2, n, n)``: one matrix, or one per leading index."""
+    g = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _projection(u: np.ndarray, rank: int) -> np.ndarray:
+    """Projection onto the first ``rank`` columns of the unitary ``u``."""
+    frame = u[:, :rank]
+    p = frame @ frame.conj().T
+    return (p + p.conj().T) / 2.0
+
+
 def random_hermitian(dim: int, seed) -> np.ndarray:
     """Gaussian Hermitian matrix: i.i.d. complex normal entries, symmetrized."""
-    rng = _rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
+    return _hermitian(_rng(seed).standard_normal((2, dim, dim)))
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
@@ -225,21 +251,14 @@ def random_unitary(dim: int, seed) -> np.ndarray:
     The diagonal of R is phase-fixed so the distribution is invariant under
     left multiplication by any fixed unitary.
     """
-    rng = _rng(seed)
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _unitary(_rng(seed).standard_normal((2, dim, dim)))
 
 
 def random_projection(dim: int, rank: int, seed) -> np.ndarray:
     """Orthogonal projection of exact ``rank`` from a Haar-random frame."""
     if not 1 <= rank <= dim:
         raise ValueError(f"invalid rank {rank} for dimension {dim}")
-    u = random_unitary(dim, seed)
-    frame = u[:, :rank]
-    p = frame @ frame.conj().T
-    return (p + p.conj().T) / 2.0
+    return _projection(random_unitary(dim, seed), rank)
 
 
 def random_scalar(dim: int, seed) -> np.ndarray:

@@ -36,13 +36,16 @@ def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
 
 def _payload_entries(payload: dict) -> np.ndarray:
     """The complex entry grid of a payload, checked against its ``dim``."""
-    if "dim" not in payload or "entries" not in payload:
+    if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
         raise ValueError("matrix payload needs 'dim' and 'entries'")
-    dim = int(payload["dim"])
-    rows = payload["entries"]
-    if len(rows) != dim or any(len(row) != dim for row in rows):
-        raise ValueError(f"entry grid does not match dim={dim}")
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        dim = int(payload["dim"])
+        rows = payload["entries"]
+        if len(rows) != dim or any(len(row) != dim for row in rows):
+            raise ValueError(f"entry grid does not match dim={dim}")
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
+    except TypeError as exc:  # e.g. a number where a row or a [re, im] pair belongs
+        raise ValueError(f"malformed matrix payload: {exc}") from None
 
 
 def payload_to_matrix(payload: dict) -> np.ndarray:

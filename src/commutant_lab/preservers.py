@@ -11,21 +11,29 @@ dropping this constraint breaks the quasi relation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutant import SearchExhausted, anticommutant, quasi_equals_commutant
+from .commutant import (
+    SearchExhausted,
+    _cut_masks,
+    _pair_subspace,
+    anticommutant,
+    quasi_equals_commutant,
+)
 from .hermitian import (
     RELATION_KINDS,
     Tolerance,
     _check_seed,
     _frobenius_stack,
+    _hermitian,
+    _projection,
     _tol,
+    _unitary,
     frobenius,
     random_hermitian,
-    random_projection,
-    random_unitary,
     rel_c,
     rel_stack,
     triadic_relation,
@@ -229,65 +237,142 @@ class TrialReport:
         return not self.violations
 
 
-def _structured_triple(rng: np.random.Generator, dim: int, tol: Tolerance):
+@functools.lru_cache(maxsize=64)
+def _aef_fixtures(weight: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`build_aef`, cached and read-only, since mode-3 triples hold
+    these very arrays."""
+    fixtures = build_aef(weight, dim)
+    for x in fixtures:
+        x.flags.writeable = False
+    return fixtures
+
+
+def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``V diag(values) V*``, symmetrized, for one eigenbasis or a stack."""
+    c = (v * values[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (c + c.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _swap_partner(v: np.ndarray) -> np.ndarray:
+    """``V S V*``, symmetrized, for one unitary or a stack; ``S`` swaps the
+    first two coordinates and has unit Frobenius norm."""
+    n = v.shape[-1]
+    swap = np.zeros((n, n), dtype=complex)
+    swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)
+    c = v @ swap @ v.conj().swapaxes(-1, -2)
+    return (c + c.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _structured_trial(rng: np.random.Generator, dim: int, tol: Tolerance):
     """Triple biased so the source relation is often true or a near miss.
 
     Random triples essentially never satisfy the relation, so generators
     draw the third matrix from structures commuting or anticommuting with
-    the difference of the first two.
+    the difference of the first two.  A coroutine of :func:`_staged_triples`:
+    it yields its linear algebra as requests and returns the triple.
     """
+    def normals():
+        return rng.standard_normal((2, dim, dim))
+
     mode = int(rng.integers(6))
     if mode == 0:  # scalar difference: relation true for every C
-        b = random_hermitian(dim, rng)
-        a = b + float(rng.standard_normal()) * np.eye(dim)
-        c = random_hermitian(dim, rng)
-        return a, b, c
+        raw_b, shift = normals(), float(rng.standard_normal())
+        b, c = yield (_hermitian, raw_b), (_hermitian, normals())
+        return b + shift * np.eye(dim), b, c
     if mode == 1:  # C a spectral function of the difference: commutes
-        a = random_hermitian(dim, rng)
-        b = random_hermitian(dim, rng)
-        w, v = np.linalg.eigh(a - b)
-        c = (v * rng.standard_normal(dim)) @ v.conj().T
-        return a, b, (c + c.conj().T) / 2.0
+        a, b = yield (_hermitian, normals()), (_hermitian, normals())
+        (_, v), = yield (np.linalg.eigh, a - b),
+        c, = yield (_spectral, v, rng.standard_normal(dim)),
+        return a, b, c
     if mode == 2:  # difference with a sign-symmetric pair, C the partner
         lam = float(rng.uniform(0.5, 2.0))
         values = np.concatenate([[lam, -lam], rng.standard_normal(dim - 2)])
-        v = random_unitary(dim, rng)
-        d = (v * values) @ v.conj().T
-        d = (d + d.conj().T) / 2.0
-        swap = np.zeros((dim, dim), dtype=complex)
-        swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)
-        c = v @ swap @ v.conj().T
-        b = random_hermitian(dim, rng)
-        return b + d, b, (c + c.conj().T) / 2.0
+        v, b = yield (_unitary, normals()), (_hermitian, normals())
+        d, c = yield (_spectral, v, values), (_swap_partner, v)
+        return b + d, b, c
     if mode == 3:  # block fixtures on a weight grid: boundary cases
         weight = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
-        fa, fe, ff = build_aef(weight, dim)
+        fa, fe, ff = _aef_fixtures(weight, dim)
         grid = [-2.0, -1.0, 0.5, 1.0, 2.0]
         alpha = float(rng.choice(grid))
         eps = alpha if rng.random() < 0.5 else float(rng.choice(grid))
         return alpha * fa, eps * fe, ff
     if mode == 4:  # affine projections
-        rank_a = int(rng.integers(1, dim))
-        rank_b = int(rng.integers(1, dim))
-        a = float(rng.standard_normal()) * random_projection(dim, rank_a, rng) + float(
-            rng.standard_normal()
-        ) * np.eye(dim)
-        b = float(rng.standard_normal()) * random_projection(dim, rank_b, rng) + float(
-            rng.standard_normal()
-        ) * np.eye(dim)
-        c = random_projection(dim, int(rng.integers(1, dim)), rng)
-        return a, b, c
+        rank_a, rank_b = int(rng.integers(1, dim)), int(rng.integers(1, dim))
+        # A = s_a P_a + t_a I and B = s_b P_b + t_b I
+        s_a, raw_a, t_a = float(rng.standard_normal()), normals(), float(rng.standard_normal())
+        s_b, raw_b, t_b = float(rng.standard_normal()), normals(), float(rng.standard_normal())
+        rank_c = int(rng.integers(1, dim))
+        u_a, u_b, u_c = yield (_unitary, raw_a), (_unitary, raw_b), (_unitary, normals())
+        eye = np.eye(dim)
+        return (s_a * _projection(u_a, rank_a) + t_a * eye,
+                s_b * _projection(u_b, rank_b) + t_b * eye,
+                _projection(u_c, rank_c))
     # mode 5: C from the anticommutant of a sign-symmetric difference
     lam = float(rng.uniform(0.5, 2.0))
     fill = rng.standard_normal(dim - 2) if dim > 2 else np.zeros(0)
     values = np.concatenate([[lam, -lam], fill])
-    v = random_unitary(dim, rng)
-    d = (v * values) @ v.conj().T
-    d = (d + d.conj().T) / 2.0
-    part = anticommutant(d, tol)
-    c = part.random_element(rng) if part.real_dimension else random_hermitian(dim, rng)
-    b = random_hermitian(dim, rng)
+    v, = yield (_unitary, normals()),
+    d, = yield (_spectral, v, values),
+    # The one boundary that depends on data: how many coefficients the
+    # trial draws next is the dimension of the anticommutant of d.
+    (w, vectors), = yield (np.linalg.eigh, d),
+    _, anti, _ = _cut_masks(w, frobenius(d), tol)
+    part = _pair_subspace(vectors, anti)
+    if part.real_dimension:
+        c = part.random_element(rng)
+        b, = yield (_hermitian, normals()),
+    else:
+        c, b = yield (_hermitian, normals()), (_hermitian, normals())
     return b + d, b, c
+
+
+def _trial(rng: np.random.Generator, dims: tuple[int, ...], tol: Tolerance):
+    """One trial of :func:`property_run` as a coroutine of
+    :func:`_staged_triples`: a dimension, then a structured or a fully
+    random triple with equal probability.  Returns ``(dim, (a, b, c))``."""
+    dim = dims[int(rng.integers(len(dims)))]
+    if rng.random() < 0.5:
+        return dim, (yield from _structured_trial(rng, dim, tol))
+    a, b, c = yield tuple((_hermitian, rng.standard_normal((2, dim, dim))) for _ in range(3))
+    return dim, (a, b, c)
+
+
+def _staged_triples(seed: int, start: int, stop: int, dims: tuple[int, ...], tol: Tolerance):
+    """``(dim, (a, b, c))`` of the trials ``start .. stop - 1``, in trial order.
+
+    Each trial is a coroutine with its own generator ``default_rng([seed,
+    t])`` that makes every draw in the order of the serial generator
+    (``tests/oracles.py``) and yields its linear algebra as a tuple of
+    requests ``(function, *arrays)``.  A round advances every pending trial
+    to its next requests, then makes each group of requests with the same
+    function and first-array shape one call on stacked arrays, which
+    treats every slice as the per-matrix call would, and sends each trial
+    its slices.
+    """
+    trials = [_trial(np.random.default_rng([seed, t]), dims, tol) for t in range(start, stop)]
+    triples = [None] * len(trials)
+    replies: list = [None] * len(trials)
+    pending = range(len(trials))
+    while pending:
+        groups: dict = {}
+        waiting = []
+        for i in pending:
+            try:
+                requests = trials[i].send(replies[i])
+            except StopIteration as done:
+                triples[i] = done.value
+                continue
+            waiting.append(i)
+            replies[i] = [None] * len(requests)
+            for j, (fn, *args) in enumerate(requests):
+                groups.setdefault((fn, args[0].shape), []).append((i, j, args))
+        for (fn, _), group in groups.items():
+            out = fn(*(np.stack(column) for column in zip(*(args for _, _, args in group))))
+            for (i, j, _), result in zip(group, zip(*out) if isinstance(out, tuple) else out):
+                replies[i][j] = result
+        pending = waiting
+    return triples
 
 
 def property_run(
@@ -302,9 +387,9 @@ def property_run(
     own generator from ``(seed, trial index)``, so runs replay exactly and
     trials may be evaluated in any order.  Each trial draws a structured
     or a fully random triple with equal probability.  Triples are drawn
-    ``BLOCK`` trials at a time and each block is evaluated per dimension in
-    one stack; the verdicts are those of :func:`check_triadic`, and
-    violations are listed in trial order.
+    ``BLOCK`` trials at a time by :func:`_staged_triples`, and each block is
+    evaluated per dimension in one stack; the verdicts are those of
+    :func:`check_triadic`, and violations are listed in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -316,13 +401,8 @@ def property_run(
     violations: list[Violation] = []
     for start in range(0, trials, BLOCK):
         drawn: dict[int, list] = {}  # dim -> [(trial, (a, b, c))]
-        for t in range(start, min(start + BLOCK, trials)):
-            rng = np.random.default_rng([seed, t])
-            dim = dims[int(rng.integers(len(dims)))]
-            if rng.random() < 0.5:
-                triple = _structured_triple(rng, dim, tol)
-            else:
-                triple = tuple(random_hermitian(dim, rng) for _ in range(3))
+        stop = min(start + BLOCK, trials)
+        for t, (dim, triple) in enumerate(_staged_triples(seed, start, stop, dims, tol), start):
             drawn.setdefault(dim, []).append((t, triple))
         found = []
         for dim, group in drawn.items():

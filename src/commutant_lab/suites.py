@@ -609,10 +609,38 @@ def shift_to_payload(shift: ShiftPolicy) -> dict:
     return payload
 
 
-def shift_from_payload(payload: dict, tol: Tolerance | None = None) -> ShiftPolicy:
-    anchor = payload_to_matrix(payload["anchor"]) if "anchor" in payload else None
-    inner = shift_from_payload(payload["inner"], tol) if payload.get("inner") else None
-    return ShiftPolicy(payload["kind"], value=float(payload.get("value", 0.0)),
+def _json_type(value) -> str:
+    """The JSON type of a parsed value, with its article."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return {dict: "an object", list: "an array", str: "a string"}.get(type(value), "null")
+
+
+def _field(payload: dict, name: str, kind: str, where: str):
+    """``payload[name]``, checked to be a JSON value of type ``kind`` (as
+    :func:`_json_type` names it); ValueError naming the record's field
+    ``where.name`` otherwise."""
+    label = f"{where}.{name}" if where else name
+    if name not in payload:
+        raise ValueError(f"triadic-violation record has no field {label!r}")
+    value = payload[name]
+    if _json_type(value) != kind:
+        raise ValueError(f"field {label!r} of the triadic-violation record must be {kind}, "
+                         f"got {_json_type(value)}")
+    return value
+
+
+def shift_from_payload(payload: dict, tol: Tolerance | None = None,
+                       where: str = "map.shift") -> ShiftPolicy:
+    """The shift policy a record's ``where`` object describes."""
+    anchor = (payload_to_matrix(_field(payload, "anchor", "an object", where))
+              if "anchor" in payload else None)
+    inner = (shift_from_payload(_field(payload, "inner", "an object", where), tol, f"{where}.inner")
+             if payload.get("inner") else None)
+    value = _field(payload, "value", "a number", where) if "value" in payload else 0.0
+    return ShiftPolicy(_field(payload, "kind", "a string", where), value=float(value),
                        anchor=anchor, inner=inner, tol=tol)
 
 
@@ -627,12 +655,13 @@ def map_to_payload(m: PreserverMap) -> dict:
 
 
 def map_from_payload(payload: dict, tol: Tolerance | None = None) -> PreserverMap:
+    """The map of a record's ``map`` object."""
     return PreserverMap(
-        scale=float(payload["scale"]),
-        conjugator=_payload_entries(payload["conjugator"]),
-        antiunitary=bool(payload["antiunitary"]),
-        shift=shift_from_payload(payload["shift"], tol),
-        relation_kind=payload["relation_kind"],
+        scale=float(_field(payload, "scale", "a number", "map")),
+        conjugator=_payload_entries(_field(payload, "conjugator", "an object", "map")),
+        antiunitary=_field(payload, "antiunitary", "a boolean", "map"),
+        shift=shift_from_payload(_field(payload, "shift", "an object", "map"), tol),
+        relation_kind=_field(payload, "relation_kind", "a string", "map"),
     )
 
 
@@ -652,17 +681,16 @@ def violation_to_payload(violation, preserver: PreserverMap) -> dict:
 
 
 def replay_violation(payload: dict, tol: Tolerance | None = None) -> tuple[str, bool]:
-    """Re-run a recorded counterexample; returns (verdict, reproduced)."""
-    m = map_from_payload(payload["map"], tol)
-    triple = payload["triple"]
-    verdict = check_triadic(
-        m,
-        payload_to_matrix(triple["a"]),
-        payload_to_matrix(triple["b"]),
-        payload_to_matrix(triple["c"]),
-        tol,
-    )
-    return verdict, verdict == payload["verdict"]
+    """Re-run a recorded counterexample; returns (verdict, reproduced).
+
+    A missing or ill-typed field of the record raises ValueError naming it.
+    """
+    recorded = _field(payload, "verdict", "a string", "")
+    m = map_from_payload(_field(payload, "map", "an object", ""), tol)
+    triple = _field(payload, "triple", "an object", "")
+    a, b, c = (payload_to_matrix(_field(triple, name, "an object", "triple")) for name in "abc")
+    verdict = check_triadic(m, a, b, c, tol)
+    return verdict, verdict == recorded
 
 
 # --------------------------------------------------------------------------

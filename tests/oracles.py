@@ -30,6 +30,11 @@ relation with the serial ``rel_c`` / ``rel_q``.  The production
 ``rel_stack``; the two routes share no relation code, so their norms may
 differ in the last bits and a verdict within those bits of the zero test
 may differ too.
+
+Serial triple generator.  ``serial_triple`` draws one ``property_run``
+trial's triple with one sampler call per matrix, as the generator did
+before it was staged; the staged coroutines of ``preservers`` must make
+the same draws and return the same triples byte for byte.
 """
 
 import numpy as np
@@ -38,8 +43,12 @@ from commutant_lab import (
     MatrixSubspace,
     Tolerance,
     anticommutant,
+    build_aef,
     commutant,
     frobenius,
+    random_hermitian,
+    random_projection,
+    random_unitary,
     rel_c,
     rel_q,
     spectral_decompose,
@@ -220,3 +229,73 @@ def serial_check_triadic(m, a, b, c, tol: Tolerance | None = None) -> str:
     if image and not source:
         return VIOLATION_BACKWARD
     return BOTH_HOLD if source else BOTH_FAIL
+
+
+def serial_structured_triple(rng: np.random.Generator, dim: int, tol: Tolerance):
+    """Triple biased so the source relation is often true or a near miss.
+
+    Random triples essentially never satisfy the relation, so generators
+    draw the third matrix from structures commuting or anticommuting with
+    the difference of the first two.
+    """
+    mode = int(rng.integers(6))
+    if mode == 0:  # scalar difference: relation true for every C
+        b = random_hermitian(dim, rng)
+        a = b + float(rng.standard_normal()) * np.eye(dim)
+        c = random_hermitian(dim, rng)
+        return a, b, c
+    if mode == 1:  # C a spectral function of the difference: commutes
+        a = random_hermitian(dim, rng)
+        b = random_hermitian(dim, rng)
+        w, v = np.linalg.eigh(a - b)
+        c = (v * rng.standard_normal(dim)) @ v.conj().T
+        return a, b, (c + c.conj().T) / 2.0
+    if mode == 2:  # difference with a sign-symmetric pair, C the partner
+        lam = float(rng.uniform(0.5, 2.0))
+        values = np.concatenate([[lam, -lam], rng.standard_normal(dim - 2)])
+        v = random_unitary(dim, rng)
+        d = (v * values) @ v.conj().T
+        d = (d + d.conj().T) / 2.0
+        swap = np.zeros((dim, dim), dtype=complex)
+        swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)
+        c = v @ swap @ v.conj().T
+        b = random_hermitian(dim, rng)
+        return b + d, b, (c + c.conj().T) / 2.0
+    if mode == 3:  # block fixtures on a weight grid: boundary cases
+        weight = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+        fa, fe, ff = build_aef(weight, dim)
+        grid = [-2.0, -1.0, 0.5, 1.0, 2.0]
+        alpha = float(rng.choice(grid))
+        eps = alpha if rng.random() < 0.5 else float(rng.choice(grid))
+        return alpha * fa, eps * fe, ff
+    if mode == 4:  # affine projections
+        rank_a = int(rng.integers(1, dim))
+        rank_b = int(rng.integers(1, dim))
+        a = float(rng.standard_normal()) * random_projection(dim, rank_a, rng) + float(
+            rng.standard_normal()
+        ) * np.eye(dim)
+        b = float(rng.standard_normal()) * random_projection(dim, rank_b, rng) + float(
+            rng.standard_normal()
+        ) * np.eye(dim)
+        c = random_projection(dim, int(rng.integers(1, dim)), rng)
+        return a, b, c
+    # mode 5: C from the anticommutant of a sign-symmetric difference
+    lam = float(rng.uniform(0.5, 2.0))
+    fill = rng.standard_normal(dim - 2) if dim > 2 else np.zeros(0)
+    values = np.concatenate([[lam, -lam], fill])
+    v = random_unitary(dim, rng)
+    d = (v * values) @ v.conj().T
+    d = (d + d.conj().T) / 2.0
+    part = anticommutant(d, tol)
+    c = part.random_element(rng) if part.real_dimension else random_hermitian(dim, rng)
+    b = random_hermitian(dim, rng)
+    return b + d, b, c
+
+
+def serial_triple(rng: np.random.Generator, dim: int, tol: Tolerance):
+    """Oracle for the staged generator of ``property_run``: one trial's
+    triple after its dimension draw, structured or fully random with equal
+    probability."""
+    if rng.random() < 0.5:
+        return serial_structured_triple(rng, dim, tol)
+    return tuple(random_hermitian(dim, rng) for _ in range(3))

@@ -348,6 +348,45 @@ CORRUPT_MAPS = {
 }
 
 
+def loose_theorem_4_report(capsys, path):
+    """Write a ``verify theorem-4`` report at ``--tol-zero 0.5``, which finds
+    violations that the default tolerance does not reproduce, and return it."""
+    code, _, _ = run_cli(capsys, ["verify", "theorem-4", "--tol-zero", "0.5", "--dims", "3",
+                                  "--trials", "100", "--out", str(path)])
+    assert code == 1
+    return json.loads(path.read_text())
+
+
+# Top-level tolerance blocks of a report that replay rejects.
+MALFORMED_TOLERANCES = {
+    "string value": {"rel_zero": "0.5", "rank_cut": 1e-10, "cluster_gap": 1e-8},
+    "boolean value": {"rel_zero": True, "rank_cut": 1e-10, "cluster_gap": 1e-8},
+    "missing field": {"rel_zero": 0.5, "rank_cut": 1e-10},
+    "extra field": {"rel_zero": 0.5, "rank_cut": 1e-10, "cluster_gap": 1e-8, "slack": 1.0},
+    "not an object": [0.5, 1e-10, 1e-8],
+}
+
+# Edits of a recorded violation: (key path, value or None to delete, message).
+MALFORMED_RECORDS = {
+    "string triple": (("triple",), "abc",
+                      "field 'triple' of the triadic-violation record must be an object, "
+                      "got a string"),
+    "no map.scale": (("map", "scale"), None,
+                     "triadic-violation record has no field 'map.scale'"),
+    "no verdict": (("verdict",), None, "triadic-violation record has no field 'verdict'"),
+    "string antiunitary": (("map", "antiunitary"), "false",
+                           "field 'map.antiunitary' of the triadic-violation record must be "
+                           "a boolean, got a string"),
+    "no map.shift.kind": (("map", "shift", "kind"), None,
+                        "triadic-violation record has no field 'map.shift.kind'"),
+    "array triple.c": (("triple", "c"), [1.0],
+                       "field 'triple.c' of the triadic-violation record must be an object, "
+                       "got an array"),
+    "number matrix row": (("triple", "a", "entries", 0), 1.0,
+                          "malformed matrix payload: object of type 'float' has no len()"),
+}
+
+
 class TestReplayCommand:
     def test_bare_record_replays(self, capsys, tmp_path):
         path = tmp_path / "v.json"
@@ -368,6 +407,57 @@ class TestReplayCommand:
                                           "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == first["verdict"]
+
+    def test_report_replays_at_its_recorded_tolerance(self, capsys, tmp_path):
+        path = tmp_path / "t4.json"
+        report = loose_theorem_4_report(capsys, path)
+        first = report["suites"][0]["counterexamples"][0]
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        replay = json.loads(out)
+        assert (replay["verdict"], replay["reproduced"]) == (first["verdict"], True)
+        assert replay["tolerance"] == report["tolerance"]
+        assert replay["tolerance"]["rel_zero"] == 0.5
+
+    def test_bare_record_replays_at_the_options(self, capsys, tmp_path):
+        path = tmp_path / "t4.json"
+        record = loose_theorem_4_report(capsys, path)["suites"][0]["counterexamples"][0]
+        path.write_text(json.dumps(record))
+        code, out, _ = run_cli(capsys, ["verify", "--replay", str(path), "--format", "json"])
+        assert code == 1
+        assert json.loads(out)["reproduced"] is False
+        code, out, _ = run_cli(capsys, ["verify", "--replay", str(path), "--tol-zero", "0.5",
+                                        "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["tolerance"]["rel_zero"] == 0.5
+
+    @pytest.mark.parametrize("name", list(MALFORMED_TOLERANCES))
+    def test_malformed_tolerance_block_rejected(self, capsys, tmp_path, name):
+        path = tmp_path / "t4.json"
+        report = loose_theorem_4_report(capsys, path)
+        report["tolerance"] = MALFORMED_TOLERANCES[name]
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} has a malformed tolerance block ")
+        assert err.endswith("expected the numbers rel_zero, rank_cut, cluster_gap\n")
+
+    @pytest.mark.parametrize("name", list(MALFORMED_RECORDS))
+    def test_malformed_record_rejected(self, capsys, tmp_path, name):
+        keys, value, message = MALFORMED_RECORDS[name]
+        path = tmp_path / "v.json"
+        record = necessity_report(capsys, path)["violation"]
+        target = record
+        for key in keys[:-1]:
+            target = target[key]
+        if value is None:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        path.write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", list(CORRUPT_MAPS))
     def test_corrupt_map_rejected(self, capsys, tmp_path, name):

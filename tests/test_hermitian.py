@@ -27,6 +27,7 @@ from commutant_lab import (
     subspace_leq,
     triadic_relation,
 )
+from commutant_lab.hermitian import _hermitian, _unitary
 from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
 
 from conftest import SWAP2, diag
@@ -383,6 +384,36 @@ class TestSampling:
 
     def test_scalar_sample_is_scalar(self):
         assert is_scalar(random_scalar(5, 11))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    def test_samplers_reproduce_two_draws_of_real_and_imaginary_parts(self, dim):
+        # The samplers draw both parts as one (2, n, n) array; the report
+        # digests were recorded with two (n, n) draws.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            assert random_hermitian(dim, seed).tobytes() == ((g + g.conj().T) / 2.0).tobytes()
+            rng = np.random.default_rng(seed)
+            g = (rng.standard_normal((dim, dim))
+                 + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            assert random_unitary(dim, seed).tobytes() == (q * (d / np.abs(d))).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
+    def test_stacked_samplers_match_each_slice(self, dim):
+        # Staged triple generation relies on stacked QR, eigh and matmul
+        # reproducing the per-matrix calls bit for bit on this BLAS.
+        normals = np.random.default_rng(dim).standard_normal((7, 2, dim, dim))
+        stacks = _hermitian(normals), _unitary(normals)
+        w, v = np.linalg.eigh(stacks[0])
+        products = stacks[1] @ stacks[0]
+        for i, x in enumerate(normals):
+            assert _hermitian(x).tobytes() == stacks[0][i].tobytes()
+            assert _unitary(x).tobytes() == stacks[1][i].tobytes()
+            wi, vi = np.linalg.eigh(_hermitian(x))
+            assert (wi.tobytes(), vi.tobytes()) == (w[i].tobytes(), v[i].tobytes())
+            assert (_unitary(x) @ _hermitian(x)).tobytes() == products[i].tobytes()
 
 
 class TestIngestion:

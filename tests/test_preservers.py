@@ -11,6 +11,7 @@ from commutant_lab import (
     Tolerance,
     Violation,
     apply_map,
+    build_aef,
     check_triadic,
     compose,
     frobenius,
@@ -34,13 +35,19 @@ from commutant_lab.preservers import (
     BOTH_HOLD,
     VIOLATION_BACKWARD,
     VIOLATION_FORWARD,
-    _structured_triple,
+    _aef_fixtures,
+    _staged_triples,
     default_necessity_anchor,
 )
 from commutant_lab.suites import replay_violation, violation_to_payload
 
 from conftest import diag
-from oracles import serial_apply_map, serial_check_triadic
+from oracles import (
+    serial_apply_map,
+    serial_check_triadic,
+    serial_structured_triple,
+    serial_triple,
+)
 
 
 def identity_map(dim, kind="commutative", shift=None):
@@ -264,7 +271,7 @@ class TestPropertyRun:
         hits = 0
         for t in range(200):
             rng = np.random.default_rng([13, t])
-            a, b, c = _structured_triple(rng, 4, Tolerance())
+            a, b, c = serial_structured_triple(rng, 4, Tolerance())
             if triadic_relation(a, b, c, "commutative"):
                 hits += 1
         assert hits > 40
@@ -280,6 +287,53 @@ class TestPropertyRun:
             property_run({3: wrong}, trials=5)
 
 
+class TestStagedGenerator:
+    """The staged generator of ``property_run`` against ``serial_triple``,
+    which makes one sampler call per matrix."""
+
+    # A rank cut loose enough to join eigenvalue pairs of mode 5's
+    # difference, so that its trials draw other coefficient counts.
+    LOOSE = Tolerance(rank_cut=0.05)
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5, 8), (16,)], ids=["3-4-5-8", "16"])
+    @pytest.mark.parametrize("loose", [False, True], ids=["default", "loose-rank-cut"])
+    def test_matches_serial_triple_byte_for_byte(self, dims, loose):
+        tol = self.LOOSE if loose else Tolerance()
+        trials = 300  # two full blocks and a partial one
+        assert trials % BLOCK
+        staged = [triple for start in range(0, trials, BLOCK)
+                  for triple in _staged_triples(11, start, min(start + BLOCK, trials), dims, tol)]
+        assert len(staged) == trials
+        for t, (dim, triple) in enumerate(staged):
+            rng = np.random.default_rng([11, t])
+            assert dim == dims[int(rng.integers(len(dims)))]
+            for x, y in zip(triple, serial_triple(rng, dim, tol), strict=True):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5, 8), (16,)], ids=["3-4-5-8", "16"])
+    def test_loose_rank_cut_changes_mode_5_draws(self, dims):
+        # only mode 5 reads the tolerance, so a changed triple is a mode-5
+        # trial whose anticommutant dimension moved
+        default = _staged_triples(11, 0, BLOCK, dims, Tolerance())
+        loose = _staged_triples(11, 0, BLOCK, dims, self.LOOSE)
+        assert any(x.tobytes() != y.tobytes()
+                   for (_, p), (_, q) in zip(default, loose) for x, y in zip(p, q))
+
+    def test_cached_aef_fixtures_are_read_only(self):
+        cached = _aef_fixtures(0.5, 4)
+        assert cached is _aef_fixtures(0.5, 4)
+        for x in cached:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.0
+        fresh, again = build_aef(0.5, 4), build_aef(0.5, 4)
+        for x, y, z in zip(fresh, again, cached):
+            assert x.flags.writeable and x is not y and x is not z
+            assert x.tobytes() == z.tobytes()
+            x[0, 0] = 7.0
+        assert _aef_fixtures(0.5, 4)[0][0, 0] == -0.5
+
+
 def serial_property_run(maps, trials, seed):
     """``property_run`` with the same draws, one ``serial_check_triadic``
     per trial."""
@@ -289,10 +343,7 @@ def serial_property_run(maps, trials, seed):
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         dim = dims[int(rng.integers(len(dims)))]
-        if rng.random() < 0.5:
-            a, b, c = _structured_triple(rng, dim, tol)
-        else:
-            a, b, c = (random_hermitian(dim, rng) for _ in range(3))
+        a, b, c = serial_triple(rng, dim, tol)
         verdict = serial_check_triadic(maps[dim], a, b, c, tol)
         if is_violation(verdict):
             found.append((t, verdict, a, b, c))
