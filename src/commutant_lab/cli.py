@@ -1,11 +1,12 @@
 """Command-line harness: run verification suites, compute commutant
-structure for matrices supplied as JSON files, run counterexample searches
-and pretty-print saved reports.
+structure for matrices supplied as JSON files, run counterexample searches,
+replay recorded triadic violations and pretty-print saved reports.
 
-Exit codes: 0 on pass, 1 on assertion failure or a mandatory search coming
-up empty, 2 on usage or input errors.  The seed defaults to the
-``COMMUTANT_LAB_SEED`` environment variable and is overridden by ``--seed``;
-either must be a nonnegative integer.  Identical (command, seed, tolerance)
+Exit codes: 0 on pass, 1 on assertion failure, a replay that does not
+reproduce or a mandatory search coming up empty, 2 on usage or input
+errors.  The seed defaults to the ``COMMUTANT_LAB_SEED`` environment
+variable and is overridden by ``--seed``; either must be a nonnegative
+integer.  ``replay`` reads no seed.  Identical (command, seed, tolerance)
 reproduce identical report bodies up to the timing fields.
 """
 
@@ -29,22 +30,19 @@ from .commutant import (
     scalar_witness,
 )
 from .hermitian import Tolerance, frobenius, random_hermitian
-from .matrixfile import load_matrix, matrix_to_payload
+from .matrixfile import _checked, _field, _path, _payload_entries, load_matrix, matrix_to_payload
 from .preservers import necessity_map, necessity_search
-from .suites import (
-    FIXED_GRID_SUITES,
-    SUITE_NAMES,
-    replay_violation,
-    run_suite,
-    violation_to_payload,
-)
+from .suites import (FIXED_GRID_SUITES, SUITE_NAMES, replay_violation, run_suite,
+                     violation_to_payload)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-
 REPORT_KINDS = ("verify", "replay", "commutant", "search")
+# The --tol-* options, by the Tolerance field each sets.
+TOLERANCE_OPTIONS = {"rel_zero": "--tol-zero", "rank_cut": "--tol-rank",
+                     "cluster_gap": "--tol-cluster"}
 
 
 def _seed(args) -> int:
@@ -83,29 +81,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="suite seed (default: COMMUTANT_LAB_SEED or 0)")
-        p.add_argument("--tol-zero", type=float, default=Tolerance().rel_zero)
-        p.add_argument("--tol-rank", type=float, default=Tolerance().rank_cut)
-        p.add_argument("--tol-cluster", type=float, default=Tolerance().cluster_gap)
+    def add_common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="suite seed (default: COMMUTANT_LAB_SEED or 0)")
+        for name, option in TOLERANCE_OPTIONS.items():
+            p.add_argument(option, dest=name, type=float, default=None)
         p.add_argument("--out", type=Path, default=None,
                        help="also write the report to this path")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run one named suite or all of them")
-    verify.add_argument("suite", nargs="?", default=None,
-                        choices=(*SUITE_NAMES, "all"))
+    verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     verify.add_argument("--dim", type=int, default=None, help="single dimension")
     verify.add_argument("--dims", type=str, default=None,
                         help="comma-separated dimensions, e.g. 3,4,5")
     verify.add_argument("--trials", type=int, default=None)
     verify.add_argument("--a", type=float, default=None,
                         help="block-fixture weight (lemma-aef only)")
-    verify.add_argument("--replay", type=Path, default=None,
-                        help="re-validate a recorded counterexample file, at the "
-                             "tolerance the file records (--tol-* for a bare record)")
     add_common(verify)
+
+    replay = sub.add_parser("replay", help="re-decide a recorded triadic violation at the "
+                            "tolerance its file records (--tol-* for a bare record)")
+    replay.add_argument("path", type=Path)
+    add_common(replay, seed=False)
 
     comm = sub.add_parser("commutant", help="commutant structure of a matrix file")
     comm.add_argument("--input", type=Path, required=True)
@@ -137,50 +136,55 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _render_matrix(payload: dict) -> str:
-    rows = []
-    for row in payload["entries"]:
-        rows.append("[" + ", ".join(f"{re:+.6g}{im:+.6g}j" for re, im in row) + "]")
-    return "  " + " ".join(rows)
+def _render_matrix(m) -> str:
+    return "  " + " ".join(
+        "[" + ", ".join(f"{z.real:+.6g}{z.imag:+.6g}j" for z in row) + "]" for row in m)
+
+
+def _suites(report: dict) -> list[tuple[str, dict]]:
+    """The suite results of a report, each with its path."""
+    return [(f"suites[{i}]", _checked(suite, "an object", f"suites[{i}]"))
+            for i, suite in enumerate(_field(report, "suites", "an array", "", []))]
 
 
 def render_text(report: dict) -> str:
+    """The text form of a report; every field it formats is read through
+    the JSON reader, so a malformed saved report is an input error."""
     lines = [f"commutant-lab {report.get('kind', 'report')}"]
     if "command" in report:
         lines.append(f"command: {report['command']}")
     if "seed" in report:
         lines.append(f"seed: {report['seed']}")
     if "tolerance" in report:
-        t = report["tolerance"]
-        lines.append(
-            "tolerance: rel_zero=%g rank_cut=%g cluster_gap=%g"
-            % (t["rel_zero"], t["rank_cut"], t["cluster_gap"])
-        )
-    for suite in report.get("suites", []):
-        status = "PASS" if suite["passed"] else "FAIL"
-        lines.append(
-            f"suite {suite['name']}: {status} "
-            f"(checks={suite['checks']} failures={suite['failures']})"
-        )
-        for key, value in sorted(suite.get("details", {}).items()):
+        lines.append("tolerance: " + " ".join(
+            f"{name}={value:g}"
+            for name, value in dataclasses.asdict(_recorded_tolerance(report)).items()))
+    for where, suite in _suites(report):
+        status = "PASS" if _field(suite, "passed", "a boolean", where) else "FAIL"
+        lines.append(f"suite {_field(suite, 'name', 'a string', where)}: {status} "
+                     f"(checks={_field(suite, 'checks', 'a number', where)} "
+                     f"failures={_field(suite, 'failures', 'a number', where)})")
+        for key, value in sorted(_field(suite, "details", "an object", where, {}).items()):
             lines.append(f"  {key}: {value}")
-        for ce in suite.get("counterexamples", [])[:3]:
+        for ce in _field(suite, "counterexamples", "an array", where, [])[:3]:
             lines.append(f"  counterexample: {json.dumps(ce, sort_keys=True)[:240]}")
     for key in ("which", "real_dimension", "parts", "status", "verdict", "reproduced"):
         if key in report:
             lines.append(f"{key}: {report[key]}")
     for key in ("basis", "commutant_basis", "anticommutant_basis"):
         if key in report:
-            lines.append(f"{key} ({len(report[key])} elements):")
-            lines.extend(_render_matrix(payload) for payload in report[key])
+            basis = _field(report, key, "an array")
+            lines.append(f"{key} ({len(basis)} elements):")
+            lines.extend(_render_matrix(_payload_entries(payload, f"{key}[{i}]"))
+                         for i, payload in enumerate(basis))
     if "witness" in report and report["witness"] is not None:
         lines.append("witness: " + json.dumps(report["witness"], sort_keys=True))
     if "violation" in report and report["violation"] is not None:
         lines.append("violation: " + json.dumps(report["violation"], sort_keys=True)[:400])
     if "passed" in report:
-        lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
+        lines.append(f"overall: {'PASS' if _field(report, 'passed', 'a boolean') else 'FAIL'}")
     if "elapsed_seconds" in report:
-        lines.append(f"elapsed: {report['elapsed_seconds']:.3f}s")
+        lines.append(f"elapsed: {_field(report, 'elapsed_seconds', 'a number'):.3f}s")
     return "\n".join(lines) + "\n"
 
 
@@ -192,72 +196,71 @@ def _emit(report: dict, args) -> None:
 
 
 # --------------------------------------------------------------------------
-# Commands.  Each returns its report body; main() adds the seed, the
-# tolerance and the wall time, emits the report and maps ``passed`` to the
-# exit code.
+# Commands.  Each returns its report body; main() adds the seed and the
+# tolerance (a replay states the tolerance it decided at and reads no seed)
+# and the wall time, emits the report and maps ``passed`` to the exit code.
 # --------------------------------------------------------------------------
 
 
-def _recorded_tolerance(payload, path: Path) -> Tolerance | None:
-    """The tolerance block at the top of a report, or None when the file
-    has none (a bare record)."""
-    if not isinstance(payload, dict) or "tolerance" not in payload:
-        return None
-    block = payload["tolerance"]
-    names = [f.name for f in dataclasses.fields(Tolerance)]
-    if (not isinstance(block, dict) or sorted(block) != sorted(names)
-            or any(isinstance(block[n], bool) or not isinstance(block[n], (int, float))
-                   for n in names)):
-        raise ValueError(f"{path} has a malformed tolerance block {json.dumps(block)}; "
-                         f"expected the numbers {', '.join(names)}")
-    return Tolerance(**block)
+def _recorded_tolerance(report: dict) -> Tolerance:
+    """The tolerance a report's ``tolerance`` block records."""
+    block = _field(report, "tolerance", "an object")
+    for name in block:
+        if name not in TOLERANCE_OPTIONS:
+            raise ValueError(f"field 'tolerance.{name}' is not a tolerance; expected "
+                             f"{', '.join(TOLERANCE_OPTIONS)}")
+    return Tolerance(**{name: _field(block, name, "a number", "tolerance")
+                        for name in TOLERANCE_OPTIONS})
 
 
-def _replay_record(path: Path) -> tuple[dict, Tolerance | None]:
-    """The record ``verify --replay`` re-decides, and the tolerance the file
-    records.  The record is the file itself when it is a triadic-violation
-    record, else the first one a report holds, as a search's ``violation``
-    or among its suites' counterexamples."""
-    payload = json.loads(path.read_text())
-    held = [payload]
+def _replay_record(payload, path: Path) -> tuple[str, dict]:
+    """The record ``replay`` re-decides and its path in the file: the file
+    itself if it is a triadic-violation record, else the first one a report
+    holds, as a search's ``violation`` or a suite's counterexample."""
+    held = [("", payload)]
     if isinstance(payload, dict):
-        held.append(payload.get("violation"))
-        for suite in payload.get("suites", [payload]):
-            held += suite.get("counterexamples", []) if isinstance(suite, dict) else []
-    for record in held:
+        held.append(("violation", payload.get("violation")))
+        for where, suite in _suites(payload) if "suites" in payload else [("", payload)]:
+            records = _field(suite, "counterexamples", "an array", where, [])
+            held += [(_path(where, f"counterexamples[{i}]"), r) for i, r in enumerate(records)]
+    for where, record in held:
         if isinstance(record, dict) and record.get("kind") == "triadic-violation":
-            return record, _recorded_tolerance(payload, path)
+            return where, record
     raise ValueError(f"{path} holds no triadic-violation record")
 
 
+def cmd_replay(args, given: dict) -> dict:
+    """Re-decide a recorded violation: a report's at the tolerance it
+    records, which no --tol-* option may contradict; a bare record's at the
+    --tol-* options ``given`` (by Tolerance field)."""
+    payload = json.loads(args.path.read_text())
+    where, record = _replay_record(payload, args.path)
+    if isinstance(payload, dict) and "tolerance" in payload:
+        tol = _recorded_tolerance(payload)
+        if given:
+            name = next(iter(given))
+            raise ValueError(f"{args.path} records {name}={getattr(tol, name)!r}, the "
+                             f"tolerance replay decides at; drop {TOLERANCE_OPTIONS[name]}")
+    else:
+        tol = Tolerance(**given)
+    verdict, reproduced = replay_violation(record, tol, where)
+    return {"kind": "replay", "command": f"replay {args.path}", "verdict": verdict,
+            "tolerance": dataclasses.asdict(tol), "reproduced": reproduced, "passed": reproduced}
+
+
 def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
-    if args.replay is not None:
-        # A report decides at the tolerance that found its record; a bare
-        # record at the --tol-* options.
-        record, recorded = _replay_record(args.replay)
-        tol = tol if recorded is None else recorded
-        verdict, reproduced = replay_violation(record, tol)
-        return {"kind": "replay", "command": f"verify --replay {args.replay}",
-                "tolerance": dataclasses.asdict(tol),
-                "verdict": verdict, "reproduced": reproduced, "passed": reproduced}
-
-    if args.suite is None:
-        raise ValueError("a suite name (or 'all') is required unless --replay is given")
-
     dims = None
     if args.dims is not None:
         dims = _parse_dims(args.dims)
     if args.dim is not None:
         dims = (args.dim,) if dims is None else (*dims, args.dim)
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    results = []
-    for name in names:
-        # ``all`` applies --trials to the sampled suites and --a to lemma-aef only.
-        every = args.suite == "all"
-        trials = None if every and name in FIXED_GRID_SUITES else args.trials
-        a_value = None if every and name != "lemma-aef" else args.a
-        results.append(run_suite(name, dims=dims, trials=trials, seed=seed, tol=tol,
-                                 a_value=a_value))
+    every = args.suite == "all"
+    names = list(SUITE_NAMES) if every else [args.suite]
+    # ``all`` applies --trials to the sampled suites and --a to lemma-aef only.
+    results = [run_suite(name, dims=dims, seed=seed, tol=tol,
+                         trials=None if every and name in FIXED_GRID_SUITES else args.trials,
+                         a_value=None if every and name != "lemma-aef" else args.a)
+               for name in names]
     return {"kind": "verify", "command": "verify " + " ".join(names), "suites": results,
             "passed": all(r["passed"] for r in results)}
 
@@ -273,51 +276,36 @@ def cmd_commutant(args, seed: int, tol: Tolerance) -> dict:
         "command": f"commutant --input {args.input} --which {args.which}",
         "which": args.which,
         "input_dim": int(matrix.shape[0]),
+        "passed": True,
     }
     # Built per call, so that a wrapped module attribute is the one called.
     solvers = {"c": commutant, "anti": anticommutant, "cc": bicommutant}
     if args.which in solvers:
         sub = solvers[args.which](matrix, tol)
-        report["real_dimension"] = sub.real_dimension
-        report["basis"] = basis_payload(sub)
-    else:
-        qc = quasi_commutant(matrix, tol)
-        report["parts"] = {
-            "commutant": qc.commutant_part.real_dimension,
-            "anticommutant": qc.anticommutant_part.real_dimension,
-        }
-        report["commutant_basis"] = basis_payload(qc.commutant_part)
-        report["anticommutant_basis"] = basis_payload(qc.anticommutant_part)
-    report["passed"] = True
-    return report
+        return {**report, "real_dimension": sub.real_dimension, "basis": basis_payload(sub)}
+    qc = quasi_commutant(matrix, tol)
+    return {**report, "parts": {"commutant": qc.commutant_part.real_dimension,
+                                "anticommutant": qc.anticommutant_part.real_dimension},
+            "commutant_basis": basis_payload(qc.commutant_part),
+            "anticommutant_basis": basis_payload(qc.anticommutant_part)}
 
 
 def cmd_search(args, seed: int, tol: Tolerance) -> dict:
-    report = {"kind": "search", "command": f"search {args.kind}"}
+    report = {"kind": "search", "command": f"search {args.kind}", "passed": True}
     try:
         if args.kind == "necessity-f":
             if args.dim < 3:
                 raise ValueError("dimension must be at least 3")
             trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol)
             violation = trial_report.violations[0]
-            report.update({
-                "status": f"violation found after {trial_report.trials} trials",
-                "violation": violation_to_payload(violation, necessity_map(args.dim, tol)),
-                "passed": True,
-            })
-        elif args.kind == "scalar-witness":
-            witness = scalar_witness(load_matrix(args.input), seed=seed, tol=tol)
-            if witness is None:
-                report.update({"status": "scalar input, no witness exists",
-                               "witness": None, "passed": True})
-            else:
-                report.update({
-                    "status": "witness found",
-                    "witness": matrix_to_payload(witness, label="scalar-witness"),
-                    "passed": True,
-                })
+            return {**report, "status": f"violation found after {trial_report.trials} trials",
+                    "violation": violation_to_payload(violation, necessity_map(args.dim, tol))}
+        matrix = load_matrix(args.input)
+        if args.kind == "scalar-witness":
+            witness = scalar_witness(matrix, seed=seed, tol=tol)
+            label, found, empty = ("scalar-witness", "witness found",
+                                  "scalar input, no witness exists")
         else:  # lemma7-refute
-            matrix = load_matrix(args.input)
             if args.target is not None:
                 target = load_matrix(args.target)
             else:
@@ -328,25 +316,24 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
                 report["target"] = matrix_to_payload(target, label="sampled-target")
             witness = refute_biquasi_membership(target, matrix, budget=args.budget,
                                                 seed=seed, tol=tol)
-            if witness is None:
-                report.update({"status": "unrefuted (not a membership proof)",
-                               "witness": None, "passed": True})
-            else:
-                report.update({
-                    "status": "refuted: target is outside the second quasi-commutant",
-                    "witness": matrix_to_payload(witness, label="refutation-witness"),
-                    "passed": True,
-                })
+            label, found, empty = ("refutation-witness",
+                                  "refuted: target is outside the second quasi-commutant",
+                                  "unrefuted (not a membership proof)")
     except SearchExhausted as exc:
         return {**report, "status": str(exc), "passed": False}
-    return report
+    if witness is None:
+        return {**report, "status": empty, "witness": None}
+    return {**report, "status": found, "witness": matrix_to_payload(witness, label=label)}
 
 
 def cmd_report(args) -> int:
     payload = json.loads(args.path.read_text())
-    if (not isinstance(payload, dict) or payload.get("kind") not in REPORT_KINDS
-            or not isinstance(payload.get("passed"), bool)):
-        raise ValueError(f"{args.path} is not a commutant-lab report")
+    try:
+        if _field(_checked(payload, "an object", ""), "kind", "a string") not in REPORT_KINDS:
+            raise ValueError(f"field 'kind' must be one of {', '.join(REPORT_KINDS)}")
+        _field(payload, "passed", "a boolean")
+    except ValueError as exc:
+        raise ValueError(f"{args.path} is not a commutant-lab report: {exc}") from None
     sys.stdout.write(render_text(payload))
     return EXIT_PASS
 
@@ -360,19 +347,20 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return cmd_report(args)
-        seed = _seed(args)
-        tol = Tolerance(rel_zero=args.tol_zero, rank_cut=args.tol_rank,
-                        cluster_gap=args.tol_cluster)
         start = time.perf_counter()
-        command = {"verify": cmd_verify, "commutant": cmd_commutant, "search": cmd_search}
-        # A replay report states the tolerance it decided at, which may be
-        # the replayed file's own.
-        report = {"seed": seed, "tolerance": dataclasses.asdict(tol),
-                  **command[args.command](args, seed, tol)}
+        given = {name: getattr(args, name) for name in TOLERANCE_OPTIONS
+                 if getattr(args, name) is not None}
+        if args.command == "replay":
+            report = cmd_replay(args, given)
+        else:
+            seed, tol = _seed(args), Tolerance(**given)
+            command = {"verify": cmd_verify, "commutant": cmd_commutant, "search": cmd_search}
+            report = {"seed": seed, "tolerance": dataclasses.asdict(tol),
+                      **command[args.command](args, seed, tol)}
         report["elapsed_seconds"] = time.perf_counter() - start
         _emit(report, args)
         return EXIT_PASS if report["passed"] else EXIT_FAIL
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

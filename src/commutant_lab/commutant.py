@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (
+    DEFAULT_TOLERANCE,
     Tolerance,
     _check_same_dim,
     _check_seed,
     _rng,
-    _tol,
     frobenius,
     is_scalar,
     random_hermitian,
@@ -94,8 +94,8 @@ class MatrixSubspace:
     def residual(self, x: np.ndarray) -> float:
         return frobenius(x - self.project(x))
 
-    def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
-        return bool(_tol(tol).is_zero(self.residual(x), frobenius(x)))
+    def contains(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+        return bool(tol.is_zero(self.residual(x), frobenius(x)))
 
     def random_element(self, rng) -> np.ndarray:
         """Random real combination of the basis with unit Frobenius norm."""
@@ -158,23 +158,23 @@ def _spectral_runs(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[slice
     return runs
 
 
-def commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Hermitian solutions of ``AX = XA``; always contains the identity and A.
 
     Read off one eigendecomposition: the commutant pairs of
     :func:`_pair_masks`, ``|w_a - w_b|`` at or below its cut.
     """
-    _, v, comm, _, _ = _pair_masks(a, _tol(tol))
+    _, v, comm, _, _ = _pair_masks(a, tol)
     return _pair_subspace(v, comm)
 
 
-def anticommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def anticommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Hermitian solutions of ``AX + XA = 0``; possibly the zero subspace.
 
     Read off one eigendecomposition: the anticommutant pairs of
     :func:`_pair_masks`, ``|w_a + w_b|`` at or below its cut.
     """
-    _, v, _, anti, _ = _pair_masks(a, _tol(tol))
+    _, v, _, anti, _ = _pair_masks(a, tol)
     return _pair_subspace(v, anti)
 
 
@@ -193,17 +193,17 @@ class QuasiCommutant:
     def dim(self) -> int:
         return self.commutant_part.dim
 
-    def contains(self, x: np.ndarray, tol: Tolerance | None = None) -> bool:
+    def contains(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         return self.commutant_part.contains(x, tol) or self.anticommutant_part.contains(x, tol)
 
 
-def quasi_commutant(a: np.ndarray, tol: Tolerance | None = None) -> QuasiCommutant:
+def quasi_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> QuasiCommutant:
     """Commutant and anticommutant of ``A``, paired, from one eigendecomposition."""
-    _, v, comm, anti, _ = _pair_masks(a, _tol(tol))
+    _, v, comm, anti, _ = _pair_masks(a, tol)
     return QuasiCommutant(_pair_subspace(v, comm), _pair_subspace(v, anti))
 
 
-def bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Hermitian X commuting with every element of ``commutant(A)``.
 
     The commutant joins eigenvectors whose eigenvalues lie within its cut,
@@ -211,7 +211,6 @@ def bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
     eigenvalues whose consecutive gaps are within that cut; the basis is
     ``P / sqrt(run length)``.
     """
-    tol = _tol(tol)
     # benchmarks/tracer.py sizes each bicommutant call by the commutant
     # call nested inside it, so the commutant stays a call of its own.
     commutant(a, tol)
@@ -226,7 +225,7 @@ def bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
 # --------------------------------------------------------------------------
 
 
-def _krylov_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def _krylov_bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Oracle for :func:`bicommutant`: the unital algebra ``span{I, A, A^2, ...}``.
 
     By the double commutant theorem in finite dimension this algebra is the
@@ -253,7 +252,6 @@ def _krylov_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSu
     [-3, 3] it missed the eigenbasis route's subspace in none of 100 draws
     at n = 10 but in 16 at n = 16.  The cap of n elements bounds the damage.
     """
-    tol = _tol(tol)
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
     noise = np.finfo(float).eps * max(1.0, frobenius(a))
@@ -275,33 +273,33 @@ def _krylov_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSu
     return MatrixSubspace(dim=n, basis=basis[:k])
 
 
-def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | None = None) -> bool:
+def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when every basis element of ``s`` lies in ``t`` (containment)."""
-    tol = _tol(tol)
     if s.dim != t.dim:
         raise ValueError(f"ambient dimension mismatch: {s.dim} vs {t.dim}")
     return all(tol.is_zero(t.residual(b)) for b in s.basis)
 
 
-def subspace_eq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | None = None) -> bool:
+def subspace_eq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return subspace_leq(s, t, tol) and subspace_leq(t, s, tol)
 
 
-def subspace_proper_lt(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance | None = None) -> bool:
+def subspace_proper_lt(s: MatrixSubspace, t: MatrixSubspace,
+                       tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return subspace_leq(s, t, tol) and s.real_dimension < t.real_dimension
 
 
-def quasi_equals_commutant(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def quasi_equals_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when the anticommutant of ``A`` sits inside its commutant: no
     eigenvector pair of :func:`_pair_masks` is in the anticommutant mask
     and outside the commutant mask.  Away from the cuts, the spectrum of
     ``A`` then meets its negative only in 0."""
-    _, _, comm, anti, _ = _pair_masks(a, _tol(tol))
+    _, _, comm, anti, _ = _pair_masks(a, tol)
     return not np.any(anti & ~comm)
 
 
 def noncommuting_anticommuting_partner(
-    a: np.ndarray, tol: Tolerance | None = None
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> np.ndarray | None:
     """Unit Hermitian ``B = (v_a v_b* + v_b v_a*) / sqrt(2)`` of the first
     eigenvector pair (a, b) that :func:`quasi_equals_commutant` rules out;
@@ -309,7 +307,7 @@ def noncommuting_anticommuting_partner(
     the commutant cut but may be below ``rel_zero * max(1, |A|_F)``, where
     ``rel_c`` reads B as commuting with ``A``.
     """
-    _, v, comm, anti, _ = _pair_masks(a, _tol(tol))
+    _, v, comm, anti, _ = _pair_masks(a, tol)
     pairs = np.argwhere(anti & ~comm)
     if len(pairs) == 0:
         return None
@@ -322,7 +320,7 @@ def refute_biquasi_membership(
     a: np.ndarray,
     budget: int = 32,
     seed=0,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
     quasi: QuasiCommutant | None = None,
 ) -> np.ndarray | None:
     """Search for M in the quasi-commutant of A that fails to quasi-commute with X.
@@ -335,7 +333,6 @@ def refute_biquasi_membership(
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    tol = _tol(tol)
     _check_same_dim(np.asarray(x), np.asarray(a))
     qc = quasi if quasi is not None else quasi_commutant(a, tol)
     n = qc.dim
@@ -364,7 +361,7 @@ def refute_biquasi_membership(
     return None
 
 
-def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance | None = None) -> np.ndarray | None:
+def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray | None:
     """For nonscalar A, a Hermitian B whose difference from A neither commutes
     nor anticommutes with B; ``None`` for scalar A (no witness exists).
 
@@ -374,7 +371,6 @@ def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance | None = None) -> np.nd
     can exhaust its 64 attempts: :class:`SearchExhausted`.
     """
     _check_seed(seed)
-    tol = _tol(tol)
     a = np.asarray(a, dtype=complex)
     if is_scalar(a, tol):
         return None

@@ -67,10 +67,6 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-def _tol(tol: Tolerance | None) -> Tolerance:
-    return DEFAULT_TOLERANCE if tol is None else tol
-
-
 def _check_seed(seed) -> None:
     """Raise unless ``seed`` is a nonnegative integer."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -132,17 +128,17 @@ def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def rel_c(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
+def rel_c(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when ``A`` and ``B`` commute: ``AB - BA = 0`` up to tolerance."""
-    return bool(_tol(tol).is_zero(frobenius(commutator(a, b)), frobenius(a) * frobenius(b)))
+    return bool(tol.is_zero(frobenius(commutator(a, b)), frobenius(a) * frobenius(b)))
 
 
-def rel_j(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
+def rel_j(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when ``A`` and ``B`` anticommute: ``A o B = 0`` up to tolerance."""
-    return bool(_tol(tol).is_zero(frobenius(jordan_product(a, b)), frobenius(a) * frobenius(b)))
+    return bool(tol.is_zero(frobenius(jordan_product(a, b)), frobenius(a) * frobenius(b)))
 
 
-def rel_q(a: np.ndarray, b: np.ndarray, tol: Tolerance | None = None) -> bool:
+def rel_q(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when ``A`` and ``B`` either commute or anticommute."""
     return rel_c(a, b, tol) or rel_j(a, b, tol)
 
@@ -154,7 +150,7 @@ def _frobenius_stack(x: np.ndarray) -> np.ndarray:
 
 
 def rel_stack(
-    x: np.ndarray, y: np.ndarray, tol: Tolerance | None = None
+    x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rel_c` and :func:`rel_j` of each pair of slices of two stacks.
 
@@ -164,7 +160,6 @@ def rel_stack(
     so a verdict equals the serial one except for last-bit differences in
     the norms.
     """
-    tol = _tol(tol)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.ndim != 3 or x.shape != y.shape:
@@ -181,7 +176,7 @@ def triadic_relation(
     b: np.ndarray,
     c: np.ndarray,
     kind: str = "commutative",
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> bool | np.ndarray:
     """Evaluate the three-operator relation on (A, B, C).
 
@@ -204,12 +199,12 @@ def triadic_relation(
     return bool(held[0]) if single else held
 
 
-def is_scalar(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def is_scalar(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when ``A`` is a real multiple of the identity (0 included)."""
     a = np.asarray(a)
     n = a.shape[0]
     mean = np.trace(a).real / n
-    return bool(_tol(tol).is_zero(frobenius(a - mean * np.eye(n)), frobenius(a)))
+    return bool(tol.is_zero(frobenius(a - mean * np.eye(n)), frobenius(a)))
 
 
 def _hermitian(normals: np.ndarray) -> np.ndarray:

@@ -6,6 +6,11 @@ counterexample archives stay diffable:
     {"dim": n, "label": "...", "entries": [[[re, im], ...], ...]}
 
 Files failing the Hermitian check (1e-9 relative) are rejected on load.
+
+This module also owns the reading of every JSON input of the package
+(matrix files, replayed records, saved reports): :func:`_field` and
+:func:`_payload_entries` raise ValueError naming the path of the first
+malformed field, such as ``triple.a.entries[0]`` or ``map.conjugator.dim``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from .hermitian import as_hermitian
 __all__ = ["load_matrix", "matrix_to_payload", "payload_to_matrix", "save_matrix"]
 
 HERMITIAN_FILE_TOLERANCE = 1e-9
+# The Python types json.loads gives JSON numbers (booleans are JSON booleans).
+_NUMBERS = {int, float}
+_REQUIRED = object()  # the default of a field that must be present
 
 
 def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
@@ -34,23 +42,70 @@ def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
     return payload
 
 
-def _payload_entries(payload: dict) -> np.ndarray:
-    """The complex entry grid of a payload, checked against its ``dim``."""
-    if not isinstance(payload, dict) or "dim" not in payload or "entries" not in payload:
-        raise ValueError("matrix payload needs 'dim' and 'entries'")
-    try:
-        dim = int(payload["dim"])
-        rows = payload["entries"]
-        if len(rows) != dim or any(len(row) != dim for row in rows):
-            raise ValueError(f"entry grid does not match dim={dim}")
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except TypeError as exc:  # e.g. a number where a row or a [re, im] pair belongs
-        raise ValueError(f"malformed matrix payload: {exc}") from None
+def _json_type(value) -> str:
+    """The JSON type of a parsed value, with its article."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)):
+        return "a number"
+    return {dict: "an object", list: "an array", str: "a string"}.get(type(value), "null")
 
 
-def payload_to_matrix(payload: dict) -> np.ndarray:
-    """Validate a payload dict and return the (symmetrized) matrix."""
-    return as_hermitian(_payload_entries(payload), rel=HERMITIAN_FILE_TOLERANCE)
+def _checked(value, kind: str, label: str):
+    """``value`` if it is JSON of type ``kind`` (as :func:`_json_type` names
+    it); else ValueError naming the field ``label`` ("" for a document)."""
+    if _json_type(value) != kind:
+        field = f"field {label!r}" if label else "the document"
+        raise ValueError(f"{field} must be {kind}, got {_json_type(value)}")
+    return value
+
+
+def _path(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _field(payload: dict, name: str, kind: str, where: str = "", default=_REQUIRED):
+    """``payload[name]``, checked by :func:`_checked`; ``where`` is the path
+    of ``payload``.  A missing field gives ``default``, or ValueError naming
+    its path when no default is given."""
+    label = _path(where, name)
+    if name not in payload:
+        if default is not _REQUIRED:
+            return default
+        raise ValueError(f"field {label!r} is missing")
+    return _checked(payload[name], kind, label)
+
+
+def _payload_entries(payload: dict, where: str = "") -> np.ndarray:
+    """The complex entry grid of the matrix payload at path ``where``,
+    checked against its ``dim``; ValueError naming the malformed field."""
+    _checked(payload, "an object", where)
+    dim = _field(payload, "dim", "a number", where)
+    if isinstance(dim, float) or dim < 1:
+        raise ValueError(f"field {_path(where, 'dim')!r} must be a positive integer, got {dim!r}")
+    rows, label = _field(payload, "entries", "an array", where), _path(where, "entries")
+    # One pass checks the grid; only a malformed one is walked again, to
+    # name its first malformed row or [re, im] pair.
+    flat = [x for row in rows if type(row) is list and len(row) == dim
+            for pair in row if type(pair) is list and len(pair) == 2 for x in pair]
+    if len(rows) == dim and len(flat) == 2 * dim * dim and set(map(type, flat)) <= _NUMBERS:
+        return np.array(flat, dtype=float).view(complex).reshape(dim, dim)
+    if len(rows) != dim:
+        raise ValueError(f"field {label!r} must hold {dim} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != dim:
+            got = f"an array of {len(row)}" if type(row) is list else _json_type(row)
+            raise ValueError(f"field '{label}[{i}]' must be an array of {dim} [re, im] pairs, "
+                             f"got {got}")
+        for j, pair in enumerate(row):
+            if type(pair) is not list or len(pair) != 2 or not set(map(type, pair)) <= _NUMBERS:
+                raise ValueError(f"field '{label}[{i}][{j}]' must be a [re, im] pair of "
+                                 f"numbers, got {json.dumps(pair)}")
+
+
+def payload_to_matrix(payload: dict, where: str = "") -> np.ndarray:
+    """The symmetrized matrix of the payload at path ``where``, validated."""
+    return as_hermitian(_payload_entries(payload, where), rel=HERMITIAN_FILE_TOLERANCE)
 
 
 def save_matrix(path, m: np.ndarray, label: str | None = None) -> None:

@@ -24,13 +24,13 @@ from .commutant import (
     quasi_equals_commutant,
 )
 from .hermitian import (
+    DEFAULT_TOLERANCE,
     RELATION_KINDS,
     Tolerance,
     _check_seed,
     _frobenius_stack,
     _hermitian,
     _projection,
-    _tol,
     _unitary,
     frobenius,
     random_hermitian,
@@ -85,18 +85,16 @@ class ShiftPolicy:
     (trace divided by dimension); ``pinned`` (``value`` on one anchor
     matrix, byte-exact after symmetrization, zero elsewhere);
     ``theorem_compliant_quasi`` (the inner policy where
-    :func:`quasi_equals_commutant` holds, zero elsewhere).  ``tol=None``
-    means the default :class:`Tolerance`.
+    :func:`quasi_equals_commutant` holds at ``tol``, zero elsewhere).
     """
 
     kind: str
     value: float = 0.0
     anchor: np.ndarray | None = None
     inner: "ShiftPolicy | None" = None
-    tol: Tolerance | None = None
+    tol: Tolerance = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
-        self.tol = _tol(self.tol)
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if not np.isfinite(self.value):
@@ -194,7 +192,7 @@ def check_triadic(
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> str | np.ndarray:
     """Compare the triadic relation on (A, B, C) against its image triple.
 
@@ -379,7 +377,7 @@ def property_run(
     maps: PreserverMap | dict[int, PreserverMap],
     trials: int,
     seed: int = 0,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> TrialReport:
     """Aggregate triadic verdicts on ``trials`` sampled triples.
 
@@ -394,7 +392,6 @@ def property_run(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_seed(seed)
-    tol = _tol(tol)
     if isinstance(maps, PreserverMap):
         maps = {maps.dim: maps}
     dims = tuple(sorted(maps))
@@ -425,7 +422,7 @@ def default_necessity_anchor(dim: int) -> np.ndarray:
     return np.diag(values).astype(complex)
 
 
-def necessity_map(dim: int, tol: Tolerance | None = None) -> PreserverMap:
+def necessity_map(dim: int, tol: Tolerance = DEFAULT_TOLERANCE) -> PreserverMap:
     """The quasi-side map that fails the vanishing-shift condition: identity
     conjugation, shifted by one on ``diag(1, -1, 0, ...)`` and nowhere else."""
     return PreserverMap(
@@ -441,7 +438,7 @@ def necessity_search(
     dim: int,
     budget: int = 100,
     seed: int = 0,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
     preserver: PreserverMap | None = None,
 ) -> TrialReport:
     """Exhibit a triple broken by a quasi-side map whose shift is nonzero on
@@ -456,7 +453,6 @@ def necessity_search(
     _check_seed(seed)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    tol = _tol(tol)
     a0 = default_necessity_anchor(dim)
     if preserver is None:
         preserver = necessity_map(dim, tol)
@@ -491,7 +487,7 @@ def lemma4_check(
     projection: np.ndarray,
     candidates: int = 1000,
     seed: int = 0,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> bool:
     """Rigidity of the mutual shifted-anticommutation premises at ``A = lam P``.
 
@@ -503,7 +499,6 @@ def lemma4_check(
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
     _check_seed(seed)
-    tol = _tol(tol)
     a = lam * np.asarray(projection, dtype=complex)
     n = a.shape[0]
     lam_eye = lam * np.eye(n, dtype=complex)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .commutant import (_krylov_bicommutant, _spectral_runs, quasi_equals_commutant,
                         subspace_proper_lt)
-from .hermitian import Tolerance, _tol, frobenius, is_scalar
+from .hermitian import DEFAULT_TOLERANCE, Tolerance, frobenius, is_scalar
 
 __all__ = [
     "SpectralData",
@@ -70,14 +70,13 @@ class SpectralData:
         return np.tensordot(self.distinct_values, self.projections, axes=1)
 
 
-def spectral_decompose(a: np.ndarray, tol: Tolerance | None = None) -> SpectralData:
+def spectral_decompose(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralData:
     """Eigendecompose ``a`` and cluster eigenvalues greedily left-to-right.
 
     Consecutive eigenvalues join one cluster when their gap is at most
     ``cluster_gap * max(1, spread)``; each cluster reports its mean value
     and the projection onto the span of its eigenvectors.
     """
-    tol = _tol(tol)
     a = np.asarray(a, dtype=complex)
     w, v = np.linalg.eigh(a)
     runs = _spectral_runs(w, v, tol.cluster_gap * max(1.0, float(w[-1] - w[0])))
@@ -88,19 +87,19 @@ def spectral_decompose(a: np.ndarray, tol: Tolerance | None = None) -> SpectralD
     )
 
 
-def distinct_count(a: np.ndarray, tol: Tolerance | None = None) -> int:
+def distinct_count(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     """Number of eigenvalue clusters."""
     return spectral_decompose(a, tol).count
 
 
-def has_two_point_spectrum(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def has_two_point_spectrum(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return distinct_count(a, tol) == 2
 
 
 def apply_function(
     a: np.ndarray,
     values: Callable[[float], float] | Mapping[float, float],
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> np.ndarray:
     """Spectral calculus: replace each eigenvalue cluster by a real value.
 
@@ -108,7 +107,6 @@ def apply_function(
     keyed by them (nearest key within the clustering gap is accepted).
     Raises ``ValueError`` when a cluster has no value.
     """
-    tol = _tol(tol)
     sd = spectral_decompose(a, tol)
     gap = tol.cluster_gap * max(1.0, float(np.ptp(sd.distinct_values)) if sd.count > 1 else 1.0)
     out = np.zeros_like(np.asarray(a, dtype=complex))
@@ -126,14 +124,13 @@ def apply_function(
 
 
 def projection_decomposition(
-    a: np.ndarray, tol: Tolerance | None = None
+    a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> list[tuple[float, np.ndarray]]:
     """Write ``a`` as a real combination of its spectral projections.
 
     Terms with coefficient zero (relative to the matrix scale) are dropped;
     at most ``dim`` terms remain and they reconstruct ``a``.
     """
-    tol = _tol(tol)
     sd = spectral_decompose(a, tol)
     scale = frobenius(a)
     return [
@@ -143,20 +140,19 @@ def projection_decomposition(
     ]
 
 
-def in_k(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def in_k(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True for scaled reflections: two spectral points adding up to zero.
 
     These are exactly the matrices ``alpha (I - 2P)`` with P a nontrivial
     projection and alpha nonzero.
     """
-    tol = _tol(tol)
     sd = spectral_decompose(a, tol)
     if sd.count != 2:
         return False
     return bool(tol.is_zero(abs(sd.distinct_values[0] + sd.distinct_values[1]), frobenius(a)))
 
 
-def is_primitive(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def is_primitive(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True for ``alpha P + beta I`` with P a rank-one projection, alpha != 0.
 
     Equivalently: exactly two spectral points, one of multiplicity one.
@@ -217,7 +213,7 @@ def _partition_oracle(a: np.ndarray, tol: Tolerance,
     return True
 
 
-def lemma18_minimality(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def lemma18_minimality(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Decide whether every operator with strictly smaller second commutant
     than ``a`` is scalar, by exhaustive partition enumeration.
 
@@ -227,12 +223,11 @@ def lemma18_minimality(a: np.ndarray, tol: Tolerance | None = None) -> bool:
     bicommutant.  Holds exactly for two-point spectra.  Raises on scalar
     input and on more than ten clusters (enumeration infeasible).
     """
-    tol = _tol(tol)
     _require(a, tol, "minimality", quasi_side=False)
     return _partition_oracle(a, tol, accept=lambda b: True)
 
 
-def lemma18_witness(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray | None:
+def lemma18_witness(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray | None:
     """Nonscalar B with second commutant strictly inside that of ``a``.
 
     Exists exactly when ``a`` has at least three spectral points; the
@@ -244,25 +239,23 @@ def lemma18_witness(a: np.ndarray, tol: Tolerance | None = None) -> np.ndarray |
     return sd.projections[0] + sd.projections[1]
 
 
-def lemma181_condition(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def lemma181_condition(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Two spectral points that do not add up to zero.
 
     Requires nonscalar ``a`` whose anticommutant sits inside its commutant;
     raises otherwise.
     """
-    tol = _tol(tol)
     _require(a, tol, "condition", quasi_side=True)
     return has_two_point_spectrum(a, tol) and not in_k(a, tol)
 
 
-def lemma181_oracle(a: np.ndarray, tol: Tolerance | None = None) -> bool:
+def lemma181_oracle(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Partition-oracle cross-check of :func:`lemma181_condition`.
 
     Enumerates proper cluster merges of ``a`` restricted to candidates whose
     anticommutant the engine verifies to sit inside their commutant, and
     tests the bicommutant containment with the Krylov bicommutant.
     """
-    tol = _tol(tol)
     _require(a, tol, "oracle", quasi_side=True)
     return _partition_oracle(a, tol, accept=lambda b: quasi_equals_commutant(b, tol))
 
@@ -279,7 +272,7 @@ def lemma_primitive_witnesses(
     p: np.ndarray,
     alpha: float,
     beta: float = 0.0,
-    tol: Tolerance | None = None,
+    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witness pair (B, C) separating ``alpha P + beta I`` from primitivity.
 

@@ -27,9 +27,9 @@ from .commutant import (
     subspace_proper_lt,
 )
 from .hermitian import (
+    DEFAULT_TOLERANCE,
     Tolerance,
     _check_seed,
-    _tol,
     frobenius,
     is_scalar,
     random_hermitian,
@@ -40,7 +40,7 @@ from .hermitian import (
     rel_j,
     rel_q,
 )
-from .matrixfile import _payload_entries, matrix_to_payload, payload_to_matrix
+from .matrixfile import _field, _path, _payload_entries, matrix_to_payload, payload_to_matrix
 from .preservers import (
     PreserverMap,
     ShiftPolicy,
@@ -149,7 +149,7 @@ def _proportionality_fit(a, b, tol: Tolerance):
     return lam, residual, bool(tol.is_zero(residual, scale))
 
 
-def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
+def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=DEFAULT_TOLERANCE):
     """Whenever AB is proportional to BA for a Hermitian pair, the factor is +-1.
 
     Runs ``trials`` random pairs plus ``CONSTRUCTED_PAIRS`` commuting and
@@ -162,7 +162,6 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
     ``|BA|_F`` in ``(rel_zero, rel_zero / sqrt(1 - |lam|^2)]`` is still
     accepted with an uninformative ``lam`` and fails the sign check.
     """
-    tol = _tol(tol)
     dims = tuple(dims)
     rec = _Recorder()
     errors = []  # distance of each detected factor from +-1
@@ -222,11 +221,10 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=None):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
+def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=DEFAULT_TOLERANCE):
     """Scalars are exactly the matrices whose commutant is everything; every
     nonscalar matrix admits a witness B with B - A neither commuting nor
     anticommuting with B."""
-    tol = _tol(tol)
     rec = _Recorder()
     witnesses = 0
 
@@ -266,9 +264,8 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None):
+def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=DEFAULT_TOLERANCE):
     """Mutual shifted anticommutation at a nonzero shift pins B to A."""
-    tol = _tol(tol)
     rec = _Recorder()
     for t in range(trials):
         rng = np.random.default_rng([seed, 5, t])
@@ -287,10 +284,10 @@ def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=None):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=None, a_values=(0.25, 0.5, 1.0, 2.0, 4.0)):
+def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=DEFAULT_TOLERANCE,
+                    a_values=(0.25, 0.5, 1.0, 2.0, 4.0)):
     """Spectra and the exact commutation pattern of the A/E/F block fixtures,
     over a finite exact grid."""
-    tol = _tol(tol)
     rec = _Recorder()
 
     for a in a_values:
@@ -340,11 +337,10 @@ def _controlled_sample(rng, dim: int, value_pool) -> np.ndarray:
     return _spectrum_matrix(rng, dim, spectrum)
 
 
-def suite_lemma_18(dims=(3, 4, 5, 8), trials=120, seed=0, tol=None):
+def suite_lemma_18(dims=(3, 4, 5, 8), trials=120, seed=0, tol=DEFAULT_TOLERANCE):
     """Two-point spectra are exactly the matrices whose strictly-smaller
     second commutants all come from scalars; checked predicate-vs-partition
     oracle, with a witness emitted for every failing matrix."""
-    tol = _tol(tol)
     rec = _Recorder()
     witnesses = 0
     pool = np.arange(-5, 6)
@@ -369,11 +365,10 @@ def suite_lemma_18(dims=(3, 4, 5, 8), trials=120, seed=0, tol=None):
     return rec.result("lemma-1.8", {"samples": trials, "witnesses_emitted": witnesses})
 
 
-def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
+def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=DEFAULT_TOLERANCE):
     """Quasi-side variant over matrices whose anticommutant sits inside the
     commutant: two points not adding to zero, against the restricted
     partition oracle."""
-    tol = _tol(tol)
     rec = _Recorder()
     pool = np.arange(0, 9)  # nonnegative values: no sign-symmetric pairs
     for t in range(trials):
@@ -395,11 +390,10 @@ def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=None):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=None, targets=12):
+def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=DEFAULT_TOLERANCE, targets=12):
     """The second quasi-commutant sits inside the second commutant: every
     sampled matrix outside the latter is conclusively refuted, and when the
     quasi-commutant is a subspace, no member of the second commutant is."""
-    tol = _tol(tol)
     rec = _Recorder()
     refuted = members_checked = 0
     for i in range(trials):
@@ -467,7 +461,6 @@ def _primitive_chain_checks(rec, a, b, c, tol, quasi_side: bool):
 
 
 def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
-    tol = _tol(tol)
     rec = _Recorder()
     configurations = 0
     configs = _PRIMITIVE1_CONFIGS if quasi_side else _PRIMITIVE_CONFIGS
@@ -502,13 +495,13 @@ def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
     return rec.result(name, {"configurations": configurations, "dims": list(dims)})
 
 
-def suite_lemma_primitive(dims=(4, 5, 8), seed=0, tol=None):
+def suite_lemma_primitive(dims=(4, 5, 8), seed=0, tol=DEFAULT_TOLERANCE):
     """Witness pair (B, C) realizing the strict bicommutant chain for
     projections with rank and corank at least two."""
     return _suite_primitive("lemma-primitive", dims, seed, tol, quasi_side=False)
 
 
-def suite_lemma_primitive1(dims=(4, 5, 8), seed=0, tol=None):
+def suite_lemma_primitive1(dims=(4, 5, 8), seed=0, tol=DEFAULT_TOLERANCE):
     """Quasi-side variant: the same witnesses additionally keep their
     anticommutants inside their commutants."""
     return _suite_primitive("lemma-primitive1", dims, seed, tol, quasi_side=True)
@@ -533,7 +526,6 @@ _MAP_CONFIGS = (
 
 
 def _theorem_suite(name, relation_kind, dims, trials, seed, tol, zero_shift):
-    tol = _tol(tol)
     rec = _Recorder()
     for idx, (scale, anti, (shift_kind, shift_value)) in enumerate(_MAP_CONFIGS):
         shift = (ShiftPolicy("zero") if zero_shift
@@ -558,19 +550,18 @@ def _theorem_suite(name, relation_kind, dims, trials, seed, tol, zero_shift):
                              "trials_per_configuration": trials, "dims": list(dims)})
 
 
-def suite_theorem_4(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None):
+def suite_theorem_4(dims=(3, 4, 5, 8), trials=300, seed=0, tol=DEFAULT_TOLERANCE):
     """Maps of the classified commutative form preserve the triadic relation
     in both directions: zero violations over structured and random triples."""
     return _theorem_suite("theorem-4", "commutative", dims, trials, seed, tol,
                           zero_shift=False)
 
 
-def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=None):
+def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=DEFAULT_TOLERANCE):
     """Quasi form-check with an identically vanishing shift, plus a
     non-acceptance exploratory run of a compliant nonzero shift whose
     violation count is reported without being asserted."""
     result = _theorem_suite("theorem-5", "quasi", dims, trials, seed, tol, zero_shift=True)
-    tol = _tol(tol)
     # A constant inner shift cancels in differences, so probe with a
     # matrix-dependent one; its behavior is recorded, never asserted.
     exploratory = {
@@ -609,38 +600,15 @@ def shift_to_payload(shift: ShiftPolicy) -> dict:
     return payload
 
 
-def _json_type(value) -> str:
-    """The JSON type of a parsed value, with its article."""
-    if isinstance(value, bool):
-        return "a boolean"
-    if isinstance(value, (int, float)):
-        return "a number"
-    return {dict: "an object", list: "an array", str: "a string"}.get(type(value), "null")
-
-
-def _field(payload: dict, name: str, kind: str, where: str):
-    """``payload[name]``, checked to be a JSON value of type ``kind`` (as
-    :func:`_json_type` names it); ValueError naming the record's field
-    ``where.name`` otherwise."""
-    label = f"{where}.{name}" if where else name
-    if name not in payload:
-        raise ValueError(f"triadic-violation record has no field {label!r}")
-    value = payload[name]
-    if _json_type(value) != kind:
-        raise ValueError(f"field {label!r} of the triadic-violation record must be {kind}, "
-                         f"got {_json_type(value)}")
-    return value
-
-
-def shift_from_payload(payload: dict, tol: Tolerance | None = None,
+def shift_from_payload(payload: dict, tol: Tolerance = DEFAULT_TOLERANCE,
                        where: str = "map.shift") -> ShiftPolicy:
-    """The shift policy a record's ``where`` object describes."""
-    anchor = (payload_to_matrix(_field(payload, "anchor", "an object", where))
+    """The shift policy of the object at path ``where``."""
+    anchor = (payload_to_matrix(payload["anchor"], f"{where}.anchor")
               if "anchor" in payload else None)
     inner = (shift_from_payload(_field(payload, "inner", "an object", where), tol, f"{where}.inner")
-             if payload.get("inner") else None)
-    value = _field(payload, "value", "a number", where) if "value" in payload else 0.0
-    return ShiftPolicy(_field(payload, "kind", "a string", where), value=float(value),
+             if "inner" in payload else None)
+    return ShiftPolicy(_field(payload, "kind", "a string", where),
+                       value=float(_field(payload, "value", "a number", where, 0.0)),
                        anchor=anchor, inner=inner, tol=tol)
 
 
@@ -654,14 +622,17 @@ def map_to_payload(m: PreserverMap) -> dict:
     }
 
 
-def map_from_payload(payload: dict, tol: Tolerance | None = None) -> PreserverMap:
-    """The map of a record's ``map`` object."""
+def map_from_payload(payload: dict, tol: Tolerance = DEFAULT_TOLERANCE,
+                     where: str = "map") -> PreserverMap:
+    """The map of the object at path ``where``."""
     return PreserverMap(
-        scale=float(_field(payload, "scale", "a number", "map")),
-        conjugator=_payload_entries(_field(payload, "conjugator", "an object", "map")),
-        antiunitary=_field(payload, "antiunitary", "a boolean", "map"),
-        shift=shift_from_payload(_field(payload, "shift", "an object", "map"), tol),
-        relation_kind=_field(payload, "relation_kind", "a string", "map"),
+        scale=float(_field(payload, "scale", "a number", where)),
+        conjugator=_payload_entries(_field(payload, "conjugator", "an object", where),
+                                    f"{where}.conjugator"),
+        antiunitary=_field(payload, "antiunitary", "a boolean", where),
+        shift=shift_from_payload(_field(payload, "shift", "an object", where), tol,
+                                 f"{where}.shift"),
+        relation_kind=_field(payload, "relation_kind", "a string", where),
     )
 
 
@@ -680,15 +651,20 @@ def violation_to_payload(violation, preserver: PreserverMap) -> dict:
     }
 
 
-def replay_violation(payload: dict, tol: Tolerance | None = None) -> tuple[str, bool]:
-    """Re-run a recorded counterexample; returns (verdict, reproduced).
+def replay_violation(payload: dict, tol: Tolerance = DEFAULT_TOLERANCE,
+                     where: str = "") -> tuple[str, bool]:
+    """Re-run the counterexample record at path ``where`` (``""`` for a
+    whole file); returns (verdict, reproduced).
 
-    A missing or ill-typed field of the record raises ValueError naming it.
+    A missing or malformed field of the record raises ValueError naming its
+    path.
     """
-    recorded = _field(payload, "verdict", "a string", "")
-    m = map_from_payload(_field(payload, "map", "an object", ""), tol)
-    triple = _field(payload, "triple", "an object", "")
-    a, b, c = (payload_to_matrix(_field(triple, name, "an object", "triple")) for name in "abc")
+    recorded = _field(payload, "verdict", "a string", where)
+    m = map_from_payload(_field(payload, "map", "an object", where), tol, _path(where, "map"))
+    triple = _field(payload, "triple", "an object", where)
+    a, b, c = (payload_to_matrix(_field(triple, name, "an object", _path(where, "triple")),
+                                 _path(where, f"triple.{name}"))
+               for name in "abc")
     verdict = check_triadic(m, a, b, c, tol)
     return verdict, verdict == recorded
 
@@ -718,7 +694,7 @@ _PRIMITIVE_SUITES = ("lemma-primitive", "lemma-primitive1")
 FIXED_GRID_SUITES = ("lemma-aef", *_PRIMITIVE_SUITES)
 
 
-def run_suite(name, dims=None, trials=None, seed=0, tol=None, a_value=None):
+def run_suite(name, dims=None, trials=None, seed=0, tol=DEFAULT_TOLERANCE, a_value=None):
     """Run one named suite with optional overrides for dims/trials/seed, and
     for the block-fixture weight (``a_value``, lemma-aef only).
 

@@ -54,6 +54,7 @@ from commutant_lab import (
     spectral_decompose,
     subspace_leq,
 )
+from commutant_lab.hermitian import DEFAULT_TOLERANCE
 from commutant_lab.preservers import (
     BOTH_FAIL,
     BOTH_HOLD,
@@ -66,17 +67,16 @@ def _zero_threshold(a, tol: Tolerance) -> float:
     return tol.rel_zero * max(1.0, frobenius(a))
 
 
-def commutant_dim_formula(a, tol: Tolerance | None = None) -> int:
+def commutant_dim_formula(a, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     sd = spectral_decompose(a, tol)
     return int(np.sum(sd.multiplicities.astype(np.int64) ** 2))
 
 
-def bicommutant_dim_formula(a, tol: Tolerance | None = None) -> int:
+def bicommutant_dim_formula(a, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     return spectral_decompose(a, tol).count
 
 
-def anticommutant_dim_formula(a, tol: Tolerance | None = None) -> int:
-    tol = tol or Tolerance()
+def anticommutant_dim_formula(a, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
     sd = spectral_decompose(a, tol)
     thr = _zero_threshold(a, tol)
     total = 0
@@ -90,9 +90,8 @@ def anticommutant_dim_formula(a, tol: Tolerance | None = None) -> int:
     return total
 
 
-def spectrum_has_sign_pair(a, tol: Tolerance | None = None) -> bool:
+def spectrum_has_sign_pair(a, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when some nonzero eigenvalue has its negative in the spectrum."""
-    tol = tol or Tolerance()
     sd = spectral_decompose(a, tol)
     thr = _zero_threshold(a, tol)
     for i, vi in enumerate(sd.distinct_values):
@@ -104,7 +103,7 @@ def spectrum_has_sign_pair(a, tol: Tolerance | None = None) -> bool:
     return False
 
 
-def subspace_quasi_equals_commutant(a, tol: Tolerance | None = None) -> bool:
+def subspace_quasi_equals_commutant(a, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """Oracle for ``quasi_equals_commutant``: the anticommutant basis, one
     element at a time, projected onto the commutant basis."""
     return subspace_leq(anticommutant(a, tol), commutant(a, tol), tol)
@@ -163,25 +162,25 @@ def _images(a: np.ndarray, basis: np.ndarray, sign: float) -> np.ndarray:
     return left + right if sign > 0 else left - right
 
 
-def _kernel_oracle(a: np.ndarray, tol: Tolerance | None, sign: float) -> MatrixSubspace:
+def _kernel_oracle(a: np.ndarray, tol: Tolerance, sign: float) -> MatrixSubspace:
     """Kernel of the realified ``X -> AX + sign XA``."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
-    return _kernel_subspace(_images(a, hermitian_basis(n), sign), n, tol or Tolerance(),
+    return _kernel_subspace(_images(a, hermitian_basis(n), sign), n, tol,
                             scale=max(1.0, frobenius(a)))
 
 
-def kernel_commutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def kernel_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Oracle for ``commutant``: kernel of the realified ``X -> AX - XA``."""
     return _kernel_oracle(a, tol, -1.0)
 
 
-def kernel_anticommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def kernel_anticommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Oracle for ``anticommutant``: kernel of the realified ``X -> AX + XA``."""
     return _kernel_oracle(a, tol, 1.0)
 
 
-def kernel_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSubspace:
+def kernel_bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
     """Oracle for ``bicommutant``: joint kernel of the commutation maps
     of every basis element of ``kernel_commutant(A)``.
 
@@ -195,7 +194,6 @@ def kernel_bicommutant(a: np.ndarray, tol: Tolerance | None = None) -> MatrixSub
     ``tests/test_commutant.py`` pins the window.  The partition oracles of
     ``commutant_lab.spectral`` no longer use this solve.
     """
-    tol = tol or Tolerance()
     n = np.asarray(a).shape[0]
     basis = hermitian_basis(n)
     # Joint kernel: the images under every commutant basis element's
@@ -216,7 +214,7 @@ def serial_apply_map(m, a) -> np.ndarray:
     return out + m.shift(a) * np.eye(a.shape[0])
 
 
-def serial_check_triadic(m, a, b, c, tol: Tolerance | None = None) -> str:
+def serial_check_triadic(m, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
     """Oracle for ``check_triadic`` on one triple: ``rel_c`` (commutative)
     or ``rel_q`` (quasi) of ``A - B`` and ``C``, at the source and at the
     ``serial_apply_map`` image."""

@@ -174,6 +174,36 @@ class TestRunSuite:
         assert result["elapsed_seconds"] >= 0.0
 
 
+def edit_field(payload, keys, value):
+    """Set the field at the key path ``keys`` to ``value``, or delete it
+    when ``value`` is None."""
+    for key in keys[:-1]:
+        payload = payload[key]
+    if value is None:
+        del payload[keys[-1]]
+    else:
+        payload[keys[-1]] = value
+
+
+# Edits of a 2x2 matrix file that the reader rejects: (key path, value, message).
+MALFORMED_GRIDS = {
+    "three-number entry": (("entries", 0, 1), [1, 0, 0],
+                           "field 'entries[0][1]' must be a [re, im] pair of numbers, "
+                           "got [1, 0, 0]"),
+    "boolean entry": (("entries", 1, 0), [True, 0],
+                      "field 'entries[1][0]' must be a [re, im] pair of numbers, got [true, 0]"),
+    "string entry": (("entries", 1, 1), ["1", "0"],
+                     "field 'entries[1][1]' must be a [re, im] pair of numbers, "
+                     'got ["1", "0"]'),
+    "short row": (("entries", 1), [[0, 0]],
+                  "field 'entries[1]' must be an array of 2 [re, im] pairs, got an array of 1"),
+    "extra row": (("entries",), [[[1, 0], [0, 0]]] * 3, "field 'entries' must hold 2 rows, got 3"),
+    "fractional dim": (("dim",), 2.0, "field 'dim' must be a positive integer, got 2.0"),
+    "string dim": (("dim",), "2", "field 'dim' must be a number, got a string"),
+    "no dim": (("dim",), None, "field 'dim' is missing"),
+}
+
+
 class TestCommutantCommand:
     def test_cc_dimension(self, capsys, tmp_path):
         path = tmp_path / "a.json"
@@ -226,6 +256,17 @@ class TestCommutantCommand:
         code, _, err = run_cli(capsys, ["commutant", "--input", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("name", list(MALFORMED_GRIDS))
+    def test_malformed_grid_rejected(self, capsys, tmp_path, name):
+        keys, value, message = MALFORMED_GRIDS[name]
+        payload = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        edit_field(payload, keys, value)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, ["commutant", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestSearchCommand:
     def test_necessity_emits_replayable_violation(self, capsys, tmp_path):
@@ -236,8 +277,8 @@ class TestSearchCommand:
         assert code == 0
         report = json.loads(out)
         assert report["violation"]["kind"] == "triadic-violation"
-        # feed the emitted counterexample back through verify
-        code, out, _ = run_cli(capsys, ["verify", "--replay", str(out_path)])
+        # feed the emitted counterexample back through replay
+        code, out, _ = run_cli(capsys, ["replay", str(out_path)])
         assert code == 0
         assert "reproduced: True" in out
 
@@ -343,7 +384,8 @@ CORRUPT_MAPS = {
     "nan conjugator entry": (("conjugator", "entries", 0, 0, 0), float("nan"),
                              "conjugator has non-finite entries"),
     "2x3 conjugator": (("conjugator",), {"dim": 2, "entries": [[[1.0, 0.0]] * 3] * 2},
-                       "entry grid does not match dim=2"),
+                       "field 'violation.map.conjugator.entries[0]' must be an array of 2 "
+                       "[re, im] pairs, got an array of 3"),
     "nan shift value": (("shift", "value"), float("nan"), "shift value must be finite, got nan"),
 }
 
@@ -357,33 +399,32 @@ def loose_theorem_4_report(capsys, path):
     return json.loads(path.read_text())
 
 
-# Top-level tolerance blocks of a report that replay rejects.
+# Top-level tolerance blocks of a report that replay rejects: (block, message).
 MALFORMED_TOLERANCES = {
-    "string value": {"rel_zero": "0.5", "rank_cut": 1e-10, "cluster_gap": 1e-8},
-    "boolean value": {"rel_zero": True, "rank_cut": 1e-10, "cluster_gap": 1e-8},
-    "missing field": {"rel_zero": 0.5, "rank_cut": 1e-10},
-    "extra field": {"rel_zero": 0.5, "rank_cut": 1e-10, "cluster_gap": 1e-8, "slack": 1.0},
-    "not an object": [0.5, 1e-10, 1e-8],
+    "string value": ({"rel_zero": "0.5", "rank_cut": 1e-10, "cluster_gap": 1e-8},
+                     "field 'tolerance.rel_zero' must be a number, got a string"),
+    "boolean value": ({"rel_zero": True, "rank_cut": 1e-10, "cluster_gap": 1e-8},
+                      "field 'tolerance.rel_zero' must be a number, got a boolean"),
+    "missing field": ({"rel_zero": 0.5, "rank_cut": 1e-10},
+                      "field 'tolerance.cluster_gap' is missing"),
+    "extra field": ({"rel_zero": 0.5, "rank_cut": 1e-10, "cluster_gap": 1e-8, "slack": 1.0},
+                    "field 'tolerance.slack' is not a tolerance; expected rel_zero, rank_cut, "
+                    "cluster_gap"),
+    "not an object": ([0.5, 1e-10, 1e-8], "field 'tolerance' must be an object, got an array"),
 }
 
 # Edits of a recorded violation: (key path, value or None to delete, message).
 MALFORMED_RECORDS = {
-    "string triple": (("triple",), "abc",
-                      "field 'triple' of the triadic-violation record must be an object, "
-                      "got a string"),
-    "no map.scale": (("map", "scale"), None,
-                     "triadic-violation record has no field 'map.scale'"),
-    "no verdict": (("verdict",), None, "triadic-violation record has no field 'verdict'"),
+    "string triple": (("triple",), "abc", "field 'triple' must be an object, got a string"),
+    "no map.scale": (("map", "scale"), None, "field 'map.scale' is missing"),
+    "no verdict": (("verdict",), None, "field 'verdict' is missing"),
     "string antiunitary": (("map", "antiunitary"), "false",
-                           "field 'map.antiunitary' of the triadic-violation record must be "
-                           "a boolean, got a string"),
-    "no map.shift.kind": (("map", "shift", "kind"), None,
-                        "triadic-violation record has no field 'map.shift.kind'"),
-    "array triple.c": (("triple", "c"), [1.0],
-                       "field 'triple.c' of the triadic-violation record must be an object, "
-                       "got an array"),
+                           "field 'map.antiunitary' must be a boolean, got a string"),
+    "no map.shift.kind": (("map", "shift", "kind"), None, "field 'map.shift.kind' is missing"),
+    "array triple.c": (("triple", "c"), [1.0], "field 'triple.c' must be an object, got an array"),
     "number matrix row": (("triple", "a", "entries", 0), 1.0,
-                          "malformed matrix payload: object of type 'float' has no len()"),
+                          "field 'triple.a.entries[0]' must be an array of 3 [re, im] pairs, "
+                          "got a number"),
 }
 
 
@@ -392,19 +433,20 @@ class TestReplayCommand:
         path = tmp_path / "v.json"
         record = necessity_report(capsys, path)["violation"]
         path.write_text(json.dumps(record))
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path), "--format", "json"])
+        code, out, err = run_cli(capsys, ["replay", str(path), "--format", "json"])
         assert (code, err) == (0, "")
-        assert json.loads(out)["verdict"] == record["verdict"]
+        replay = json.loads(out)
+        assert replay["verdict"] == record["verdict"]
+        assert replay["command"] == f"replay {path}"
+        assert "seed" not in replay
 
     def test_suite_counterexample_replays_at_its_tolerance(self, capsys, tmp_path):
         path = tmp_path / "t4.json"
-        tol = ["--tol-zero", "0.5"]
         code, _, _ = run_cli(capsys, ["verify", "theorem-4", "--dims", "3", "--trials", "100",
-                                      *tol, "--out", str(path)])
+                                      "--tol-zero", "0.5", "--out", str(path)])
         assert code == 1
         first = json.loads(path.read_text())["suites"][0]["counterexamples"][0]
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path), *tol,
-                                          "--format", "json"])
+        code, out, err = run_cli(capsys, ["replay", str(path), "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == first["verdict"]
 
@@ -412,7 +454,7 @@ class TestReplayCommand:
         path = tmp_path / "t4.json"
         report = loose_theorem_4_report(capsys, path)
         first = report["suites"][0]["counterexamples"][0]
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path), "--format", "json"])
+        code, out, err = run_cli(capsys, ["replay", str(path), "--format", "json"])
         assert (code, err) == (0, "")
         replay = json.loads(out)
         assert (replay["verdict"], replay["reproduced"]) == (first["verdict"], True)
@@ -423,10 +465,10 @@ class TestReplayCommand:
         path = tmp_path / "t4.json"
         record = loose_theorem_4_report(capsys, path)["suites"][0]["counterexamples"][0]
         path.write_text(json.dumps(record))
-        code, out, _ = run_cli(capsys, ["verify", "--replay", str(path), "--format", "json"])
+        code, out, _ = run_cli(capsys, ["replay", str(path), "--format", "json"])
         assert code == 1
         assert json.loads(out)["reproduced"] is False
-        code, out, _ = run_cli(capsys, ["verify", "--replay", str(path), "--tol-zero", "0.5",
+        code, out, _ = run_cli(capsys, ["replay", str(path), "--tol-zero", "0.5",
                                         "--format", "json"])
         assert code == 0
         assert json.loads(out)["tolerance"]["rel_zero"] == 0.5
@@ -435,27 +477,20 @@ class TestReplayCommand:
     def test_malformed_tolerance_block_rejected(self, capsys, tmp_path, name):
         path = tmp_path / "t4.json"
         report = loose_theorem_4_report(capsys, path)
-        report["tolerance"] = MALFORMED_TOLERANCES[name]
+        report["tolerance"], message = MALFORMED_TOLERANCES[name]
         path.write_text(json.dumps(report))
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        code, out, err = run_cli(capsys, ["replay", str(path)])
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {path} has a malformed tolerance block ")
-        assert err.endswith("expected the numbers rel_zero, rank_cut, cluster_gap\n")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name", list(MALFORMED_RECORDS))
     def test_malformed_record_rejected(self, capsys, tmp_path, name):
         keys, value, message = MALFORMED_RECORDS[name]
         path = tmp_path / "v.json"
         record = necessity_report(capsys, path)["violation"]
-        target = record
-        for key in keys[:-1]:
-            target = target[key]
-        if value is None:
-            del target[keys[-1]]
-        else:
-            target[keys[-1]] = value
+        edit_field(record, keys, value)
         path.write_text(json.dumps(record))
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        code, out, err = run_cli(capsys, ["replay", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
@@ -464,12 +499,9 @@ class TestReplayCommand:
         keys, value, message = CORRUPT_MAPS[name]
         path = tmp_path / "v.json"
         report = necessity_report(capsys, path)
-        target = report["violation"]["map"]
-        for key in keys[:-1]:
-            target = target[key]
-        target[keys[-1]] = value
+        edit_field(report["violation"]["map"], keys, value)
         path.write_text(json.dumps(report))
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        code, out, err = run_cli(capsys, ["replay", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
@@ -486,9 +518,74 @@ class TestReplayCommand:
             code, _, _ = run_cli(capsys, ["search", "scalar-witness", "--input", str(a_path),
                                           "--out", str(path)])
             assert code == 0
-        code, out, err = run_cli(capsys, ["verify", "--replay", str(path)])
+        code, out, err = run_cli(capsys, ["replay", str(path)])
         assert (code, out) == (2, "")
         assert err == f"error: {path} holds no triadic-violation record\n"
+
+
+    @pytest.mark.parametrize("option", [["--trials", "5"], ["--dims", "3"], ["--dim", "3"],
+                                        ["--a", "2"], ["--seed", "7"], ["theorem-4"]],
+                             ids=["trials", "dims", "dim", "a", "seed", "suite name"])
+    def test_option_replay_does_not_read_is_usage_error(self, capsys, tmp_path, option):
+        path = tmp_path / "v.json"
+        necessity_report(capsys, path)
+        code, out, err = run_cli(capsys, ["replay", str(path), *option])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    def test_verify_takes_no_replay_option(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        necessity_report(capsys, path)
+        code, out, err = run_cli(capsys, ["verify", "theorem-4", "--replay", str(path)])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --replay" in err
+
+    @pytest.mark.parametrize("option", ["--tol-zero", "--tol-rank", "--tol-cluster"])
+    def test_tolerance_option_against_recorded_tolerance_is_usage_error(self, capsys, tmp_path,
+                                                                         option):
+        path = tmp_path / "t4.json"
+        report = loose_theorem_4_report(capsys, path)
+        name = {"--tol-zero": "rel_zero", "--tol-rank": "rank_cut",
+                "--tol-cluster": "cluster_gap"}[option]
+        code, out, err = run_cli(capsys, ["replay", str(path), option, "1e-9"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path} records {name}={report['tolerance'][name]!r}, the "
+                       f"tolerance replay decides at; drop {option}\n")
+
+    def test_non_array_suites_rejected(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"suites": 5}')
+        code, out, err = run_cli(capsys, ["replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: field 'suites' must be an array, got a number\n"
+
+    def test_non_array_counterexamples_rejected(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"suites": [{"name": "theorem-4", "counterexamples": {}}]}')
+        code, out, err = run_cli(capsys, ["replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: field 'suites[0].counterexamples' must be an array, got an object\n"
+
+    def test_malformed_suite_record_named_by_its_path(self, capsys, tmp_path):
+        path = tmp_path / "t4.json"
+        report = loose_theorem_4_report(capsys, path)
+        del report["suites"][0]["counterexamples"][0]["triple"]["b"]
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, ["replay", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error: field 'suites[0].counterexamples[0].triple.b' is missing\n"
+
+
+# Edits of a saved verify report that ``report`` rejects: (key path, value, message).
+MALFORMED_REPORTS = {
+    "number suites": (("suites",), 5, "field 'suites' must be an array, got a number"),
+    "short tolerance": (("tolerance", "rank_cut"), None, "field 'tolerance.rank_cut' is missing"),
+    "suite without passed": (("suites", 0, "passed"), None, "field 'suites[0].passed' is missing"),
+    "string checks": (("suites", 0, "checks"), "4",
+                      "field 'suites[0].checks' must be a number, got a string"),
+    "array details": (("suites", 0, "details"), [],
+                      "field 'suites[0].details' must be an object, got an array"),
+}
 
 
 class TestReportCommand:
@@ -508,3 +605,41 @@ class TestReportCommand:
         assert code == 2
         assert out == ""
         assert "is not a commutant-lab report" in err
+
+    def test_non_report_names_the_field(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"suites": 5}')
+        code, out, err = run_cli(capsys, ["report", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not a commutant-lab report: field 'kind' is missing\n"
+
+    @pytest.mark.parametrize("name", list(MALFORMED_REPORTS))
+    def test_malformed_report_rejected(self, capsys, tmp_path, name):
+        keys, value, message = MALFORMED_REPORTS[name]
+        path = tmp_path / "r.json"
+        code, _, _ = run_cli(capsys, ["verify", "lemma-scalar", "--trials", "4",
+                                      "--out", str(path)])
+        assert code == 0
+        report = json.loads(path.read_text())
+        edit_field(report, keys, value)
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, ["report", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_basis_rendered_from_its_payloads(self, capsys, tmp_path):
+        a_path, out_path = tmp_path / "a.json", tmp_path / "r.json"
+        save_matrix(a_path, diag(1, -1))
+        code, _, _ = run_cli(capsys, ["commutant", "--input", str(a_path), "--which", "anti",
+                                      "--out", str(out_path)])
+        assert code == 0
+        code, out, _ = run_cli(capsys, ["report", str(out_path)])
+        assert code == 0
+        assert "basis (2 elements):" in out
+        report = json.loads(out_path.read_text())
+        report["basis"][1]["entries"][0] = 1.0
+        out_path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, ["report", str(out_path)])
+        assert (code, out) == (2, "")
+        assert err == ("error: field 'basis[1].entries[0]' must be an array of 2 [re, im] pairs, "
+                       "got a number\n")

@@ -40,12 +40,12 @@ def test_rejects_non_hermitian(tmp_path):
 
 
 def test_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="entry grid"):
+    with pytest.raises(ValueError, match="field 'entries' must hold 3 rows, got 2"):
         payload_to_matrix({"dim": 3, "entries": [[[0.0, 0.0]] * 2] * 2})
 
 
 def test_rejects_missing_keys():
-    with pytest.raises(ValueError, match="needs"):
+    with pytest.raises(ValueError, match="field 'dim' is missing"):
         payload_to_matrix({"entries": []})
 
 
@@ -63,3 +63,10 @@ def test_symmetrizes_within_tolerance(tmp_path):
     path.write_text(json.dumps(matrix_to_payload(a)))
     back = load_matrix(path)
     assert np.linalg.norm(back - back.conj().T) == 0.0
+
+
+def test_rejects_non_object_document(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[[1, 0], [0, 1]]")
+    with pytest.raises(ValueError, match="^the document must be an object, got an array$"):
+        load_matrix(path)
