@@ -35,6 +35,26 @@ __all__ = [
 
 RELATION_KINDS = ("commutative", "quasi")
 
+# Stacked searches (property_run trials, lemma-4 candidates, refutation
+# candidates) build, stack and decide this many items at a time.  In
+# form-check passes on a 2-vCPU VM, blocks of 128 ran as fast as blocks of
+# 256 (64 was 4% slower) and raised the peak resident set by under 1 MiB,
+# against 1.5 MiB for 256 and 6.5 MiB for 1024.
+BLOCK = 128
+
+
+def _stack_depth(n: int) -> int:
+    """How many ``n x n`` candidates a search stacks: ``BLOCK``, or fewer
+    past n = 11, so that a stack holds at most ``BLOCK * 128`` = 16,384
+    entries (256 KiB of complex numbers).
+
+    Past n = 11 a stack of ``BLOCK`` matrices outgrows a core's cache.  At
+    n = 32 on the same VM, stacked commutation verdicts took 6.8 ms per 128
+    pairs in stacks of 128 and 3.1-3.9 ms in stacks of 16-64, against
+    5.6 ms for 128 serial ``rel_c`` calls.
+    """
+    return max(1, min(BLOCK, BLOCK * 128 // (n * n)))
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -154,19 +174,21 @@ def rel_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`rel_c` and :func:`rel_j` of each pair of slices of two stacks.
 
-    ``x`` and ``y`` are ``(T, n, n)`` arrays; returns two boolean arrays of
-    length ``T``, the slices that commute and the slices that anticommute.
-    Each slice gets its own zero test with scale ``|X|_F |Y|_F``,
-    so a verdict equals the serial one except for last-bit differences in
-    the norms.
+    ``y`` is a ``(T, n, n)`` array and ``x`` either one too or one matrix
+    ``(n, n)`` paired with every slice of ``y``; returns two boolean arrays
+    of length ``T``, the slices that commute and the slices that
+    anticommute.  Each slice gets its own zero test with scale
+    ``|X|_F |Y|_F``, so a verdict equals the serial one except for last-bit
+    differences in the norms.  Both verdicts are symmetric: two stacks
+    decide the same, bit for bit, in either order.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.ndim != 3 or x.shape != y.shape:
+    if y.ndim != 3 or x.shape not in (y.shape, y.shape[1:]):
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     xy = x @ y
     yx = y @ x
-    scale = _frobenius_stack(x) * _frobenius_stack(y)
+    scale = _frobenius_stack(x.reshape(-1, *y.shape[1:])) * _frobenius_stack(y)
     return (tol.is_zero(_frobenius_stack(xy - yx), scale),
             tol.is_zero(_frobenius_stack(xy + yx), scale))
 

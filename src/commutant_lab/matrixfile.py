@@ -113,8 +113,12 @@ def save_matrix(path, m: np.ndarray, label: str | None = None) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """The validated matrix of a matrix file; ValueError naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"unreadable matrix file {path}: {exc}") from exc
-    return payload_to_matrix(payload)
+    try:
+        return payload_to_matrix(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -24,6 +24,7 @@ from .commutant import (
     quasi_equals_commutant,
 )
 from .hermitian import (
+    BLOCK,
     DEFAULT_TOLERANCE,
     RELATION_KINDS,
     Tolerance,
@@ -31,9 +32,9 @@ from .hermitian import (
     _frobenius_stack,
     _hermitian,
     _projection,
+    _stack_depth,
     _unitary,
     frobenius,
-    random_hermitian,
     rel_c,
     rel_stack,
     triadic_relation,
@@ -69,12 +70,6 @@ VIOLATION_BACKWARD = "violation_backward"
 _VERDICTS = np.array([BOTH_FAIL, VIOLATION_BACKWARD, VIOLATION_FORWARD, BOTH_HOLD])
 
 SHIFT_KINDS = ("zero", "constant", "trace_based", "theorem_compliant_quasi", "pinned")
-
-# Sampled trials (and lemma-4 candidates) are drawn, stacked and evaluated
-# this many at a time.  In form-check passes on a 2-vCPU VM, blocks of 128
-# ran as fast as blocks of 256 (64 was 4% slower) and raised the peak
-# resident set by under 1 MiB, against 1.5 MiB for 256 and 6.5 MiB for 1024.
-BLOCK = 128
 
 
 @dataclass(eq=False)
@@ -482,6 +477,35 @@ def necessity_search(
     )
 
 
+def _lemma4_candidates(a: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
+    """The :func:`lemma4_check` candidates ``start .. stop - 1`` around ``A``.
+
+    Each generator ``default_rng([seed, t])`` makes its draws in the order
+    of a per-candidate build; then each mode's arithmetic runs once on the
+    stack of its rows.  The stacked norm of mode 0 may differ from
+    ``frobenius`` in the last bit, and so may those candidates.
+    """
+    n = a.shape[0]
+    mode = np.arange(start, stop) % 3
+    normals = np.zeros((stop - start, 2, n, n))  # mode 2 draws none
+    draw = np.zeros(stop - start)  # log10 eps (mode 0) or the factor (mode 2)
+    for i, t in enumerate(range(start, stop)):
+        rng = np.random.default_rng([seed, t])
+        if t % 3 == 2:
+            draw[i] = rng.uniform(-3.0, 3.0)
+        else:
+            rng.standard_normal(out=normals[i])
+            if t % 3 == 0:
+                draw[i] = rng.uniform(-4, 1)
+    h = _hermitian(normals)
+    b = draw[:, None, None] * a
+    perturb, fresh = mode == 0, mode == 1
+    x = h[perturb] / _frobenius_stack(h)[perturb, None, None]
+    b[perturb] = a + (10.0 ** draw[perturb])[:, None, None] * x
+    b[fresh] = h[fresh] * max(1.0, frobenius(a))
+    return b
+
+
 def lemma4_check(
     lam: float,
     projection: np.ndarray,
@@ -493,8 +517,12 @@ def lemma4_check(
 
     Confirms that B = A satisfies both ``(A - lam I) o B = 0`` and
     ``(B - lam I) o A = 0``, then checks that no sampled B farther than
-    1e-6 from A satisfies both.  Perturbations of A, rescalings of A and
-    fresh random matrices are all tried, ``BLOCK`` candidates per stack.
+    1e-6 from A satisfies both.  Candidate ``t`` draws from its own
+    generator ``default_rng([seed, t])`` and, by ``t % 3``, is a
+    perturbation ``A + eps X`` of A (X a unit random matrix), a fresh
+    random matrix or a rescaling of A.  Candidates are built by
+    :func:`_lemma4_candidates` and tested ``BLOCK`` at a time (fewer past
+    n = 11, see :func:`~commutant_lab.hermitian._stack_depth`).
     """
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
@@ -505,26 +533,15 @@ def lemma4_check(
 
     def premises(b: np.ndarray) -> np.ndarray:
         """Both premises for each B of a stack ``(T, n, n)``."""
-        _, first = rel_stack(np.broadcast_to(a - lam_eye, b.shape), b, tol)
-        _, second = rel_stack(b - lam_eye, np.broadcast_to(a, b.shape), tol)
+        _, first = rel_stack(a - lam_eye, b, tol)
+        _, second = rel_stack(a, b - lam_eye, tol)  # (B - lam I) o A
         return first & second
-
-    def candidate(t: int) -> np.ndarray:
-        rng = np.random.default_rng([seed, t])
-        mode = t % 3
-        if mode == 0:
-            x = random_hermitian(n, rng)
-            x = x / frobenius(x)
-            eps = 10.0 ** rng.uniform(-4, 1)
-            return a + eps * x
-        if mode == 1:
-            return random_hermitian(n, rng) * max(1.0, frobenius(a))
-        return float(rng.uniform(-3.0, 3.0)) * a
 
     if not premises(a[None])[0]:
         return False
-    for start in range(0, candidates, BLOCK):
-        b = np.array([candidate(t) for t in range(start, min(start + BLOCK, candidates))])
+    step = _stack_depth(n)
+    for start in range(0, candidates, step):
+        b = _lemma4_candidates(a, seed, start, min(start + step, candidates))
         if (premises(b) & (_frobenius_stack(b - a) > 1e-6)).any():
             return False
     return True

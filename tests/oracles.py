@@ -31,6 +31,13 @@ relation with the serial ``rel_c`` / ``rel_q``.  The production
 differ in the last bits and a verdict within those bits of the zero test
 may differ too.
 
+Serial refutation search.  ``serial_refute_biquasi_membership`` walks the
+refutation pool one candidate at a time with ``rel_q``, building each
+candidate only when the one before it passed, as the search did before it
+decided its pool on stacks.  The stacked route must return ``None`` where
+it does and otherwise a byte-equal witness, apart from verdicts within the
+last bits of the zero test.
+
 Serial triple generator.  ``serial_triple`` draws one ``property_run``
 trial's triple with one sampler call per matrix, as the generator did
 before it was staged; the staged coroutines of ``preservers`` must make
@@ -41,11 +48,13 @@ import numpy as np
 
 from commutant_lab import (
     MatrixSubspace,
+    QuasiCommutant,
     Tolerance,
     anticommutant,
     build_aef,
     commutant,
     frobenius,
+    quasi_commutant,
     random_hermitian,
     random_projection,
     random_unitary,
@@ -54,7 +63,7 @@ from commutant_lab import (
     spectral_decompose,
     subspace_leq,
 )
-from commutant_lab.hermitian import DEFAULT_TOLERANCE
+from commutant_lab.hermitian import DEFAULT_TOLERANCE, _rng
 from commutant_lab.preservers import (
     BOTH_FAIL,
     BOTH_HOLD,
@@ -227,6 +236,34 @@ def serial_check_triadic(m, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
     if image and not source:
         return VIOLATION_BACKWARD
     return BOTH_HOLD if source else BOTH_FAIL
+
+
+def serial_refute_biquasi_membership(x, a, budget: int = 32, seed=0,
+                                     tol: Tolerance = DEFAULT_TOLERANCE,
+                                     quasi: QuasiCommutant | None = None):
+    """Oracle for ``refute_biquasi_membership``: the first candidate of its
+    pool that neither commutes nor anticommutes with ``x`` under ``rel_q``,
+    or ``None``."""
+    qc = quasi if quasi is not None else quasi_commutant(a, tol)
+    eye = np.eye(qc.dim, dtype=complex)
+
+    def candidates():
+        yield from qc.commutant_part.basis
+        yield from qc.anticommutant_part.basis
+        for m in qc.commutant_part.basis:
+            for s in (1.0, -1.0, 0.5):
+                yield s * eye + m
+        rng = _rng(seed)
+        for _ in range(budget):
+            for part in (qc.commutant_part, qc.anticommutant_part):
+                if part.real_dimension == 0:
+                    continue
+                m = part.random_element(rng)
+                yield m
+                if part is qc.commutant_part:
+                    yield eye + m
+
+    return next((m for m in candidates() if not rel_q(x, m, tol)), None)
 
 
 def serial_structured_triple(rng: np.random.Generator, dim: int, tol: Tolerance):

@@ -176,6 +176,24 @@ def test_lemma_7_containment():
     assert result["failures"] == 0
 
 
+def test_lemma_7_at_large_dimension():
+    """8 operators at n = 32 pass in under 30 s (2-3 s on a 2-vCPU VM).
+    Each member check scans a refutation pool of about 160 candidates of
+    size 32, so the cost of deciding that pool shows here far more than at
+    the default dimensions."""
+    start = time.perf_counter()
+    result = suite_lemma_7(dims=(32,), trials=8, seed=SEED)
+    elapsed = time.perf_counter() - start
+    report(
+        "lemma-7 at n = 32", result["passed"] and elapsed < 30.0,
+        f"{result['details']['outsiders_refuted']} outsiders refuted, "
+        f"{result['details']['members_checked']} members checked, "
+        f"{result['failures']} failures, {elapsed:.1f}s",
+    )
+    assert result["failures"] == 0
+    assert elapsed < 30.0
+
+
 def test_lemma_primitive_witness_chains():
     """Witness constructions give the (2, 3, 4) bicommutant chain at dim 4
     and strict containments at dims 4-6; the quasi-side variant additionally

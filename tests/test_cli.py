@@ -185,23 +185,37 @@ def edit_field(payload, keys, value):
         payload[keys[-1]] = value
 
 
-# Edits of a 2x2 matrix file that the reader rejects: (key path, value, message).
+# Edits of a 2x2 matrix file m.json that the reader rejects: (key path,
+# value, message).  The message names the file as the command line gave it.
 MALFORMED_GRIDS = {
     "three-number entry": (("entries", 0, 1), [1, 0, 0],
-                           "field 'entries[0][1]' must be a [re, im] pair of numbers, "
+                           "m.json: field 'entries[0][1]' must be a [re, im] pair of numbers, "
                            "got [1, 0, 0]"),
     "boolean entry": (("entries", 1, 0), [True, 0],
-                      "field 'entries[1][0]' must be a [re, im] pair of numbers, got [true, 0]"),
+                      "m.json: field 'entries[1][0]' must be a [re, im] pair of numbers, "
+                      "got [true, 0]"),
     "string entry": (("entries", 1, 1), ["1", "0"],
-                     "field 'entries[1][1]' must be a [re, im] pair of numbers, "
+                     "m.json: field 'entries[1][1]' must be a [re, im] pair of numbers, "
                      'got ["1", "0"]'),
     "short row": (("entries", 1), [[0, 0]],
-                  "field 'entries[1]' must be an array of 2 [re, im] pairs, got an array of 1"),
-    "extra row": (("entries",), [[[1, 0], [0, 0]]] * 3, "field 'entries' must hold 2 rows, got 3"),
-    "fractional dim": (("dim",), 2.0, "field 'dim' must be a positive integer, got 2.0"),
-    "string dim": (("dim",), "2", "field 'dim' must be a number, got a string"),
-    "no dim": (("dim",), None, "field 'dim' is missing"),
+                  "m.json: field 'entries[1]' must be an array of 2 [re, im] pairs, "
+                  "got an array of 1"),
+    "extra row": (("entries",), [[[1, 0], [0, 0]]] * 3,
+                  "m.json: field 'entries' must hold 2 rows, got 3"),
+    "fractional dim": (("dim",), 2.0, "m.json: field 'dim' must be a positive integer, got 2.0"),
+    "string dim": (("dim",), "2", "m.json: field 'dim' must be a number, got a string"),
+    "no dim": (("dim",), None, "m.json: field 'dim' is missing"),
 }
+
+
+def write_malformed_grid(directory, name):
+    """Write ``m.json`` in ``directory`` with the edit ``MALFORMED_GRIDS[name]``
+    and return the expected message."""
+    keys, value, message = MALFORMED_GRIDS[name]
+    payload = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+    edit_field(payload, keys, value)
+    (directory / "m.json").write_text(json.dumps(payload))
+    return message
 
 
 class TestCommutantCommand:
@@ -257,13 +271,10 @@ class TestCommutantCommand:
         assert code == 2
 
     @pytest.mark.parametrize("name", list(MALFORMED_GRIDS))
-    def test_malformed_grid_rejected(self, capsys, tmp_path, name):
-        keys, value, message = MALFORMED_GRIDS[name]
-        payload = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
-        edit_field(payload, keys, value)
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_cli(capsys, ["commutant", "--input", str(path)])
+    def test_malformed_grid_rejected(self, capsys, tmp_path, monkeypatch, name):
+        message = write_malformed_grid(tmp_path, name)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["commutant", "--input", "m.json"])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
@@ -311,6 +322,16 @@ class TestSearchCommand:
         report = json.loads(out)
         assert report["status"].startswith("refuted")
         assert report["witness"] is not None
+
+    @pytest.mark.parametrize("name", ["three-number entry", "short row", "no dim"])
+    def test_lemma7_malformed_target_named(self, capsys, tmp_path, monkeypatch, name):
+        save_matrix(tmp_path / "a.json", diag(1, 1, 2))
+        message = write_malformed_grid(tmp_path, name)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, ["search", "lemma7-refute", "--input", "a.json",
+                                          "--target", "m.json"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_lemma7_member_unrefuted(self, capsys, tmp_path):
         a_path = tmp_path / "a.json"

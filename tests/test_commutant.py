@@ -34,6 +34,7 @@ from commutant_lab import (
     subspace_proper_lt,
 )
 from commutant_lab.commutant import _krylov_bicommutant
+from commutant_lab.hermitian import BLOCK
 from oracles import (
     anticommutant_dim_formula,
     bicommutant_dim_formula,
@@ -42,6 +43,7 @@ from oracles import (
     kernel_anticommutant,
     kernel_bicommutant,
     kernel_commutant,
+    serial_refute_biquasi_membership,
     spectrum_has_sign_pair,
     subspace_quasi_equals_commutant,
 )
@@ -487,6 +489,112 @@ class TestRefutation:
         witness = refute_biquasi_membership(x, a, seed=3)
         assert witness is not None
         assert not rel_q(x, witness)
+
+
+def same_witness(got, expected) -> bool:
+    """Both ``None``, or byte-equal matrices."""
+    if got is None or expected is None:
+        return got is None and expected is None
+    return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def fixed_pool_size(qc) -> int:
+    """Both bases and three shifted copies of each commutant basis element."""
+    return 4 * qc.commutant_part.real_dimension + qc.anticommutant_part.real_dimension
+
+
+class TestStackedRefutation:
+    """``refute_biquasi_membership`` against the serial oracle
+    ``serial_refute_biquasi_membership``."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 8, 16])  # 16: chunks of 64
+    def test_members_and_outsiders_match_serial(self, dim):
+        outcomes = set()
+        for seed in range(6):
+            rng = np.random.default_rng([seed, dim, 40])
+            a = mixed_sample(rng, dim)
+            qc, bic = quasi_commutant(a), bicommutant(a)
+            targets = [random_hermitian(dim, rng), np.eye(dim, dtype=complex), a,
+                       bic.random_element(rng)]
+            for j, x in enumerate(targets):
+                got = refute_biquasi_membership(x, a, budget=8, seed=seed + j, quasi=qc)
+                expected = serial_refute_biquasi_membership(x, a, budget=8, seed=seed + j)
+                assert same_witness(got, expected)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_empty_anticommutant(self):
+        a = diag(1, 2, 3)
+        assert quasi_commutant(a).anticommutant_part.real_dimension == 0
+        for x in (diag(4, -1, 2), random_hermitian(3, 41), random_hermitian(3, 42)):
+            expected = serial_refute_biquasi_membership(x, a, budget=16, seed=3)
+            assert same_witness(refute_biquasi_membership(x, a, budget=16, seed=3), expected)
+        assert refute_biquasi_membership(random_hermitian(3, 41), a, budget=16) is not None
+
+    def test_zero_budget(self):
+        for x, a in ((diag(1, 2, 3), diag(1, 1, 2)), (diag(1, -1, 5), diag(1, -1, 0)),
+                     (diag(2, 3, 3), diag(1, 1, 2))):
+            expected = serial_refute_biquasi_membership(x, a, budget=0)
+            assert same_witness(refute_biquasi_membership(x, a, budget=0), expected)
+
+    # X commutes with the commutant and with the kernel projection of A, and
+    # anticommutes with the off-diagonal anticommutant elements; only a
+    # random combination of the anticommutant's basis breaks it.
+    RANDOM_PART = {
+        "one chunk": (diag(1, -1, 0), diag(1, -1, 5)),
+        "past two chunks": (diag(1, 1, 1, 1, -1, -1, -1, -1, 0),
+                            diag(1, 1, 1, 1, -1, -1, -1, -1, 5)),
+    }
+
+    @pytest.mark.parametrize("name", list(RANDOM_PART))
+    def test_witness_from_the_random_part(self, name):
+        a, x = self.RANDOM_PART[name]
+        assert refute_biquasi_membership(x, a, budget=0) is None
+        for seed in range(4):
+            got = refute_biquasi_membership(x, a, budget=16, seed=seed)
+            assert got is not None
+            assert same_witness(got, serial_refute_biquasi_membership(x, a, budget=16,
+                                                                      seed=seed))
+
+    def test_pool_longer_than_one_chunk(self):
+        a, x = self.RANDOM_PART["past two chunks"]
+        qc = quasi_commutant(a)
+        # after the first candidate, chunks of BLOCK; the random part starts
+        # in the third chunk
+        assert fixed_pool_size(qc) > 1 + BLOCK
+        for member in (a, np.eye(9, dtype=complex), -2.5 * a):
+            assert refute_biquasi_membership(member, a, budget=16, seed=1, quasi=qc) is None
+            assert serial_refute_biquasi_membership(member, a, budget=16, seed=1) is None
+
+    def test_generator_seed_draws_every_round_of_the_witness_chunk(self):
+        """A Generator seed advances by the draws of the random candidates up
+        to the end of the witness's chunk: here the whole random part, where
+        the serial search stops after the first round."""
+        a, x = self.RANDOM_PART["one chunk"]
+        qc = quasi_commutant(a)
+        dims = (qc.commutant_part.real_dimension, qc.anticommutant_part.real_dimension)
+        assert fixed_pool_size(qc) + 3 * 16 <= 1 + BLOCK
+        rng = np.random.default_rng(43)
+        assert refute_biquasi_membership(x, a, budget=16, seed=rng, quasi=qc) is not None
+        reference = np.random.default_rng(43)
+        for _ in range(16):
+            for k in dims:
+                reference.standard_normal(k)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        serial = np.random.default_rng(43)
+        assert serial_refute_biquasi_membership(x, a, budget=16, seed=serial) is not None
+        reference = np.random.default_rng(43)
+        for k in dims:
+            reference.standard_normal(k)
+        assert serial.bit_generator.state == reference.bit_generator.state
+
+    def test_generator_seed_untouched_when_the_first_candidate_breaks(self):
+        a, x = diag(1, 1, 2), random_hermitian(3, 44)
+        assert not rel_q(x, quasi_commutant(a).commutant_part.basis[0])
+        rng = np.random.default_rng(44)
+        state = rng.bit_generator.state
+        assert refute_biquasi_membership(x, a, seed=rng) is not None
+        assert rng.bit_generator.state == state
 
 
 class TestScalarWitness:

@@ -155,6 +155,22 @@ class TestRelStack:
             rel_stack(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             rel_stack(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rel_stack(np.eye(4), np.zeros((2, 3, 3)))
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_one_matrix_against_a_stack(self, dim):
+        """One matrix paired with every slice decides as its broadcast
+        stack does, and the verdicts do not depend on the argument order."""
+        pairs = [pair for seed in range(5) for pair in relation_pairs(seed, dim)]
+        y = np.array([b for _, b in pairs])
+        for x, _ in pairs[:4]:
+            one = rel_stack(x, y)
+            for other in (rel_stack(np.broadcast_to(x, y.shape), y),
+                          rel_stack(y, np.broadcast_to(x, y.shape))):
+                assert all(np.array_equal(u, v) for u, v in zip(one, other))
+            assert list(one[0]) == [rel_c(x, b) for b in y]
+            assert list(one[1]) == [rel_j(x, b) for b in y]
 
 
 class TestScaleFloor:

@@ -68,5 +68,6 @@ def test_symmetrizes_within_tolerance(tmp_path):
 def test_rejects_non_object_document(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[[1, 0], [0, 1]]")
-    with pytest.raises(ValueError, match="^the document must be an object, got an array$"):
+    with pytest.raises(ValueError) as info:
         load_matrix(path)
+    assert str(info.value) == f"{path}: the document must be an object, got an array"

@@ -36,6 +36,7 @@ from commutant_lab.preservers import (
     VIOLATION_BACKWARD,
     VIOLATION_FORWARD,
     _aef_fixtures,
+    _lemma4_candidates,
     _staged_triples,
     default_necessity_anchor,
 )
@@ -407,7 +408,9 @@ class TestBatchedOracle:
 
     @staticmethod
     def serial_lemma4(lam, projection, candidates, seed, tol):
-        """``lemma4_check`` as a loop over ``rel_j``, same candidate draws."""
+        """``lemma4_check`` as a loop over ``rel_j``, same candidate draws,
+        one candidate built at a time.  Returns the first candidate that
+        refutes rigidity, -1 when B = A fails the premises, or None."""
         a = lam * np.asarray(projection, dtype=complex)
         n = a.shape[0]
         eye = np.eye(n, dtype=complex)
@@ -416,32 +419,68 @@ class TestBatchedOracle:
             return rel_j(x - lam * eye, y, tol) and rel_j(y - lam * eye, x, tol)
 
         if not premises(a, a):
-            return False
+            return -1
         for t in range(candidates):
-            rng = np.random.default_rng([seed, t])
-            if t % 3 == 0:
-                x = random_hermitian(n, rng)
-                x = x / frobenius(x)
-                b = a + 10.0 ** rng.uniform(-4, 1) * x
-            elif t % 3 == 1:
-                b = random_hermitian(n, rng) * max(1.0, frobenius(a))
-            else:
-                b = float(rng.uniform(-3.0, 3.0)) * a
+            b = TestBatchedOracle.serial_lemma4_candidate(a, seed, t)
             if frobenius(b - a) > 1e-6 and premises(a, b):
-                return False
-        return True
+                return t
+        return None
 
-    @pytest.mark.parametrize("lam, projection, tol, rigid", [
-        (2.0, random_projection(4, 2, 36), Tolerance(), True),
+    @staticmethod
+    def serial_lemma4_candidate(a, seed, t):
+        """Candidate ``t`` of ``lemma4_check`` around ``A``, built alone."""
+        rng = np.random.default_rng([seed, t])
+        n = a.shape[0]
+        if t % 3 == 0:
+            x = random_hermitian(n, rng)
+            x = x / frobenius(x)
+            return a + 10.0 ** rng.uniform(-4, 1) * x
+        if t % 3 == 1:
+            return random_hermitian(n, rng) * max(1.0, frobenius(a))
+        return float(rng.uniform(-3.0, 3.0)) * a
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_lemma4_candidates_match_serial_build(self, dim):
+        """Modes 1 and 2 byte for byte; mode 0 within the last bits of its
+        stacked norm and power."""
+        a = -1.5 * random_projection(dim, dim // 2, [38, dim])
+        for start, stop in ((0, 1), (0, 2), (BLOCK, BLOCK + 1), (BLOCK, 2 * BLOCK),
+                            (2 * BLOCK, 2 * BLOCK + 44)):
+            stack = _lemma4_candidates(a, 9, start, stop)
+            assert stack.shape == (stop - start, dim, dim)
+            for t, b in zip(range(start, stop), stack):
+                expected = self.serial_lemma4_candidate(a, 9, t)
+                if t % 3:
+                    assert b.tobytes() == expected.tobytes()
+                else:
+                    assert np.abs(b - expected).max() <= 1e-15 * max(1.0, frobenius(expected))
+
+    # Candidate counts that are not multiples of 3; each ends in a partial
+    # block, some of one or two candidates (so with modes missing).
+    COUNTS = (1, 2, BLOCK + 1, BLOCK + 2, BLOCK + 44, 2 * BLOCK + 1)
+
+    @pytest.mark.parametrize("lam, projection, candidates, seed, tol, refuted_by", [
+        (2.0, random_projection(4, 2, 36), BLOCK + 44, 8, Tolerance(), None),
+        *((lam, random_projection(dim, rank, [36, dim]), count, 8, Tolerance(), None)
+          for dim, lam, rank, count in zip(range(3, 9), (2.0, 0.7, -1.5, 3.0, -0.5, 2.0),
+                                           (1, 2, 4, 1, 3, 5), COUNTS)),
+        # stacks of 113 candidates at n = 12
+        (-1.5, random_projection(12, 5, [36, 12]), BLOCK + 44, 8, Tolerance(), None),
         # a loose zero test lets small perturbations of A pass both premises
-        (2.0, random_projection(4, 2, 36), Tolerance(rel_zero=0.05), False),
+        (2.0, random_projection(4, 2, 36), BLOCK + 44, 8, Tolerance(rel_zero=0.05), 0),
+        # a looser one lets a fresh random matrix (candidate 1) pass them first
+        (2.0, random_projection(4, 1, [50, 4, 3]), 2, 3, Tolerance(rel_zero=1.0), 1),
         # not a projection: B = A already fails the premises
-        (1.5, random_hermitian(3, 37), Tolerance(), False),
-    ], ids=["rigid", "loose-tolerance", "not-a-projection"])
-    def test_lemma4_matches_rel_j_loop(self, lam, projection, tol, rigid):
-        candidates = BLOCK + 44
-        assert self.serial_lemma4(lam, projection, candidates, 8, tol) == rigid
-        assert lemma4_check(lam, projection, candidates=candidates, seed=8, tol=tol) == rigid
+        (1.5, random_hermitian(3, 37), BLOCK + 44, 8, Tolerance(), -1),
+    ], ids=["rigid", *(f"rigid-dim{dim}" for dim in range(3, 9)), "rigid-dim12",
+            "loose-tolerance",
+            "loose-tolerance-mode1", "not-a-projection"])
+    def test_lemma4_matches_rel_j_loop(self, lam, projection, candidates, seed, tol,
+                                       refuted_by):
+        first = self.serial_lemma4(lam, projection, candidates, seed, tol)
+        assert (first if first is None or first < 0 else first % 3) == refuted_by
+        rigid = first is None
+        assert lemma4_check(lam, projection, candidates=candidates, seed=seed, tol=tol) == rigid
 
 
 class TestNecessitySearch:
