@@ -294,12 +294,10 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
     report = {"kind": "search", "command": f"search {args.kind}", "passed": True}
     try:
         if args.kind == "necessity-f":
-            if args.dim < 3:
-                raise ValueError("dimension must be at least 3")
             trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol)
             violation = trial_report.violations[0]
             return {**report, "status": f"violation found after {trial_report.trials} trials",
-                    "violation": violation_to_payload(violation, necessity_map(args.dim, tol))}
+                    "violation": violation_to_payload(violation, necessity_map(args.dim))}
         matrix = load_matrix(args.input)
         if args.kind == "scalar-witness":
             witness = scalar_witness(matrix, seed=seed, tol=tol)

@@ -24,7 +24,6 @@ from .commutant import (
     quasi_equals_commutant,
 )
 from .hermitian import (
-    BLOCK,
     DEFAULT_TOLERANCE,
     RELATION_KINDS,
     Tolerance,
@@ -80,14 +79,15 @@ class ShiftPolicy:
     (trace divided by dimension); ``pinned`` (``value`` on one anchor
     matrix, byte-exact after symmetrization, zero elsewhere);
     ``theorem_compliant_quasi`` (the inner policy where
-    :func:`quasi_equals_commutant` holds at ``tol``, zero elsewhere).
+    :func:`quasi_equals_commutant` holds, zero elsewhere).  A shift is
+    called with the tolerance of the check that applies it, and only the
+    quasi decision reads it.
     """
 
     kind: str
     value: float = 0.0
     anchor: np.ndarray | None = None
     inner: "ShiftPolicy | None" = None
-    tol: Tolerance = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.kind not in SHIFT_KINDS:
@@ -99,7 +99,7 @@ class ShiftPolicy:
         if self.kind == "theorem_compliant_quasi" and self.inner is None:
             self.inner = ShiftPolicy("zero")
 
-    def __call__(self, a: np.ndarray) -> float:
+    def __call__(self, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
         if self.kind == "zero":
             return 0.0
         if self.kind == "constant":
@@ -111,7 +111,7 @@ class ShiftPolicy:
             anchor = (self.anchor + self.anchor.conj().T) / 2.0
             return self.value if np.array_equal(sym, anchor) else 0.0
         # theorem_compliant_quasi
-        return self.inner(a) if quasi_equals_commutant(a, self.tol) else 0.0
+        return self.inner(a, tol) if quasi_equals_commutant(a, tol) else 0.0
 
 
 @dataclass(eq=False)
@@ -146,10 +146,10 @@ class PreserverMap:
         return int(self.conjugator.shape[0])
 
 
-def apply_map(m: PreserverMap, a: np.ndarray) -> np.ndarray:
+def apply_map(m: PreserverMap, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Evaluate the map on one Hermitian matrix, or on each matrix of a stack
     ``(..., n, n)``; the output is Hermitian.  The shift is evaluated
-    matrix by matrix."""
+    matrix by matrix, at ``tol``."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != m.conjugator.shape:
         raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape[-2:]}")
@@ -157,7 +157,7 @@ def apply_map(m: PreserverMap, a: np.ndarray) -> np.ndarray:
     x = a.conj() if m.antiunitary else a
     out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
     out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    shifts = np.array([m.shift(y) for y in a.reshape(-1, n, n)], dtype=float)
+    shifts = np.array([m.shift(y, tol) for y in a.reshape(-1, n, n)], dtype=float)
     return out + shifts.reshape(a.shape[:-2] + (1, 1)) * np.eye(n)
 
 
@@ -170,8 +170,8 @@ def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
     u_inner = inner.conjugator.conj() if outer.antiunitary else inner.conjugator
     u = outer.conjugator @ u_inner
 
-    def shift(a: np.ndarray) -> float:
-        return outer.scale * inner.shift(a) + outer.shift(apply_map(inner, a))
+    def shift(a: np.ndarray, tol: Tolerance) -> float:
+        return outer.scale * inner.shift(a, tol) + outer.shift(apply_map(inner, a, tol), tol)
 
     return PreserverMap(
         scale=outer.scale * inner.scale,
@@ -195,10 +195,10 @@ def check_triadic(
     ``violation_forward`` when the relation holds only at the source and
     ``violation_backward`` when it holds only at the image.  Takes one
     triple and returns a ``str``, or three stacks ``(T, n, n)`` and returns
-    an array of ``T`` verdicts.
+    an array of ``T`` verdicts.  The map's shift decides at ``tol`` too.
     """
     source = triadic_relation(a, b, c, m.relation_kind, tol)
-    image = triadic_relation(*apply_map(m, np.stack([a, b, c])), m.relation_kind, tol)
+    image = triadic_relation(*apply_map(m, np.stack([a, b, c]), tol), m.relation_kind, tol)
     verdict = _VERDICTS[2 * np.asarray(source, dtype=int) + image]
     return verdict if verdict.ndim else str(verdict)
 
@@ -380,9 +380,11 @@ def property_run(
     own generator from ``(seed, trial index)``, so runs replay exactly and
     trials may be evaluated in any order.  Each trial draws a structured
     or a fully random triple with equal probability.  Triples are drawn
-    ``BLOCK`` trials at a time by :func:`_staged_triples`, and each block is
-    evaluated per dimension in one stack; the verdicts are those of
-    :func:`check_triadic`, and violations are listed in trial order.
+    ``BLOCK`` trials at a time (fewer past n = 11 for the largest dimension,
+    see :func:`~commutant_lab.hermitian._stack_depth`) by
+    :func:`_staged_triples`, and each block is evaluated per dimension in
+    one stack; the verdicts are those of :func:`check_triadic`, and
+    violations are listed in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -391,9 +393,10 @@ def property_run(
         maps = {maps.dim: maps}
     dims = tuple(sorted(maps))
     violations: list[Violation] = []
-    for start in range(0, trials, BLOCK):
+    step = _stack_depth(max(dims))
+    for start in range(0, trials, step):
         drawn: dict[int, list] = {}  # dim -> [(trial, (a, b, c))]
-        stop = min(start + BLOCK, trials)
+        stop = min(start + step, trials)
         for t, (dim, triple) in enumerate(_staged_triples(seed, start, stop, dims, tol), start):
             drawn.setdefault(dim, []).append((t, triple))
         found = []
@@ -417,14 +420,14 @@ def default_necessity_anchor(dim: int) -> np.ndarray:
     return np.diag(values).astype(complex)
 
 
-def necessity_map(dim: int, tol: Tolerance = DEFAULT_TOLERANCE) -> PreserverMap:
+def necessity_map(dim: int) -> PreserverMap:
     """The quasi-side map that fails the vanishing-shift condition: identity
     conjugation, shifted by one on ``diag(1, -1, 0, ...)`` and nowhere else."""
     return PreserverMap(
         scale=1.0,
         conjugator=np.eye(dim, dtype=complex),
         antiunitary=False,
-        shift=ShiftPolicy("pinned", value=1.0, anchor=default_necessity_anchor(dim), tol=tol),
+        shift=ShiftPolicy("pinned", value=1.0, anchor=default_necessity_anchor(dim)),
         relation_kind="quasi",
     )
 
@@ -450,7 +453,7 @@ def necessity_search(
         raise ValueError(f"budget must be at least 1, got {budget}")
     a0 = default_necessity_anchor(dim)
     if preserver is None:
-        preserver = necessity_map(dim, tol)
+        preserver = necessity_map(dim)
     part = anticommutant(a0, tol)
     swap = np.zeros((dim, dim), dtype=complex)
     swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)

@@ -268,13 +268,9 @@ def _first_range_vector(p: np.ndarray, inside: bool) -> np.ndarray:
     return cols[:, 0]
 
 
-def lemma_primitive_witnesses(
-    p: np.ndarray,
-    alpha: float,
-    beta: float = 0.0,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witness pair (B, C) separating ``alpha P + beta I`` from primitivity.
+def lemma_primitive_witnesses(p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Witness pair (B, C) separating ``alpha P + beta I`` from primitivity,
+    the same pair for every real ``beta``.
 
     For a projection P with rank and corank both at least two (dimension at
     least four), returns a two-point-spectrum B commuting with P and a C

@@ -472,7 +472,7 @@ def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
                 configurations += 1
                 p = random_projection(dim, rank, [seed, dim, rank])
                 a = alpha * p + beta * np.eye(dim)
-                b, c = lemma_primitive_witnesses(p, alpha, beta, tol)
+                b, c = lemma_primitive_witnesses(p, alpha)
                 _primitive_chain_checks(rec, a, b, c, tol, quasi_side)
         # Converse: with a rank-one direction there is no room for a chain;
         # any two-point B commuting with A leaves the difference with at
@@ -487,7 +487,7 @@ def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
                       {"context": f"rank-one converse at dim {dim}"})
         # Precondition probes
         try:
-            lemma_primitive_witnesses(p1, 1.0, 0.0, tol)
+            lemma_primitive_witnesses(p1, 1.0)
             rec.check(False, {"context": "rank-one projection must be rejected"})
         except ValueError:
             rec.check(True)
@@ -528,8 +528,7 @@ _MAP_CONFIGS = (
 def _theorem_suite(name, relation_kind, dims, trials, seed, tol, zero_shift):
     rec = _Recorder()
     for idx, (scale, anti, (shift_kind, shift_value)) in enumerate(_MAP_CONFIGS):
-        shift = (ShiftPolicy("zero") if zero_shift
-                 else ShiftPolicy(shift_kind, shift_value, tol=tol))
+        shift = ShiftPolicy("zero") if zero_shift else ShiftPolicy(shift_kind, shift_value)
         maps = {
             dim: PreserverMap(
                 scale=scale,
@@ -569,8 +568,7 @@ def suite_theorem_5(dims=(3, 4, 5, 8), trials=300, seed=0, tol=DEFAULT_TOLERANCE
             scale=1.0,
             conjugator=random_unitary(dim, [seed, 11, dim]),
             antiunitary=False,
-            shift=ShiftPolicy("theorem_compliant_quasi", inner=ShiftPolicy("trace_based"),
-                              tol=tol),
+            shift=ShiftPolicy("theorem_compliant_quasi", inner=ShiftPolicy("trace_based")),
             relation_kind="quasi",
         )
         for dim in dims
@@ -600,16 +598,15 @@ def shift_to_payload(shift: ShiftPolicy) -> dict:
     return payload
 
 
-def shift_from_payload(payload: dict, tol: Tolerance = DEFAULT_TOLERANCE,
-                       where: str = "map.shift") -> ShiftPolicy:
+def shift_from_payload(payload: dict, where: str = "map.shift") -> ShiftPolicy:
     """The shift policy of the object at path ``where``."""
     anchor = (payload_to_matrix(payload["anchor"], f"{where}.anchor")
               if "anchor" in payload else None)
-    inner = (shift_from_payload(_field(payload, "inner", "an object", where), tol, f"{where}.inner")
+    inner = (shift_from_payload(_field(payload, "inner", "an object", where), f"{where}.inner")
              if "inner" in payload else None)
     return ShiftPolicy(_field(payload, "kind", "a string", where),
                        value=float(_field(payload, "value", "a number", where, 0.0)),
-                       anchor=anchor, inner=inner, tol=tol)
+                       anchor=anchor, inner=inner)
 
 
 def map_to_payload(m: PreserverMap) -> dict:
@@ -622,16 +619,14 @@ def map_to_payload(m: PreserverMap) -> dict:
     }
 
 
-def map_from_payload(payload: dict, tol: Tolerance = DEFAULT_TOLERANCE,
-                     where: str = "map") -> PreserverMap:
+def map_from_payload(payload: dict, where: str = "map") -> PreserverMap:
     """The map of the object at path ``where``."""
     return PreserverMap(
         scale=float(_field(payload, "scale", "a number", where)),
         conjugator=_payload_entries(_field(payload, "conjugator", "an object", where),
                                     f"{where}.conjugator"),
         antiunitary=_field(payload, "antiunitary", "a boolean", where),
-        shift=shift_from_payload(_field(payload, "shift", "an object", where), tol,
-                                 f"{where}.shift"),
+        shift=shift_from_payload(_field(payload, "shift", "an object", where), f"{where}.shift"),
         relation_kind=_field(payload, "relation_kind", "a string", where),
     )
 
@@ -660,7 +655,7 @@ def replay_violation(payload: dict, tol: Tolerance = DEFAULT_TOLERANCE,
     path.
     """
     recorded = _field(payload, "verdict", "a string", where)
-    m = map_from_payload(_field(payload, "map", "an object", where), tol, _path(where, "map"))
+    m = map_from_payload(_field(payload, "map", "an object", where), _path(where, "map"))
     triple = _field(payload, "triple", "an object", where)
     a, b, c = (payload_to_matrix(_field(triple, name, "an object", _path(where, "triple")),
                                  _path(where, f"triple.{name}"))

@@ -212,15 +212,15 @@ def kernel_bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> Mat
     return _kernel_subspace(images, n, tol)
 
 
-def serial_apply_map(m, a) -> np.ndarray:
-    """Oracle for ``apply_map`` on one matrix."""
+def serial_apply_map(m, a, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
+    """Oracle for ``apply_map`` on one matrix, its shift taken at ``tol``."""
     a = np.asarray(a, dtype=complex)
     if a.shape != m.conjugator.shape:
         raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape}")
     x = a.conj() if m.antiunitary else a
     out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
     out = (out + out.conj().T) / 2.0
-    return out + m.shift(a) * np.eye(a.shape[0])
+    return out + m.shift(a, tol) * np.eye(a.shape[0])
 
 
 def serial_check_triadic(m, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
@@ -229,7 +229,7 @@ def serial_check_triadic(m, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
     ``serial_apply_map`` image."""
     relation = rel_c if m.relation_kind == "commutative" else rel_q
     source = relation(a - b, c, tol)
-    fa, fb, fc = (serial_apply_map(m, x) for x in (a, b, c))
+    fa, fb, fc = (serial_apply_map(m, x, tol) for x in (a, b, c))
     image = relation(fa - fb, fc, tol)
     if source and not image:
         return VIOLATION_FORWARD

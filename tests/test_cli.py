@@ -383,6 +383,12 @@ class TestSearchCommand:
         assert out == ""
         assert "budget must be at least 1, got -1" in err
 
+    def test_necessity_dimension_below_three_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["search", "necessity-f", "--dim", "2"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: dimension must be at least 3\n"
+
     def test_lemma7_negative_budget_is_usage_error(self, capsys, tmp_path):
         a_path = tmp_path / "a.json"
         save_matrix(a_path, diag(1, 1, 2))

@@ -21,6 +21,7 @@ from commutant_lab import (
     necessity_search,
     noncommuting_anticommuting_partner,
     property_run,
+    quasi_equals_commutant,
     random_hermitian,
     random_projection,
     random_unitary,
@@ -29,8 +30,8 @@ from commutant_lab import (
     scalar_witness,
     triadic_relation,
 )
+from commutant_lab.hermitian import BLOCK, _stack_depth
 from commutant_lab.preservers import (
-    BLOCK,
     BOTH_FAIL,
     BOTH_HOLD,
     VIOLATION_BACKWARD,
@@ -223,6 +224,53 @@ class TestOneEngine:
         assert type(triadic_relation(a, b, c, "quasi", tol)) is bool
 
 
+def quasi_window(d):
+    """A with eigenvalues (1.3, -1.3 + d, 2) in the basis ``random_unitary(3,
+    77)``, and the unit pair element of its first two eigenvectors."""
+    v = random_unitary(3, 77)
+    a = (v * np.array([1.3, -1.3 + d, 2.0])) @ v.conj().T
+    pair = np.outer(v[:, 0], v[:, 1].conj())
+    return (a + a.conj().T) / 2.0, (pair + pair.conj().T) / np.sqrt(2.0)
+
+
+COMPLIANT_QUASI = PreserverMap(1.0, np.eye(3, dtype=complex), relation_kind="quasi",
+                               shift=ShiftPolicy("theorem_compliant_quasi",
+                                                 inner=ShiftPolicy("trace_based")))
+TIGHT_RANK_CUT = Tolerance(rank_cut=1e-8)
+
+
+class TestQuasiWindow:
+    """``quasi_equals_commutant``, and so the compliant shift, decides by the
+    ``rank_cut`` pair cuts, while the relations decide by ``rel_zero``.  For
+    a pair sum d above the anticommutant cut (4e-10) and below the relation
+    scale (2.7e-9), the decision is True although the pair element passes
+    ``rel_j`` and fails ``rel_c``: the shift keeps its inner value on a
+    matrix with a noncommuting anticommuting partner, and the compliant map
+    breaks a triple.  A rank cut of 1e-8 closes the window for these d."""
+
+    @pytest.mark.parametrize("d", [6e-10, 1.2e-9, 2.5e-9])
+    def test_window(self, d):
+        a, pair = quasi_window(d)
+        zero = np.zeros((3, 3), dtype=complex)
+        assert quasi_equals_commutant(a)
+        assert rel_j(a, pair) and not rel_c(a, pair)
+        assert check_triadic(COMPLIANT_QUASI, a, zero, pair) == VIOLATION_FORWARD
+        assert not quasi_equals_commutant(a, TIGHT_RANK_CUT)
+        assert check_triadic(COMPLIANT_QUASI, a, zero, pair, TIGHT_RANK_CUT) == BOTH_HOLD
+
+    def test_shift_decides_at_the_tolerance_of_the_check(self):
+        """One map, two checks: each verdict follows its own tolerance, and
+        each record replays at that tolerance."""
+        a, pair = quasi_window(1e-9)
+        triple = (a, np.zeros((3, 3), dtype=complex), pair)
+        for tol, expected in ((Tolerance(), VIOLATION_FORWARD), (TIGHT_RANK_CUT, BOTH_HOLD)):
+            verdict = check_triadic(COMPLIANT_QUASI, *triple, tol)
+            assert verdict == expected
+            record = violation_to_payload(Violation(*triple, direction=verdict, trial=0),
+                                          COMPLIANT_QUASI)
+            assert replay_violation(record, tol) == (expected, True)
+
+
 class TestAntiunitaryConsistency:
     def test_spectrum_preserved(self):
         for seed in range(10):
@@ -390,11 +438,13 @@ class TestBatchedOracle:
         single = apply_map(m, stack[0])
         assert single.shape == (4, 4) and single.tobytes() == out[0].tobytes()
 
-    @pytest.mark.parametrize("name", list(ORACLE_MAPS))
-    def test_property_run_matches_check_triadic(self, name):
+    @staticmethod
+    def check_property_run(name, dims, trials):
+        """``property_run`` against ``serial_property_run`` over blocks of
+        ``_stack_depth(max(dims))`` trials, the last one partial."""
         violates, build = ORACLE_MAPS[name]
-        maps = {d: build(d) for d in (3, 4, 5)}
-        trials = BLOCK + 44  # two blocks, the second one partial
+        maps = {d: build(d) for d in dims}
+        assert trials > _stack_depth(max(dims)) and trials % _stack_depth(max(dims))
         report = property_run(maps, trials=trials, seed=5)
         expected = serial_property_run(maps, trials, seed=5)
         assert bool(expected) == violates
@@ -404,7 +454,15 @@ class TestBatchedOracle:
             assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
                        for x, y in ((v.a, a), (v.b, b), (v.c, c)))
         if violates:
-            assert {v.a.shape[0] for v in report.violations} == {3, 4, 5}
+            assert {v.a.shape[0] for v in report.violations} == set(dims)
+
+    @pytest.mark.parametrize("name", list(ORACLE_MAPS))
+    def test_property_run_matches_check_triadic(self, name):
+        self.check_property_run(name, (3, 4, 5), BLOCK + 44)  # two blocks of up to 128
+
+    @pytest.mark.parametrize("name", list(ORACLE_MAPS))
+    def test_property_run_matches_check_triadic_at_n32(self, name):
+        self.check_property_run(name, (32,), 53)  # four blocks of up to 16
 
     @staticmethod
     def serial_lemma4(lam, projection, candidates, seed, tol):

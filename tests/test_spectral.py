@@ -245,7 +245,7 @@ class TestLemma181:
 class TestPrimitiveWitnesses:
     def test_reference_chain_dim4(self):
         p = random_projection(4, 2, 11)
-        b, c = lemma_primitive_witnesses(p, 1.0, 0.0)
+        b, c = lemma_primitive_witnesses(p, 1.0)
         a = p.astype(complex)
         assert distinct_count(b) == 2
         assert rel_c(a, b)
@@ -260,7 +260,7 @@ class TestPrimitiveWitnesses:
         p = random_projection(dim, rank, [12, dim, rank])
         alpha, beta = -1.5, 0.5
         a = alpha * p + beta * np.eye(dim)
-        b, c = lemma_primitive_witnesses(p, alpha, beta)
+        b, c = lemma_primitive_witnesses(p, alpha)
         chain = (bicommutant(a), bicommutant(c), bicommutant(a - b))
         assert tuple(s.real_dimension for s in chain) == (2, 3, 4)
         assert subspace_proper_lt(chain[0], chain[1])
@@ -270,7 +270,7 @@ class TestPrimitiveWitnesses:
         p = random_projection(5, 2, 13)
         alpha, beta = 1.0, 0.0
         a = alpha * p + beta * np.eye(5)
-        b, c = lemma_primitive_witnesses(p, alpha, beta)
+        b, c = lemma_primitive_witnesses(p, alpha)
         for m in (a, b, c, a - b):
             assert quasi_equals_commutant(m)
         assert rel_q(a, b)
@@ -289,8 +289,8 @@ class TestPrimitiveWitnesses:
 
     def test_deterministic(self):
         p = random_projection(6, 3, 16)
-        b1, c1 = lemma_primitive_witnesses(p, 2.0, -0.75)
-        b2, c2 = lemma_primitive_witnesses(p, 2.0, -0.75)
+        b1, c1 = lemma_primitive_witnesses(p, 2.0)
+        b2, c2 = lemma_primitive_witnesses(p, 2.0)
         assert np.array_equal(b1, b2) and np.array_equal(c1, c2)
 
 
