@@ -9,6 +9,8 @@ are zero tests of the commutator ``AB - BA`` and the Jordan product
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from math import isfinite
 
@@ -56,6 +58,22 @@ def _stack_depth(n: int) -> int:
     return max(1, min(BLOCK, BLOCK * 128 // (n * n)))
 
 
+def _trial_block(n: int) -> int:
+    """How many trials ``property_run`` makes and decides at a time when its
+    largest dimension is ``n``: ``2 * BLOCK`` up to n = 11, else
+    ``_stack_depth(n)``.
+
+    A block's triples are built in one group per dimension and mode, each
+    group by its own stacked calls, so a block of ``BLOCK`` trials at the
+    default dims 3, 4, 5, 8 splits into 28 groups of 4-5 triples, and the
+    overhead per call dominates.  On a 2-vCPU VM, ``verify theorem-4`` and
+    ``theorem-5`` at 2000 trials took 2.32-2.65 s in blocks of 256 against
+    2.72-3.33 s in blocks of 128, with the peak resident set up 1 MiB;
+    blocks of 512 took 2.19-2.44 s but raised it by 3.1 MiB.
+    """
+    return 2 * BLOCK if n <= 11 else _stack_depth(n)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds shared by every zero test in the package.
@@ -97,6 +115,119 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx):
+# a pool of four 32-bit words, the hash of entropy into the pool and the
+# hash of the pool into the output state.
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(value) -> list[int]:
+    """numpy's split of a nonnegative integer into 32-bit entropy words,
+    least significant first; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"entropy words must be nonnegative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.cache
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for k = 0 .. count, as a read-only
+    uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(x: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    x = (x ^ before) * after
+    return x ^ (x >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _state_words(prefix, ts) -> np.ndarray:
+    """``SeedSequence([*prefix, t]).generate_state(4, np.uint64)`` for each
+    ``t`` of ``ts``, as one ``(len(ts), 4)`` array, in one pass of uint32
+    arithmetic over all ``ts``.
+
+    Each ``t`` must be one entropy word, ``0 <= t < 2**32``; the prefix
+    follows numpy's rule and may be any number of words.  The hash runs in
+    numpy's order, but a source word's hashes into the three other pool
+    words are one array operation, since none of them changes that word.
+    """
+    ts = np.asarray(ts)
+    if ts.ndim != 1 or ts.dtype.kind not in "iu" or ((ts < 0) | (ts > _MASK32)).any():
+        raise ValueError("trial indices must be integers in [0, 2**32)")
+    head = [w for value in prefix for w in _int_words(value)]
+    entropy = np.zeros((max(len(head) + 1, _POOL), len(ts)), dtype=np.uint32)
+    entropy[:len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head)] = ts
+    a = _powers(_INIT_A, _MULT_A, _POOL * len(entropy))
+    pool = _hashmix(entropy[:_POOL], a[:_POOL], a[1:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):  # mix every pool word into every other one
+        dst = np.arange(_POOL) != src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + 3], a[k + 1:k + 4]))
+        k += 3
+    for src in range(_POOL, len(entropy)):  # entropy longer than the pool
+        pool = _mix(pool, _hashmix(entropy[src], a[k:k + _POOL], a[k + 1:k + _POOL + 1]))
+        k += _POOL
+    b = _powers(_INIT_B, _MULT_B, 2 * _POOL)
+    state = _hashmix(pool[np.arange(2 * _POOL) % _POOL], b[:-1], b[1:])
+    # numpy joins the 32-bit words little-endian into 64-bit ones
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _given_state() -> type:
+    """A seed sequence that hands ``PCG64`` state words computed elsewhere.
+
+    Built on first use, so that importing the package does not import
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds {_POOL} uint64 state words, asked for {n_words} "
+                                 f"of {np.dtype(dtype)}")
+            return self.words
+
+    return GivenState
+
+
+def _generators(prefix, ts):
+    """The generators ``np.random.default_rng([*prefix, t])`` for each ``t``
+    of ``ts`` (each ``0 <= t < 2**32``), in order, with the same streams.
+
+    ``default_rng`` hashes its seed through a ``SeedSequence`` object per
+    generator; this computes the four state words of every ``t`` in one
+    vectorized pass (:func:`_state_words`) and seeds each ``PCG64`` with
+    its words.  Each generator is built when the iteration reaches it.
+    """
+    given = _given_state()
+    return (np.random.Generator(np.random.PCG64(given(words)))
+            for words in _state_words(prefix, ts))
 
 
 def frobenius(x: np.ndarray) -> float:

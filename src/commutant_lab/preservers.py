@@ -6,7 +6,8 @@ directions over sampled triples.
 Shift rules are arbitrary per-input real functions; the quasi-side
 "theorem-compliant" rule returns zero on every matrix that admits a
 noncommuting anticommuting partner.  The necessity search demonstrates that
-dropping this constraint breaks the quasi relation.
+dropping this constraint breaks the quasi relation; keeping it does not
+make a map preserve the relation (see :class:`ShiftPolicy`).
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .hermitian import (
     Tolerance,
     _check_seed,
     _frobenius_stack,
+    _generators,
     _hermitian,
     _projection,
     _stack_depth,
+    _trial_block,
     _unitary,
     frobenius,
     rel_c,
@@ -82,6 +85,13 @@ class ShiftPolicy:
     :func:`quasi_equals_commutant` holds, zero elsewhere).  A shift is
     called with the tolerance of the check that applies it, and only the
     quasi decision reads it.
+
+    ``theorem_compliant_quasi`` does not make a map preserve the quasi
+    triadic relation: the shift vanishes where A itself has a noncommuting
+    anticommuting partner, while the relation reads the difference A - B,
+    so two partner-free matrices with unequal shifts can break it.
+    theorem-5's exploratory run of this shift (trace-based inner policy)
+    breaks 32, 24 and 26 of its 200 triples at seeds 0, 1 and 2.
     """
 
     kind: str
@@ -146,19 +156,35 @@ class PreserverMap:
         return int(self.conjugator.shape[0])
 
 
+def _shifts(shift, a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The shift of each matrix of a stack ``(..., n, n)``, at ``tol``: the
+    closed-form kinds on the whole stack, any other shift matrix by matrix."""
+    kind = shift.kind if isinstance(shift, ShiftPolicy) else None
+    if kind == "zero":
+        return np.zeros(a.shape[:-2])
+    if kind == "constant":
+        return np.full(a.shape[:-2], shift.value, dtype=float)
+    if kind == "trace_based":
+        # each diagonal summed as complex numbers, as np.trace sums one
+        return a.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real / a.shape[-1]
+    n = a.shape[-1]
+    per_matrix = [shift(y, tol) for y in a.reshape(-1, n, n)]
+    return np.array(per_matrix, dtype=float).reshape(a.shape[:-2])
+
+
 def apply_map(m: PreserverMap, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Evaluate the map on one Hermitian matrix, or on each matrix of a stack
-    ``(..., n, n)``; the output is Hermitian.  The shift is evaluated
-    matrix by matrix, at ``tol``."""
+    ``(..., n, n)``; the output is Hermitian.  The shift is evaluated at
+    ``tol``, the ``zero``, ``constant`` and ``trace_based`` kinds on the
+    whole stack and any other shift matrix by matrix; either way each
+    matrix gets the shift of a call on it alone."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != m.conjugator.shape:
         raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape[-2:]}")
-    n = m.dim
     x = a.conj() if m.antiunitary else a
     out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
     out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    shifts = np.array([m.shift(y, tol) for y in a.reshape(-1, n, n)], dtype=float)
-    return out + shifts.reshape(a.shape[:-2] + (1, 1)) * np.eye(n)
+    return out + _shifts(m.shift, a, tol)[..., None, None] * np.eye(m.dim)
 
 
 def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
@@ -209,13 +235,18 @@ def is_violation(verdict: str) -> bool:
 
 @dataclass
 class Violation:
-    """One counterexample triple, with full matrices for replay."""
+    """One counterexample triple, with full matrices for replay.  The
+    matrices are copies, so a violation does not keep alive the stack of
+    triples it was found in."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     direction: str
     trial: int
+
+    def __post_init__(self) -> None:
+        self.a, self.b, self.c = np.array(self.a), np.array(self.b), np.array(self.c)
 
 
 @dataclass
@@ -232,7 +263,7 @@ class TrialReport:
 
 @functools.lru_cache(maxsize=64)
 def _aef_fixtures(weight: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`build_aef`, cached and read-only, since mode-3 triples hold
+    """:func:`build_aef`, cached and read-only, since every caller gets
     these very arrays."""
     fixtures = build_aef(weight, dim)
     for x in fixtures:
@@ -256,116 +287,141 @@ def _swap_partner(v: np.ndarray) -> np.ndarray:
     return (c + c.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _structured_trial(rng: np.random.Generator, dim: int, tol: Tolerance):
-    """Triple biased so the source relation is often true or a near miss.
+# The mode of a fully random triple; modes 0-5 are structured.
+_RANDOM = 6
 
-    Random triples essentially never satisfy the relation, so generators
-    draw the third matrix from structures commuting or anticommuting with
-    the difference of the first two.  A coroutine of :func:`_staged_triples`:
-    it yields its linear algebra as requests and returns the triple.
+
+def _draw(rng: np.random.Generator, dims: tuple[int, ...]):
+    """Every draw of one :func:`property_run` trial, in the order of the
+    serial generator (``tests/oracles.py``): returns ``(dim, mode, draws)``.
+
+    A trial picks a dimension, then a structured or a fully random triple
+    with equal probability.  Random triples essentially never satisfy the
+    relation, so structured modes draw the third matrix from structures
+    commuting or anticommuting with the difference of the first two.
+    Mode 5 alone draws more after its linear algebra (see :func:`_build`),
+    so its draws carry the generator.
     """
-    def normals():
-        return rng.standard_normal((2, dim, dim))
-
+    dim = dims[int(rng.integers(len(dims)))]
+    if rng.random() >= 0.5:
+        return dim, _RANDOM, rng.standard_normal((3, 2, dim, dim))
     mode = int(rng.integers(6))
     if mode == 0:  # scalar difference: relation true for every C
-        raw_b, shift = normals(), float(rng.standard_normal())
-        b, c = yield (_hermitian, raw_b), (_hermitian, normals())
-        return b + shift * np.eye(dim), b, c
+        normals = np.empty((2, 2, dim, dim))  # B, C
+        rng.standard_normal(out=normals[0])
+        shift = float(rng.standard_normal())
+        rng.standard_normal(out=normals[1])
+        return dim, mode, (normals, shift)
     if mode == 1:  # C a spectral function of the difference: commutes
-        a, b = yield (_hermitian, normals()), (_hermitian, normals())
-        (_, v), = yield (np.linalg.eigh, a - b),
-        c, = yield (_spectral, v, rng.standard_normal(dim)),
-        return a, b, c
+        return dim, mode, (rng.standard_normal((2, 2, dim, dim)), rng.standard_normal(dim))
     if mode == 2:  # difference with a sign-symmetric pair, C the partner
         lam = float(rng.uniform(0.5, 2.0))
         values = np.concatenate([[lam, -lam], rng.standard_normal(dim - 2)])
-        v, b = yield (_unitary, normals()), (_hermitian, normals())
-        d, c = yield (_spectral, v, values), (_swap_partner, v)
-        return b + d, b, c
+        return dim, mode, (rng.standard_normal((2, 2, dim, dim)), values)  # V, B
     if mode == 3:  # block fixtures on a weight grid: boundary cases
         weight = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
-        fa, fe, ff = _aef_fixtures(weight, dim)
         grid = [-2.0, -1.0, 0.5, 1.0, 2.0]
         alpha = float(rng.choice(grid))
         eps = alpha if rng.random() < 0.5 else float(rng.choice(grid))
-        return alpha * fa, eps * fe, ff
-    if mode == 4:  # affine projections
+        return dim, mode, (weight, alpha, eps)
+    if mode == 4:  # affine projections A = s_a P_a + t_a I, B = s_b P_b + t_b I, C = P_c
+        normals = np.empty((3, 2, dim, dim))
         rank_a, rank_b = int(rng.integers(1, dim)), int(rng.integers(1, dim))
-        # A = s_a P_a + t_a I and B = s_b P_b + t_b I
-        s_a, raw_a, t_a = float(rng.standard_normal()), normals(), float(rng.standard_normal())
-        s_b, raw_b, t_b = float(rng.standard_normal()), normals(), float(rng.standard_normal())
+        s_a = float(rng.standard_normal())
+        rng.standard_normal(out=normals[0])
+        t_a = float(rng.standard_normal())
+        s_b = float(rng.standard_normal())
+        rng.standard_normal(out=normals[1])
+        t_b = float(rng.standard_normal())
         rank_c = int(rng.integers(1, dim))
-        u_a, u_b, u_c = yield (_unitary, raw_a), (_unitary, raw_b), (_unitary, normals())
-        eye = np.eye(dim)
-        return (s_a * _projection(u_a, rank_a) + t_a * eye,
-                s_b * _projection(u_b, rank_b) + t_b * eye,
-                _projection(u_c, rank_c))
+        rng.standard_normal(out=normals[2])
+        return dim, mode, (normals, rank_a, s_a, t_a, rank_b, s_b, t_b, rank_c)
     # mode 5: C from the anticommutant of a sign-symmetric difference
     lam = float(rng.uniform(0.5, 2.0))
     fill = rng.standard_normal(dim - 2) if dim > 2 else np.zeros(0)
     values = np.concatenate([[lam, -lam], fill])
-    v, = yield (_unitary, normals()),
-    d, = yield (_spectral, v, values),
-    # The one boundary that depends on data: how many coefficients the
-    # trial draws next is the dimension of the anticommutant of d.
-    (w, vectors), = yield (np.linalg.eigh, d),
-    _, anti, _ = _cut_masks(w, frobenius(d), tol)
-    part = _pair_subspace(vectors, anti)
-    if part.real_dimension:
-        c = part.random_element(rng)
-        b, = yield (_hermitian, normals()),
-    else:
-        c, b = yield (_hermitian, normals()), (_hermitian, normals())
-    return b + d, b, c
+    return dim, mode, (rng.standard_normal((2, dim, dim)), values, rng)
 
 
-def _trial(rng: np.random.Generator, dims: tuple[int, ...], tol: Tolerance):
-    """One trial of :func:`property_run` as a coroutine of
-    :func:`_staged_triples`: a dimension, then a structured or a fully
-    random triple with equal probability.  Returns ``(dim, (a, b, c))``."""
-    dim = dims[int(rng.integers(len(dims)))]
-    if rng.random() < 0.5:
-        return dim, (yield from _structured_trial(rng, dim, tol))
-    a, b, c = yield tuple((_hermitian, rng.standard_normal((2, dim, dim))) for _ in range(3))
-    return dim, (a, b, c)
+def _build(mode: int, dim: int, draws: list, tol: Tolerance) -> np.ndarray:
+    """The triples of one mode and dimension from their draws, as a stack
+    ``(T, 3, n, n)``.  Each step (symmetrization, QR, ``eigh``, spectral
+    and partner products) is one call on the stack of the group, which
+    treats every slice as the per-matrix call would."""
+    eye = np.eye(dim)
+    if mode == _RANDOM:
+        return _hermitian(np.array(draws))
+    if mode == 0:
+        normals, shift = zip(*draws)
+        b, c = _hermitian(np.array(normals)).swapaxes(0, 1)
+        return np.stack([b + np.array(shift)[:, None, None] * eye, b, c], axis=1)
+    if mode == 1:
+        normals, values = zip(*draws)
+        a, b = _hermitian(np.array(normals)).swapaxes(0, 1)
+        _, v = np.linalg.eigh(a - b)
+        return np.stack([a, b, _spectral(v, np.array(values))], axis=1)
+    if mode == 2:
+        normals, values = zip(*draws)
+        normals = np.array(normals)
+        v, b = _unitary(normals[:, 0]), _hermitian(normals[:, 1])
+        return np.stack([b + _spectral(v, np.array(values)), b, _swap_partner(v)], axis=1)
+    if mode == 3:
+        fixtures = [_aef_fixtures(weight, dim) for weight, _, _ in draws]
+        return np.array([(alpha * fa, eps * fe, ff)
+                         for (fa, fe, ff), (_, alpha, eps) in zip(fixtures, draws)], dtype=complex)
+    if mode == 4:
+        u = _unitary(np.array([normals for normals, *_ in draws]))
+        return np.array([(s_a * _projection(ua, rank_a) + t_a * eye,
+                          s_b * _projection(ub, rank_b) + t_b * eye,
+                          _projection(uc, rank_c))
+                         for (ua, ub, uc), (_, rank_a, s_a, t_a, rank_b, s_b, t_b, rank_c)
+                         in zip(u, draws)])
+    # mode 5: how many coefficients a trial draws next is the dimension of
+    # the anticommutant of its difference d, so its tail waits for eigh(d).
+    normals, values, rngs = zip(*draws)
+    d = _spectral(_unitary(np.array(normals)), np.array(values))
+    w, vectors = np.linalg.eigh(d)
+    tails = np.zeros((len(draws), 2, 2, dim, dim))  # C, unless drawn from the part, and B
+    from_part = {}
+    for i, rng in enumerate(rngs):
+        _, anti, _ = _cut_masks(w[i], frobenius(d[i]), tol)
+        part = _pair_subspace(vectors[i], anti)
+        if part.real_dimension:
+            from_part[i] = part.random_element(rng)
+            rng.standard_normal(out=tails[i, 1])
+        else:
+            rng.standard_normal(out=tails[i])
+    c, b = _hermitian(tails).swapaxes(0, 1)
+    for i, x in from_part.items():
+        c[i] = x
+    return np.stack([b + d, b, c], axis=1)
 
 
-def _staged_triples(seed: int, start: int, stop: int, dims: tuple[int, ...], tol: Tolerance):
-    """``(dim, (a, b, c))`` of the trials ``start .. stop - 1``, in trial order.
+def _triples(seed: int, ts: range, dims: tuple[int, ...], tol: Tolerance):
+    """The triples of the trials ``ts`` by dimension: ``{dim: (trials,
+    stack)}``, the trial indices in order and their ``(T, 3, n, n)`` stack.
 
-    Each trial is a coroutine with its own generator ``default_rng([seed,
-    t])`` that makes every draw in the order of the serial generator
-    (``tests/oracles.py``) and yields its linear algebra as a tuple of
-    requests ``(function, *arrays)``.  A round advances every pending trial
-    to its next requests, then makes each group of requests with the same
-    function and first-array shape one call on stacked arrays, which
-    treats every slice as the per-matrix call would, and sends each trial
-    its slices.
+    Trial ``t`` makes all its draws from its own generator
+    ``default_rng([seed, t])``, made by
+    :func:`~commutant_lab.hermitian._generators` (:func:`_draw`); then the
+    trials of each mode and dimension are built at once (:func:`_build`).
     """
-    trials = [_trial(np.random.default_rng([seed, t]), dims, tol) for t in range(start, stop)]
-    triples = [None] * len(trials)
-    replies: list = [None] * len(trials)
-    pending = range(len(trials))
-    while pending:
-        groups: dict = {}
-        waiting = []
-        for i in pending:
-            try:
-                requests = trials[i].send(replies[i])
-            except StopIteration as done:
-                triples[i] = done.value
-                continue
-            waiting.append(i)
-            replies[i] = [None] * len(requests)
-            for j, (fn, *args) in enumerate(requests):
-                groups.setdefault((fn, args[0].shape), []).append((i, j, args))
-        for (fn, _), group in groups.items():
-            out = fn(*(np.stack(column) for column in zip(*(args for _, _, args in group))))
-            for (i, j, _), result in zip(group, zip(*out) if isinstance(out, tuple) else out):
-                replies[i][j] = result
-        pending = waiting
-    return triples
+    groups: dict = {}  # (dim, mode) -> ([trial], [draws])
+    for t, rng in zip(ts, _generators([seed], ts)):
+        dim, mode, draws = _draw(rng, dims)
+        trials, drawn = groups.setdefault((dim, mode), ([], []))
+        trials.append(t)
+        drawn.append(draws)
+    out = {}
+    for dim in sorted({dim for dim, _ in groups}):
+        keys = [key for key in groups if key[0] == dim]
+        trials = np.sort(np.concatenate([groups[key][0] for key in keys]))
+        stack = np.empty((len(trials), 3, dim, dim), dtype=complex)
+        for key in keys:
+            group_trials, drawn = groups[key]
+            stack[np.searchsorted(trials, group_trials)] = _build(key[1], dim, drawn, tol)
+        out[dim] = trials, stack
+    return out
 
 
 def property_run(
@@ -379,12 +435,11 @@ def property_run(
     ``maps`` is one map or a dict keyed by dimension; each trial derives its
     own generator from ``(seed, trial index)``, so runs replay exactly and
     trials may be evaluated in any order.  Each trial draws a structured
-    or a fully random triple with equal probability.  Triples are drawn
-    ``BLOCK`` trials at a time (fewer past n = 11 for the largest dimension,
-    see :func:`~commutant_lab.hermitian._stack_depth`) by
-    :func:`_staged_triples`, and each block is evaluated per dimension in
-    one stack; the verdicts are those of :func:`check_triadic`, and
-    violations are listed in trial order.
+    or a fully random triple with equal probability.  Triples are made
+    by :func:`_triples` a block of trials at a time (see
+    :func:`~commutant_lab.hermitian._trial_block`), and each block is
+    evaluated per dimension in one stack; the verdicts are those of
+    :func:`check_triadic`, and violations are listed in trial order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -393,17 +448,13 @@ def property_run(
         maps = {maps.dim: maps}
     dims = tuple(sorted(maps))
     violations: list[Violation] = []
-    step = _stack_depth(max(dims))
+    step = _trial_block(max(dims))
     for start in range(0, trials, step):
-        drawn: dict[int, list] = {}  # dim -> [(trial, (a, b, c))]
-        stop = min(start + step, trials)
-        for t, (dim, triple) in enumerate(_staged_triples(seed, start, stop, dims, tol), start):
-            drawn.setdefault(dim, []).append((t, triple))
         found = []
-        for dim, group in drawn.items():
-            stack = np.array([triple for _, triple in group], dtype=complex)
+        blocks = _triples(seed, range(start, min(start + step, trials)), dims, tol)
+        for dim, (indices, stack) in blocks.items():
             verdicts = check_triadic(maps[dim], stack[:, 0], stack[:, 1], stack[:, 2], tol)
-            found += [Violation(*group[i][1], direction=str(verdicts[i]), trial=group[i][0])
+            found += [Violation(*stack[i], direction=str(verdicts[i]), trial=int(indices[i]))
                       for i in np.flatnonzero((verdicts == VIOLATION_FORWARD)
                                               | (verdicts == VIOLATION_BACKWARD))]
         violations += sorted(found, key=lambda v: v.trial)
@@ -468,8 +519,7 @@ def necessity_search(
         return swap
 
     zero = np.zeros((dim, dim), dtype=complex)
-    for t in range(budget):
-        rng = np.random.default_rng([seed, t])
+    for t, rng in enumerate(_generators([seed], range(budget))):
         c = candidate(t, rng)
         verdict = check_triadic(preserver, a0, zero, c, tol)
         if is_violation(verdict):
@@ -483,7 +533,8 @@ def necessity_search(
 def _lemma4_candidates(a: np.ndarray, seed: int, start: int, stop: int) -> np.ndarray:
     """The :func:`lemma4_check` candidates ``start .. stop - 1`` around ``A``.
 
-    Each generator ``default_rng([seed, t])`` makes its draws in the order
+    Each generator ``default_rng([seed, t])``, made by
+    :func:`~commutant_lab.hermitian._generators`, makes its draws in the order
     of a per-candidate build; then each mode's arithmetic runs once on the
     stack of its rows.  The stacked norm of mode 0 may differ from
     ``frobenius`` in the last bit, and so may those candidates.
@@ -492,8 +543,8 @@ def _lemma4_candidates(a: np.ndarray, seed: int, start: int, stop: int) -> np.nd
     mode = np.arange(start, stop) % 3
     normals = np.zeros((stop - start, 2, n, n))  # mode 2 draws none
     draw = np.zeros(stop - start)  # log10 eps (mode 0) or the factor (mode 2)
-    for i, t in enumerate(range(start, stop)):
-        rng = np.random.default_rng([seed, t])
+    ts = range(start, stop)
+    for i, (t, rng) in enumerate(zip(ts, _generators([seed], ts))):
         if t % 3 == 2:
             draw[i] = rng.uniform(-3.0, 3.0)
         else:

@@ -30,6 +30,7 @@ from .hermitian import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _check_seed,
+    _generators,
     frobenius,
     is_scalar,
     random_hermitian,
@@ -185,19 +186,16 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=DEFAULT_TOLERANCE):
         rec.check(sign_ok, lambda: {"a": matrix_to_payload(a), "b": matrix_to_payload(b),
                                     "lambda": [lam.real, lam.imag], "residual": residual})
 
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 1, t])
+    for rng in _generators([seed, 1], range(trials)):
         dim = dims[int(rng.integers(len(dims)))]
         lambda_check(random_hermitian(dim, rng), random_hermitian(dim, rng))
-    for t in range(CONSTRUCTED_PAIRS):
-        rng = np.random.default_rng([seed, 2, t])
+    for rng in _generators([seed, 2], range(CONSTRUCTED_PAIRS)):
         dim = dims[int(rng.integers(len(dims)))]
         a = random_hermitian(dim, rng)
         w, v = np.linalg.eigh(a)
         b = (v * rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)) @ v.conj().T
         lambda_check(a, (b + b.conj().T) / 2.0, expected_sign=1.0)
-    for t in range(CONSTRUCTED_PAIRS):
-        rng = np.random.default_rng([seed, 3, t])
+    for rng in _generators([seed, 3], range(CONSTRUCTED_PAIRS)):
         dim = dims[int(rng.integers(len(dims)))]
         lam = float(rng.uniform(0.5, 2.0))
         values = np.concatenate([[lam, -lam], rng.standard_normal(dim - 2)])
@@ -239,8 +237,7 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=DEFAULT_TOLERA
             rec.check(qc.anticommutant_part.real_dimension == anti_expected)
             rec.check(scalar_witness(a, seed=seed, tol=tol) is None)
 
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 4, t])
+    for t, rng in enumerate(_generators([seed, 4], range(trials))):
         dim = dims[t % len(dims)]
         a = random_hermitian(dim, rng)
         if is_scalar(a, tol):
@@ -267,8 +264,7 @@ def suite_lemma_scalar(dims=(3, 4, 5, 8), trials=100, seed=0, tol=DEFAULT_TOLERA
 def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=DEFAULT_TOLERANCE):
     """Mutual shifted anticommutation at a nonzero shift pins B to A."""
     rec = _Recorder()
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 5, t])
+    for t, rng in enumerate(_generators([seed, 5], range(trials))):
         dim = dims[t % len(dims)]
         lam = float(rng.choice([0.7, -1.5, 2.0, 3.0, -0.5]))
         rank = int(rng.integers(1, dim + 1))
@@ -344,8 +340,7 @@ def suite_lemma_18(dims=(3, 4, 5, 8), trials=120, seed=0, tol=DEFAULT_TOLERANCE)
     rec = _Recorder()
     witnesses = 0
     pool = np.arange(-5, 6)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 6, t])
+    for rng in _generators([seed, 6], range(trials)):
         dim = dims[int(rng.integers(len(dims)))]
         a = _controlled_sample(rng, dim, pool)
         pred = has_two_point_spectrum(a, tol)
@@ -371,8 +366,7 @@ def suite_lemma_181(dims=(3, 4, 5, 8), trials=100, seed=0, tol=DEFAULT_TOLERANCE
     partition oracle."""
     rec = _Recorder()
     pool = np.arange(0, 9)  # nonnegative values: no sign-symmetric pairs
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 7, t])
+    for rng in _generators([seed, 7], range(trials)):
         dim = dims[int(rng.integers(len(dims)))]
         a = _controlled_sample(rng, dim, pool)
         if not quasi_equals_commutant(a, tol):
@@ -396,14 +390,13 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=DEFAULT_TOLERANCE, t
     quasi-commutant is a subspace, no member of the second commutant is."""
     rec = _Recorder()
     refuted = members_checked = 0
-    for i in range(trials):
-        rng = np.random.default_rng([seed, 8, i])
+    for i, rng in enumerate(_generators([seed, 8], range(trials))):
         dim = dims[int(rng.integers(len(dims)))]
         a = random_hermitian(dim, rng)
         qc = quasi_commutant(a, tol)
         bic = bicommutant(a, tol)
-        for j in range(targets):
-            x = random_hermitian(dim, np.random.default_rng([seed, 9, i, j]))
+        for j, target_rng in enumerate(_generators([seed, 9, i], range(targets))):
+            x = random_hermitian(dim, target_rng)
             if bic.residual(x) <= 1e-6 * max(1.0, frobenius(x)):
                 continue  # vanishing-probability resample guard
             witness = refute_biquasi_membership(x, a, budget=REFUTATION_BUDGET, seed=seed + j,

@@ -1,5 +1,9 @@
 """Core relations: Jordan product, commute/anticommute predicates, sampling."""
 
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +31,7 @@ from commutant_lab import (
     subspace_leq,
     triadic_relation,
 )
-from commutant_lab.hermitian import _hermitian, _unitary
+from commutant_lab.hermitian import _generators, _given_state, _hermitian, _state_words, _unitary
 from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
 
 from conftest import SWAP2, diag
@@ -430,6 +434,59 @@ class TestSampling:
             wi, vi = np.linalg.eigh(_hermitian(x))
             assert (wi.tobytes(), vi.tobytes()) == (w[i].tobytes(), v[i].tobytes())
             assert (_unitary(x) @ _hermitian(x)).tobytes() == products[i].tobytes()
+
+
+FACTORY_SEEDS = (0, 1, 7919 * 9, 2**32 - 1, 2**32, 2**64 + 3)
+# entropy [s, t], [s, k, t] and [s, 9, i, j], and seven words before t: more
+# than the four-word pool of a SeedSequence
+FACTORY_PREFIXES = ([*([s] for s in FACTORY_SEEDS), *([s, 5] for s in FACTORY_SEEDS),
+                     *([s, 9, 7] for s in FACTORY_SEEDS), [2**64 + 3, 2**40, 7, 1]])
+FACTORY_TRIALS = (0, 1, 2**32 - 1)
+
+
+class TestGeneratorFactory:
+    """``_generators`` and ``_state_words`` against numpy's ``SeedSequence``
+    and ``default_rng``."""
+
+    @pytest.mark.parametrize("prefix", FACTORY_PREFIXES, ids=str)
+    def test_state_words_match_seed_sequence(self, prefix):
+        words = _state_words(prefix, FACTORY_TRIALS)
+        assert words.shape == (len(FACTORY_TRIALS), 4)
+        for t, row in zip(FACTORY_TRIALS, words, strict=True):
+            expected = np.random.SeedSequence([*prefix, t]).generate_state(4, np.uint64)
+            assert (row.dtype, row.tobytes()) == (expected.dtype, expected.tobytes())
+
+    @pytest.mark.parametrize("prefix", FACTORY_PREFIXES, ids=str)
+    def test_streams_match_default_rng(self, prefix):
+        for t, rng in zip(FACTORY_TRIALS, _generators(prefix, FACTORY_TRIALS), strict=True):
+            expected = np.random.default_rng([*prefix, t]).standard_normal(1000)
+            assert rng.standard_normal(1000).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("ts", [[-1], [2**32], [3, 2**32 + 5], [2**64], [1.0]])
+    def test_trial_index_beyond_one_word_rejected(self, ts):
+        with pytest.raises(ValueError, match=r"trial indices must be integers in \[0, 2\*\*32\)"):
+            _generators([0], ts)
+
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ValueError, match="entropy words must be nonnegative"):
+            _generators([0, -1], [0])
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                (8, np.uint64)])
+    def test_given_state_refuses_other_requests(self, n_words, dtype):
+        words = _state_words([3], [4])[0]
+        given = _given_state()(words)
+        assert given.generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match="holds 4 uint64 state words"):
+            given.generate_state(n_words, dtype)
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        import commutant_lab
+
+        src = pathlib.Path(commutant_lab.__file__).resolve().parents[1]
+        code = "import sys, commutant_lab.cli; sys.exit('numpy.random' in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={"PYTHONPATH": str(src)}, timeout=60)
 
 
 class TestIngestion:

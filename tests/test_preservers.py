@@ -30,7 +30,7 @@ from commutant_lab import (
     scalar_witness,
     triadic_relation,
 )
-from commutant_lab.hermitian import BLOCK, _stack_depth
+from commutant_lab.hermitian import BLOCK, _trial_block
 from commutant_lab.preservers import (
     BOTH_FAIL,
     BOTH_HOLD,
@@ -38,10 +38,10 @@ from commutant_lab.preservers import (
     VIOLATION_FORWARD,
     _aef_fixtures,
     _lemma4_candidates,
-    _staged_triples,
+    _triples,
     default_necessity_anchor,
 )
-from commutant_lab.suites import replay_violation, violation_to_payload
+from commutant_lab.suites import replay_violation, suite_theorem_5, violation_to_payload
 
 from conftest import diag
 from oracles import (
@@ -271,6 +271,16 @@ class TestQuasiWindow:
             assert replay_violation(record, tol) == (expected, True)
 
 
+@pytest.mark.parametrize("seed, observed", [(0, 32), (1, 24), (2, 26)])
+def test_compliant_quasi_shift_breaks_the_quasi_relation(seed, observed):
+    """The ``theorem_compliant_quasi`` shift vanishes on matrices that have
+    a noncommuting anticommuting partner, but the quasi relation reads the
+    difference A - B, so the compliant map of theorem-5's exploratory run
+    (trace-based inner shift, 200 trials) breaks triples."""
+    details = suite_theorem_5(trials=1, seed=seed)["details"]["exploratory_nonzero_shift"]
+    assert (details["trials"], details["violations_observed"]) == (200, observed)
+
+
 class TestAntiunitaryConsistency:
     def test_spectrum_preserved(self):
         for seed in range(10):
@@ -336,9 +346,18 @@ class TestPropertyRun:
             property_run({3: wrong}, trials=5)
 
 
+def block_triples(dims, start, stop, tol):
+    """``(trial, dim, triple)`` of the trials ``start .. stop - 1`` made by
+    ``_triples``, in trial order."""
+    made = [(int(t), dim, tuple(triple))
+            for dim, (trials, stack) in _triples(11, range(start, stop), dims, tol).items()
+            for t, triple in zip(trials, stack, strict=True)]
+    return sorted(made, key=lambda item: item[0])
+
+
 class TestStagedGenerator:
-    """The staged generator of ``property_run`` against ``serial_triple``,
-    which makes one sampler call per matrix."""
+    """The draw-then-build generator of ``property_run`` against
+    ``serial_triple``, which makes one sampler call per matrix."""
 
     # A rank cut loose enough to join eigenvalue pairs of mode 5's
     # difference, so that its trials draw other coefficient counts.
@@ -348,12 +367,12 @@ class TestStagedGenerator:
     @pytest.mark.parametrize("loose", [False, True], ids=["default", "loose-rank-cut"])
     def test_matches_serial_triple_byte_for_byte(self, dims, loose):
         tol = self.LOOSE if loose else Tolerance()
-        trials = 300  # two full blocks and a partial one
-        assert trials % BLOCK
-        staged = [triple for start in range(0, trials, BLOCK)
-                  for triple in _staged_triples(11, start, min(start + BLOCK, trials), dims, tol)]
-        assert len(staged) == trials
-        for t, (dim, triple) in enumerate(staged):
+        step = _trial_block(max(dims))
+        trials = 2 * step + 44  # two full blocks and a partial one
+        made = [item for start in range(0, trials, step)
+                for item in block_triples(dims, start, min(start + step, trials), tol)]
+        assert [t for t, _, _ in made] == list(range(trials))
+        for t, dim, triple in made:
             rng = np.random.default_rng([11, t])
             assert dim == dims[int(rng.integers(len(dims)))]
             for x, y in zip(triple, serial_triple(rng, dim, tol), strict=True):
@@ -363,10 +382,10 @@ class TestStagedGenerator:
     def test_loose_rank_cut_changes_mode_5_draws(self, dims):
         # only mode 5 reads the tolerance, so a changed triple is a mode-5
         # trial whose anticommutant dimension moved
-        default = _staged_triples(11, 0, BLOCK, dims, Tolerance())
-        loose = _staged_triples(11, 0, BLOCK, dims, self.LOOSE)
+        default = block_triples(dims, 0, BLOCK, Tolerance())
+        loose = block_triples(dims, 0, BLOCK, self.LOOSE)
         assert any(x.tobytes() != y.tobytes()
-                   for (_, p), (_, q) in zip(default, loose) for x, y in zip(p, q))
+                   for (_, _, p), (_, _, q) in zip(default, loose) for x, y in zip(p, q))
 
     def test_cached_aef_fixtures_are_read_only(self):
         cached = _aef_fixtures(0.5, 4)
@@ -438,13 +457,37 @@ class TestBatchedOracle:
         single = apply_map(m, stack[0])
         assert single.shape == (4, 4) and single.tobytes() == out[0].tobytes()
 
+    @pytest.mark.parametrize("dim", [3, 8, 9, 16, 32])
+    @pytest.mark.parametrize("kind, value", [("zero", 0.0), ("constant", -0.7),
+                                             ("trace_based", 0.0)])
+    def test_closed_form_shift_on_a_stack_matches_serial(self, kind, value, dim):
+        """The closed-form shifts run on the whole stack.  From n = 8 on,
+        numpy sums a complex trace in unrolled partial sums, not left to
+        right, and the stacked sum must follow it."""
+        m = quasi_map(dim, 39, antiunitary=True, scale=-1.5, shift=ShiftPolicy(kind, value))
+        # diagonals of mixed magnitudes, so that the order of a sum shows
+        stack = np.array([random_hermitian(dim, [39, dim, t]) * 10.0 ** (t % 7 - 3)
+                          + (t - 12) * np.eye(dim) for t in range(30)])
+        # property_run's layout: every B of a (T, 3, n, n) block
+        for x in (stack, stack.reshape(2, 15, dim, dim), stack.reshape(10, 3, dim, dim)[:, 1]):
+            out = apply_map(m, x)
+            assert out.shape == x.shape
+            for y, z in zip(out.reshape(-1, dim, dim), x.reshape(-1, dim, dim)):
+                assert y.tobytes() == serial_apply_map(m, z).tobytes()
+
+    def test_violation_copies_its_matrices(self):
+        block = np.array([random_hermitian(3, [40, t]) for t in range(6)]).reshape(2, 3, 3, 3)
+        v = Violation(*block[1], direction=VIOLATION_FORWARD, trial=1)
+        for x, y in zip((v.a, v.b, v.c), block[1]):
+            assert not np.shares_memory(x, block) and x.tobytes() == y.tobytes()
+
     @staticmethod
     def check_property_run(name, dims, trials):
         """``property_run`` against ``serial_property_run`` over blocks of
-        ``_stack_depth(max(dims))`` trials, the last one partial."""
+        ``_trial_block(max(dims))`` trials, the last one partial."""
         violates, build = ORACLE_MAPS[name]
         maps = {d: build(d) for d in dims}
-        assert trials > _stack_depth(max(dims)) and trials % _stack_depth(max(dims))
+        assert trials > _trial_block(max(dims)) and trials % _trial_block(max(dims))
         report = property_run(maps, trials=trials, seed=5)
         expected = serial_property_run(maps, trials, seed=5)
         assert bool(expected) == violates
@@ -458,7 +501,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic(self, name):
-        self.check_property_run(name, (3, 4, 5), BLOCK + 44)  # two blocks of up to 128
+        self.check_property_run(name, (3, 4, 5), _trial_block(5) + 44)  # two blocks
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic_at_n32(self, name):

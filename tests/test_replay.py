@@ -1,7 +1,7 @@
 """Replay rule: suite reports reproduce their recorded report bodies.
 
-The body of ``verify all --seed 0 --format json``, and of ``verify
-theorem-4`` and ``verify theorem-5`` at ``--trials 2000 --seed 0``, with
+The body of ``verify all --format json`` at seeds 0, 1 and 2, and of
+``verify theorem-4`` and ``verify theorem-5`` at ``--trials 2000 --seed 0``, with
 every ``elapsed_seconds`` removed, must hash to the digests recorded in
 ``benchmarks/digests.json``; any change to a suite's checks, counts,
 details or counterexamples shows up here.  The theorem suites pin the
@@ -37,8 +37,8 @@ def strip_elapsed(obj):
     return obj
 
 
-def body_digest(capsys, argv):
-    code = main([*argv, "--seed", "0", "--format", "json"])
+def body_digest(capsys, argv, seed=0):
+    code = main([*argv, "--seed", str(seed), "--format", "json"])
     body = strip_elapsed(json.loads(capsys.readouterr().out))
     assert code == 0
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
@@ -46,6 +46,11 @@ def body_digest(capsys, argv):
 
 def test_verify_all_seed_0_matches_recorded_digest(capsys):
     assert body_digest(capsys, ["verify", "all"]) == DIGESTS["verify-all"]["0"][0]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_all_past_seed_0_matches_recorded_digest(capsys, seed):
+    assert body_digest(capsys, ["verify", "all"], seed) == DIGESTS["verify-all"][str(seed)][0]
 
 
 @pytest.mark.parametrize("index, suite", [(0, "theorem-4"), (1, "theorem-5")],
