@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run one named suite or all of them")
     verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
-    verify.add_argument("--dim", type=int, default=None, help="single dimension")
     verify.add_argument("--dims", type=str, default=None,
                         help="comma-separated dimensions, e.g. 3,4,5")
     verify.add_argument("--trials", type=int, default=None)
@@ -249,11 +248,7 @@ def cmd_replay(args, given: dict) -> dict:
 
 
 def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
-    dims = None
-    if args.dims is not None:
-        dims = _parse_dims(args.dims)
-    if args.dim is not None:
-        dims = (args.dim,) if dims is None else (*dims, args.dim)
+    dims = None if args.dims is None else _parse_dims(args.dims)
     every = args.suite == "all"
     names = list(SUITE_NAMES) if every else [args.suite]
     # ``all`` applies --trials to the sampled suites and --a to lemma-aef only.

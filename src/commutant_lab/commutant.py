@@ -343,13 +343,13 @@ def refute_biquasi_membership(
     ValueError.
 
     The pool is built lazily and decided by :func:`rel_stack` in chunks:
-    the first candidate alone, since most outsiders fail it, then
-    ``BLOCK`` candidates at a time (fewer past n = 11, see
-    :func:`~commutant_lab.hermitian._stack_depth`).  The witness is the
-    first failing candidate in pool order.  A
-    :class:`numpy.random.Generator` passed as ``seed`` therefore advances
-    by the draws of every random candidate up to the end of the chunk that
-    holds the witness, or of all of them when there is none.
+    the first candidate alone, since most outsiders fail it, then as many
+    at a time as :func:`~commutant_lab.hermitian._stack_depth` gives.  The
+    witness is the first failing candidate in pool order, whatever the
+    chunk size.  A :class:`numpy.random.Generator` passed as ``seed``
+    therefore advances by the draws of every random candidate up to the
+    end of the chunk that holds the witness, or of all of them when there
+    is none.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")

@@ -37,41 +37,24 @@ __all__ = [
 
 RELATION_KINDS = ("commutative", "quasi")
 
-# Stacked searches (property_run trials, lemma-4 candidates, refutation
-# candidates) build, stack and decide this many items at a time.  In
-# form-check passes on a 2-vCPU VM, blocks of 128 ran as fast as blocks of
-# 256 (64 was 4% slower) and raised the peak resident set by under 1 MiB,
-# against 1.5 MiB for 256 and 6.5 MiB for 1024.
-BLOCK = 128
-
 
 def _stack_depth(n: int) -> int:
-    """How many ``n x n`` candidates a search stacks: ``BLOCK``, or fewer
-    past n = 11, so that a stack holds at most ``BLOCK * 128`` = 16,384
-    entries (256 KiB of complex numbers).
+    """How many ``n x n`` items a stacked search builds and decides at a
+    time: as many as fit in 16,384 entries (256 KiB of complex numbers),
+    and at least one.  ``property_run`` trials (at its largest dimension),
+    ``lemma4_check`` candidates and refutation candidates all go by it:
+    256 at n = 8, 1820 at n = 3, 113 at n = 12, 16 at n = 32.
 
-    Past n = 11 a stack of ``BLOCK`` matrices outgrows a core's cache.  At
-    n = 32 on the same VM, stacked commutation verdicts took 6.8 ms per 128
-    pairs in stacks of 128 and 3.1-3.9 ms in stacks of 16-64, against
-    5.6 ms for 128 serial ``rel_c`` calls.
+    On a 2-vCPU VM, ``verify theorem-4`` and ``theorem-5`` at 2000 trials
+    (dims 3, 4, 5, 8) took 2.32-2.65 s in blocks of 256 trials against
+    2.72-3.33 s in blocks of 128, since a block splits into one group per
+    dimension and mode and small groups pay the overhead of each stacked
+    call.  Larger stacks outgrow a core's cache: at n = 32, stacked
+    commutation verdicts took 6.8 ms per 128 pairs in stacks of 128 and
+    3.1-3.9 ms in stacks of 16-64, against 5.6 ms for 128 serial ``rel_c``
+    calls.
     """
-    return max(1, min(BLOCK, BLOCK * 128 // (n * n)))
-
-
-def _trial_block(n: int) -> int:
-    """How many trials ``property_run`` makes and decides at a time when its
-    largest dimension is ``n``: ``2 * BLOCK`` up to n = 11, else
-    ``_stack_depth(n)``.
-
-    A block's triples are built in one group per dimension and mode, each
-    group by its own stacked calls, so a block of ``BLOCK`` trials at the
-    default dims 3, 4, 5, 8 splits into 28 groups of 4-5 triples, and the
-    overhead per call dominates.  On a 2-vCPU VM, ``verify theorem-4`` and
-    ``theorem-5`` at 2000 trials took 2.32-2.65 s in blocks of 256 against
-    2.72-3.33 s in blocks of 128, with the peak resident set up 1 MiB;
-    blocks of 512 took 2.19-2.44 s but raised it by 3.1 MiB.
-    """
-    return 2 * BLOCK if n <= 11 else _stack_depth(n)
+    return max(1, 16384 // (n * n))
 
 
 @dataclass(frozen=True)
@@ -379,6 +362,12 @@ def _unitary(normals: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``V diag(values) V*``, symmetrized, for one eigenbasis or a stack."""
+    c = (v * values[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (c + c.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _projection(u: np.ndarray, rank: int) -> np.ndarray:

@@ -33,8 +33,8 @@ from .hermitian import (
     _generators,
     _hermitian,
     _projection,
+    _spectral,
     _stack_depth,
-    _trial_block,
     _unitary,
     frobenius,
     rel_c,
@@ -109,19 +109,33 @@ class ShiftPolicy:
         if self.kind == "theorem_compliant_quasi" and self.inner is None:
             self.inner = ShiftPolicy("zero")
 
-    def __call__(self, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+    def __call__(self, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> float | np.ndarray:
+        """The shift of one matrix, a ``float``, or of each matrix of a
+        stack ``(..., n, n)``, an array of shape ``a.shape[:-2]``; each
+        matrix of a stack gets the shift of a call on it alone."""
+        a = np.asarray(a)
         if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "trace_based":
-            return float(np.trace(a).real) / a.shape[0]
-        if self.kind == "pinned":
-            sym = (np.asarray(a, dtype=complex) + np.asarray(a, dtype=complex).conj().T) / 2.0
+            shift = np.zeros(a.shape[:-2])
+        elif self.kind == "constant":
+            shift = np.full(a.shape[:-2], self.value, dtype=float)
+        elif self.kind == "trace_based":
+            # each diagonal summed as np.trace sums one
+            shift = a.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real / a.shape[-1]
+        elif self.kind == "pinned":
+            sym = (a + a.conj().swapaxes(-1, -2)) / 2.0
             anchor = (self.anchor + self.anchor.conj().T) / 2.0
-            return self.value if np.array_equal(sym, anchor) else 0.0
-        # theorem_compliant_quasi
-        return self.inner(a, tol) if quasi_equals_commutant(a, tol) else 0.0
+            shift = _per_matrix(sym, lambda y: self.value if np.array_equal(y, anchor) else 0.0)
+        else:  # theorem_compliant_quasi
+            shift = _per_matrix(a, lambda y: self.inner(y, tol)
+                                if quasi_equals_commutant(y, tol) else 0.0)
+        return float(shift) if a.ndim == 2 else shift
+
+
+def _per_matrix(a: np.ndarray, shift) -> np.ndarray:
+    """``shift(y)`` of each matrix ``y`` of a stack ``(..., n, n)``, as an
+    array of shape ``a.shape[:-2]``."""
+    n = a.shape[-1]
+    return np.array([shift(y) for y in a.reshape(-1, n, n)], dtype=float).reshape(a.shape[:-2])
 
 
 @dataclass(eq=False)
@@ -156,35 +170,22 @@ class PreserverMap:
         return int(self.conjugator.shape[0])
 
 
-def _shifts(shift, a: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The shift of each matrix of a stack ``(..., n, n)``, at ``tol``: the
-    closed-form kinds on the whole stack, any other shift matrix by matrix."""
-    kind = shift.kind if isinstance(shift, ShiftPolicy) else None
-    if kind == "zero":
-        return np.zeros(a.shape[:-2])
-    if kind == "constant":
-        return np.full(a.shape[:-2], shift.value, dtype=float)
-    if kind == "trace_based":
-        # each diagonal summed as complex numbers, as np.trace sums one
-        return a.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real / a.shape[-1]
-    n = a.shape[-1]
-    per_matrix = [shift(y, tol) for y in a.reshape(-1, n, n)]
-    return np.array(per_matrix, dtype=float).reshape(a.shape[:-2])
-
-
 def apply_map(m: PreserverMap, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Evaluate the map on one Hermitian matrix, or on each matrix of a stack
     ``(..., n, n)``; the output is Hermitian.  The shift is evaluated at
-    ``tol``, the ``zero``, ``constant`` and ``trace_based`` kinds on the
-    whole stack and any other shift matrix by matrix; either way each
-    matrix gets the shift of a call on it alone."""
+    ``tol``: a :class:`ShiftPolicy` once on the whole stack, any other
+    callable ``shift(a, tol)`` matrix by matrix."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != m.conjugator.shape:
         raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape[-2:]}")
     x = a.conj() if m.antiunitary else a
     out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
     out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    return out + _shifts(m.shift, a, tol)[..., None, None] * np.eye(m.dim)
+    if isinstance(m.shift, ShiftPolicy):
+        shift = m.shift(a, tol)
+    else:
+        shift = _per_matrix(a, lambda y: m.shift(y, tol))
+    return out + np.asarray(shift)[..., None, None] * np.eye(m.dim)
 
 
 def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
@@ -271,12 +272,6 @@ def _aef_fixtures(weight: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.n
     return fixtures
 
 
-def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``V diag(values) V*``, symmetrized, for one eigenbasis or a stack."""
-    c = (v * values[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (c + c.conj().swapaxes(-1, -2)) / 2.0
-
-
 def _swap_partner(v: np.ndarray) -> np.ndarray:
     """``V S V*``, symmetrized, for one unitary or a stack; ``S`` swaps the
     first two coordinates and has unit Frobenius norm."""
@@ -338,8 +333,7 @@ def _draw(rng: np.random.Generator, dims: tuple[int, ...]):
         return dim, mode, (normals, rank_a, s_a, t_a, rank_b, s_b, t_b, rank_c)
     # mode 5: C from the anticommutant of a sign-symmetric difference
     lam = float(rng.uniform(0.5, 2.0))
-    fill = rng.standard_normal(dim - 2) if dim > 2 else np.zeros(0)
-    values = np.concatenate([[lam, -lam], fill])
+    values = np.concatenate([[lam, -lam], rng.standard_normal(dim - 2)])
     return dim, mode, (rng.standard_normal((2, dim, dim)), values, rng)
 
 
@@ -399,7 +393,8 @@ def _build(mode: int, dim: int, draws: list, tol: Tolerance) -> np.ndarray:
 
 def _triples(seed: int, ts: range, dims: tuple[int, ...], tol: Tolerance):
     """The triples of the trials ``ts`` by dimension: ``{dim: (trials,
-    stack)}``, the trial indices in order and their ``(T, 3, n, n)`` stack.
+    stack)}``, the trial indices and their ``(T, 3, n, n)`` stack, in the
+    order of the dimension's (dim, mode) groups, not in trial order.
 
     Trial ``t`` makes all its draws from its own generator
     ``default_rng([seed, t])``, made by
@@ -415,12 +410,8 @@ def _triples(seed: int, ts: range, dims: tuple[int, ...], tol: Tolerance):
     out = {}
     for dim in sorted({dim for dim, _ in groups}):
         keys = [key for key in groups if key[0] == dim]
-        trials = np.sort(np.concatenate([groups[key][0] for key in keys]))
-        stack = np.empty((len(trials), 3, dim, dim), dtype=complex)
-        for key in keys:
-            group_trials, drawn = groups[key]
-            stack[np.searchsorted(trials, group_trials)] = _build(key[1], dim, drawn, tol)
-        out[dim] = trials, stack
+        out[dim] = (np.concatenate([groups[key][0] for key in keys]),
+                    np.concatenate([_build(key[1], dim, groups[key][1], tol) for key in keys]))
     return out
 
 
@@ -436,10 +427,11 @@ def property_run(
     own generator from ``(seed, trial index)``, so runs replay exactly and
     trials may be evaluated in any order.  Each trial draws a structured
     or a fully random triple with equal probability.  Triples are made
-    by :func:`_triples` a block of trials at a time (see
-    :func:`~commutant_lab.hermitian._trial_block`), and each block is
-    evaluated per dimension in one stack; the verdicts are those of
-    :func:`check_triadic`, and violations are listed in trial order.
+    by :func:`_triples` a block of trials at a time, as many as
+    :func:`~commutant_lab.hermitian._stack_depth` gives the largest
+    dimension, and each block is evaluated per dimension in one stack; the
+    verdicts are those of :func:`check_triadic`, and violations are sorted
+    into trial order, so the report does not depend on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -448,7 +440,7 @@ def property_run(
         maps = {maps.dim: maps}
     dims = tuple(sorted(maps))
     violations: list[Violation] = []
-    step = _trial_block(max(dims))
+    step = _stack_depth(max(dims))
     for start in range(0, trials, step):
         found = []
         blocks = _triples(seed, range(start, min(start + step, trials)), dims, tol)
@@ -575,8 +567,10 @@ def lemma4_check(
     generator ``default_rng([seed, t])`` and, by ``t % 3``, is a
     perturbation ``A + eps X`` of A (X a unit random matrix), a fresh
     random matrix or a rescaling of A.  Candidates are built by
-    :func:`_lemma4_candidates` and tested ``BLOCK`` at a time (fewer past
-    n = 11, see :func:`~commutant_lab.hermitian._stack_depth`).
+    :func:`_lemma4_candidates` and tested as many at a time as
+    :func:`~commutant_lab.hermitian._stack_depth` gives (1820 at n = 3,
+    256 at n = 8); the verdict asks only whether any candidate passes, so
+    it does not depend on the stack size.
     """
     if lam == 0.0:
         raise ValueError("lam must be nonzero")

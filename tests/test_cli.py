@@ -27,7 +27,7 @@ def strip_timing(report):
 
 class TestVerify:
     def test_aef_pass(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "lemma-aef", "--a", "1.0", "--dim", "3"])
+        code, out, _ = run_cli(capsys, ["verify", "lemma-aef", "--a", "1.0", "--dims", "3"])
         assert code == 0
         assert "suite lemma-aef: PASS" in out
 
@@ -43,7 +43,7 @@ class TestVerify:
         assert report["suites"][0]["failures"] == 0
 
     def test_dimension_below_three_rejected(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "lemma-1.8", "--dim", "2"])
+        code, _, err = run_cli(capsys, ["verify", "lemma-1.8", "--dims", "2"])
         assert code == 2
         assert "below 3" in err
 

@@ -34,7 +34,7 @@ from commutant_lab import (
     subspace_proper_lt,
 )
 from commutant_lab.commutant import _krylov_bicommutant
-from commutant_lab.hermitian import BLOCK
+from commutant_lab.hermitian import _stack_depth
 from oracles import (
     anticommutant_dim_formula,
     bicommutant_dim_formula,
@@ -542,8 +542,8 @@ class TestStackedRefutation:
     # random combination of the anticommutant's basis breaks it.
     RANDOM_PART = {
         "one chunk": (diag(1, -1, 0), diag(1, -1, 5)),
-        "past two chunks": (diag(1, 1, 1, 1, -1, -1, -1, -1, 0),
-                            diag(1, 1, 1, 1, -1, -1, -1, -1, 5)),
+        "past two chunks": (diag(1, 1, 1, 1, 1, -1, -1, -1, -1, -1, 0, 0),
+                            diag(1, 1, 1, 1, 1, -1, -1, -1, -1, -1, 5, 5)),
     }
 
     @pytest.mark.parametrize("name", list(RANDOM_PART))
@@ -559,10 +559,11 @@ class TestStackedRefutation:
     def test_pool_longer_than_one_chunk(self):
         a, x = self.RANDOM_PART["past two chunks"]
         qc = quasi_commutant(a)
-        # after the first candidate, chunks of BLOCK; the random part starts
-        # in the third chunk
-        assert fixed_pool_size(qc) > 1 + BLOCK
-        for member in (a, np.eye(9, dtype=complex), -2.5 * a):
+        # after the first candidate, chunks of _stack_depth(12) = 113; the
+        # fixed pool of 270 fills two of them, and the random part starts
+        # in the fourth chunk
+        assert fixed_pool_size(qc) > 1 + 2 * _stack_depth(12)
+        for member in (a, np.eye(12, dtype=complex), -2.5 * a):
             assert refute_biquasi_membership(member, a, budget=16, seed=1, quasi=qc) is None
             assert serial_refute_biquasi_membership(member, a, budget=16, seed=1) is None
 
@@ -573,7 +574,7 @@ class TestStackedRefutation:
         a, x = self.RANDOM_PART["one chunk"]
         qc = quasi_commutant(a)
         dims = (qc.commutant_part.real_dimension, qc.anticommutant_part.real_dimension)
-        assert fixed_pool_size(qc) + 3 * 16 <= 1 + BLOCK
+        assert fixed_pool_size(qc) + 3 * 16 <= 1 + _stack_depth(3)
         rng = np.random.default_rng(43)
         assert refute_biquasi_membership(x, a, budget=16, seed=rng, quasi=qc) is not None
         reference = np.random.default_rng(43)

@@ -31,7 +31,14 @@ from commutant_lab import (
     subspace_leq,
     triadic_relation,
 )
-from commutant_lab.hermitian import _generators, _given_state, _hermitian, _state_words, _unitary
+from commutant_lab.hermitian import (
+    _generators,
+    _given_state,
+    _hermitian,
+    _stack_depth,
+    _state_words,
+    _unitary,
+)
 from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
 
 from conftest import SWAP2, diag
@@ -175,6 +182,14 @@ class TestRelStack:
                 assert all(np.array_equal(u, v) for u, v in zip(one, other))
             assert list(one[0]) == [rel_c(x, b) for b in y]
             assert list(one[1]) == [rel_j(x, b) for b in y]
+
+
+@pytest.mark.parametrize("n, depth", [(1, 16384), (3, 1820), (8, 256), (9, 202), (11, 135),
+                                      (12, 113), (32, 16), (129, 1)])
+def test_stack_depth_holds_at_most_16384_entries(n, depth):
+    """One rule sizes every stacked search: as many ``n x n`` items as fit
+    in 16,384 entries, and at least one."""
+    assert _stack_depth(n) == depth
 
 
 class TestScaleFloor:

@@ -30,7 +30,7 @@ from commutant_lab import (
     scalar_witness,
     triadic_relation,
 )
-from commutant_lab.hermitian import BLOCK, _trial_block
+from commutant_lab.hermitian import _stack_depth
 from commutant_lab.preservers import (
     BOTH_FAIL,
     BOTH_HOLD,
@@ -139,6 +139,67 @@ class TestShiftPolicies:
         assert shift(anchor) == 1.0
         assert shift(anchor + 1e-15 * np.eye(3)) == 0.0
         assert shift(random_hermitian(3, 5)) == 0.0
+
+    @staticmethod
+    def shift_stack(dim):
+        """A partnered matrix, then Hermitian matrices whose diagonals mix
+        magnitudes, so that the order of a trace's sum shows."""
+        return np.array([default_necessity_anchor(dim)]
+                        + [random_hermitian(dim, [41, dim, t]) * 10.0 ** (t % 7 - 3)
+                           + (t - 6) * np.eye(dim) for t in range(1, 12)])
+
+    @pytest.mark.parametrize("dim", [3, 8, 9, 16])
+    @pytest.mark.parametrize("kind", ["zero", "constant", "trace_based", "pinned",
+                                      "theorem_compliant_quasi", "composed"])
+    def test_shift_of_a_stack_matches_its_slices(self, kind, dim):
+        """A shift called on a stack gives each matrix, byte for byte, the
+        shift of a call on it alone, which is a ``float``.  From n = 8 on,
+        numpy sums a trace in unrolled partial sums, not left to right."""
+        stack = self.shift_stack(dim)
+        policies = {
+            "zero": ShiftPolicy("zero"),
+            "constant": ShiftPolicy("constant", value=-0.7),
+            "trace_based": ShiftPolicy("trace_based"),
+            "pinned": ShiftPolicy("pinned", value=1.5, anchor=stack[3]),
+            "theorem_compliant_quasi": ShiftPolicy("theorem_compliant_quasi",
+                                                   inner=ShiftPolicy("trace_based")),
+        }
+        if kind == "composed":
+            shift = compose(quasi_map(dim, 41, scale=2.0, shift=policies["trace_based"]),
+                            quasi_map(dim, 42, antiunitary=True, shift=policies["pinned"])).shift
+        else:
+            shift = policies[kind]
+        tol = Tolerance()
+        for x in (stack, stack.reshape(3, 4, dim, dim)):
+            got = shift(x, tol)
+            assert got.shape == x.shape[:-2] and got.dtype == np.float64
+            for value, y in zip(got.ravel(), x.reshape(-1, dim, dim), strict=True):
+                one = shift(y, tol)
+                assert type(one) is float and np.float64(one).tobytes() == value.tobytes()
+        if kind == "trace_based":
+            assert [shift(y, tol) for y in stack] == [float(np.trace(y).real) / dim
+                                                      for y in stack]
+        if kind == "pinned":  # the anchor, and only the anchor, is shifted
+            assert list(np.flatnonzero(shift(stack, tol))) == [3]
+        if kind == "theorem_compliant_quasi":  # zero on the partnered matrix alone
+            assert list(np.flatnonzero(shift(stack, tol) == 0.0)) == [0]
+
+    def test_per_matrix_callable_shift_through_apply_map(self):
+        """A plain callable shift is called matrix by matrix, at the
+        tolerance of the call."""
+        seen = []
+
+        def shift(a, tol):
+            seen.append((a.shape, tol))
+            return float(a[0, 0].real) - 2.0 * float(a[1, 1].real)
+
+        m = PreserverMap(-1.5, random_unitary(4, 43), antiunitary=True, shift=shift)
+        stack = self.shift_stack(4).reshape(2, 6, 4, 4)
+        tol = Tolerance(rel_zero=1e-7)
+        out = apply_map(m, stack, tol)
+        assert out.shape == stack.shape and seen == [((4, 4), tol)] * 12
+        for y, x in zip(out.reshape(-1, 4, 4), stack.reshape(-1, 4, 4)):
+            assert y.tobytes() == serial_apply_map(m, x, tol).tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="shift kind"):
@@ -367,7 +428,7 @@ class TestStagedGenerator:
     @pytest.mark.parametrize("loose", [False, True], ids=["default", "loose-rank-cut"])
     def test_matches_serial_triple_byte_for_byte(self, dims, loose):
         tol = self.LOOSE if loose else Tolerance()
-        step = _trial_block(max(dims))
+        step = _stack_depth(max(dims))
         trials = 2 * step + 44  # two full blocks and a partial one
         made = [item for start in range(0, trials, step)
                 for item in block_triples(dims, start, min(start + step, trials), tol)]
@@ -382,8 +443,8 @@ class TestStagedGenerator:
     def test_loose_rank_cut_changes_mode_5_draws(self, dims):
         # only mode 5 reads the tolerance, so a changed triple is a mode-5
         # trial whose anticommutant dimension moved
-        default = block_triples(dims, 0, BLOCK, Tolerance())
-        loose = block_triples(dims, 0, BLOCK, self.LOOSE)
+        default = block_triples(dims, 0, _stack_depth(max(dims)), Tolerance())
+        loose = block_triples(dims, 0, _stack_depth(max(dims)), self.LOOSE)
         assert any(x.tobytes() != y.tobytes()
                    for (_, _, p), (_, _, q) in zip(default, loose) for x, y in zip(p, q))
 
@@ -483,11 +544,13 @@ class TestBatchedOracle:
 
     @staticmethod
     def check_property_run(name, dims, trials):
-        """``property_run`` against ``serial_property_run`` over blocks of
-        ``_trial_block(max(dims))`` trials, the last one partial."""
+        """``property_run`` against ``serial_property_run`` over at least
+        two full blocks of ``_stack_depth(max(dims))`` trials and a partial
+        one."""
         violates, build = ORACLE_MAPS[name]
         maps = {d: build(d) for d in dims}
-        assert trials > _trial_block(max(dims)) and trials % _trial_block(max(dims))
+        step = _stack_depth(max(dims))
+        assert trials > 2 * step and trials % step
         report = property_run(maps, trials=trials, seed=5)
         expected = serial_property_run(maps, trials, seed=5)
         assert bool(expected) == violates
@@ -501,7 +564,7 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic(self, name):
-        self.check_property_run(name, (3, 4, 5), _trial_block(5) + 44)  # two blocks
+        self.check_property_run(name, (3, 4, 5), 2 * _stack_depth(5) + 44)
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic_at_n32(self, name):
@@ -545,8 +608,9 @@ class TestBatchedOracle:
         """Modes 1 and 2 byte for byte; mode 0 within the last bits of its
         stacked norm and power."""
         a = -1.5 * random_projection(dim, dim // 2, [38, dim])
-        for start, stop in ((0, 1), (0, 2), (BLOCK, BLOCK + 1), (BLOCK, 2 * BLOCK),
-                            (2 * BLOCK, 2 * BLOCK + 44)):
+        step = _stack_depth(dim)
+        for start, stop in ((0, 1), (0, 2), (step, step + 1), (step, 2 * step),
+                            (2 * step, 2 * step + 44)):
             stack = _lemma4_candidates(a, 9, start, stop)
             assert stack.shape == (stop - start, dim, dim)
             for t, b in zip(range(start, stop), stack):
@@ -556,23 +620,27 @@ class TestBatchedOracle:
                 else:
                     assert np.abs(b - expected).max() <= 1e-15 * max(1.0, frobenius(expected))
 
-    # Candidate counts that are not multiples of 3; each ends in a partial
-    # block, some of one or two candidates (so with modes missing).
-    COUNTS = (1, 2, BLOCK + 1, BLOCK + 2, BLOCK + 44, 2 * BLOCK + 1)
+    # Candidate counts at n = 3 .. 8 as (full stacks, candidates past them):
+    # each ends in a partial stack, some of one or two candidates (so with
+    # modes missing).
+    COUNTS = ((0, 1), (0, 2), (1, 1), (2, 2), (2, 44), (2, 1))
 
     @pytest.mark.parametrize("lam, projection, candidates, seed, tol, refuted_by", [
-        (2.0, random_projection(4, 2, 36), BLOCK + 44, 8, Tolerance(), None),
-        *((lam, random_projection(dim, rank, [36, dim]), count, 8, Tolerance(), None)
-          for dim, lam, rank, count in zip(range(3, 9), (2.0, 0.7, -1.5, 3.0, -0.5, 2.0),
-                                           (1, 2, 4, 1, 3, 5), COUNTS)),
+        (2.0, random_projection(4, 2, 36), 2 * _stack_depth(4) + 44, 8, Tolerance(), None),
+        *((lam, random_projection(dim, rank, [36, dim]), full * _stack_depth(dim) + extra, 8,
+           Tolerance(), None)
+          for dim, lam, rank, (full, extra) in zip(range(3, 9), (2.0, 0.7, -1.5, 3.0, -0.5, 2.0),
+                                                   (1, 2, 4, 1, 3, 5), COUNTS)),
         # stacks of 113 candidates at n = 12
-        (-1.5, random_projection(12, 5, [36, 12]), BLOCK + 44, 8, Tolerance(), None),
+        (-1.5, random_projection(12, 5, [36, 12]), 2 * _stack_depth(12) + 44, 8, Tolerance(),
+         None),
         # a loose zero test lets small perturbations of A pass both premises
-        (2.0, random_projection(4, 2, 36), BLOCK + 44, 8, Tolerance(rel_zero=0.05), 0),
+        (2.0, random_projection(4, 2, 36), 2 * _stack_depth(4) + 44, 8,
+         Tolerance(rel_zero=0.05), 0),
         # a looser one lets a fresh random matrix (candidate 1) pass them first
         (2.0, random_projection(4, 1, [50, 4, 3]), 2, 3, Tolerance(rel_zero=1.0), 1),
         # not a projection: B = A already fails the premises
-        (1.5, random_hermitian(3, 37), BLOCK + 44, 8, Tolerance(), -1),
+        (1.5, random_hermitian(3, 37), 2 * _stack_depth(3) + 44, 8, Tolerance(), -1),
     ], ids=["rigid", *(f"rigid-dim{dim}" for dim in range(3, 9)), "rigid-dim12",
             "loose-tolerance",
             "loose-tolerance-mode1", "not-a-projection"])
