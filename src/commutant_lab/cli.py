@@ -30,7 +30,8 @@ from .commutant import (
     scalar_witness,
 )
 from .hermitian import Tolerance, frobenius, random_hermitian
-from .matrixfile import _checked, _field, _path, _payload_entries, load_matrix, matrix_to_payload
+from .matrixfile import (_checked, _field, _path, _payload_entries, _read_json, load_matrix,
+                         matrix_to_payload)
 from .preservers import necessity_map, necessity_search
 from .suites import (FIXED_GRID_SUITES, SUITE_NAMES, replay_violation, run_suite,
                      violation_to_payload)
@@ -75,11 +76,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Options match by full name only, so a misspelled one is an error.
     parser = argparse.ArgumentParser(
-        prog="commutant-lab",
+        prog="commutant-lab", allow_abbrev=False,
         description="Verification harness for commutation-structure computations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(parent, name: str, text: str) -> argparse.ArgumentParser:
+        return parent.add_parser(name, help=text, allow_abbrev=False)
 
     def add_common(p, seed=True):
         if seed:
@@ -91,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the report to this path")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    verify = sub.add_parser("verify", help="run one named suite or all of them")
+    verify = command(sub, "verify", "run one named suite or all of them")
     verify.add_argument("suite", choices=(*SUITE_NAMES, "all"))
     verify.add_argument("--dims", type=str, default=None,
                         help="comma-separated dimensions, e.g. 3,4,5")
@@ -100,22 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="block-fixture weight (lemma-aef only)")
     add_common(verify)
 
-    replay = sub.add_parser("replay", help="re-decide a recorded triadic violation at the "
-                            "tolerance its file records (--tol-* for a bare record)")
+    replay = command(sub, "replay", "re-decide a recorded triadic violation at the tolerance "
+                     "its file records (--tol-* for a bare record)")
     replay.add_argument("path", type=Path)
     add_common(replay, seed=False)
 
-    comm = sub.add_parser("commutant", help="commutant structure of a matrix file")
+    comm = command(sub, "commutant", "commutant structure of a matrix file")
     comm.add_argument("--input", type=Path, required=True)
     comm.add_argument("--which", choices=("c", "anti", "quasi", "cc"), default="c")
     add_common(comm)
 
-    search = sub.add_parser("search", help="counterexample and witness searches")
+    search = command(sub, "search", "counterexample and witness searches")
     kinds = search.add_subparsers(dest="kind", required=True)
-    necessity = kinds.add_parser("necessity-f", help="triple broken by a nonzero shift")
+    necessity = command(kinds, "necessity-f", "triple broken by a nonzero shift")
     necessity.add_argument("--dim", type=int, default=3)
-    witness = kinds.add_parser("scalar-witness", help="witness that A is not scalar")
-    refute = kinds.add_parser("lemma7-refute", help="refute second quasi-commutant membership")
+    witness = command(kinds, "scalar-witness", "witness that A is not scalar")
+    refute = command(kinds, "lemma7-refute", "refute second quasi-commutant membership")
     refute.add_argument("--target", type=Path, default=None, help="matrix file (X)")
     for p in (necessity, refute):
         p.add_argument("--budget", type=int, default=100)
@@ -124,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (necessity, witness, refute):
         add_common(p)
 
-    rep = sub.add_parser("report", help="pretty-print a saved JSON report")
+    rep = command(sub, "report", "pretty-print a saved JSON report")
     rep.add_argument("path", type=Path)
 
     return parser
@@ -232,7 +237,7 @@ def cmd_replay(args, given: dict) -> dict:
     """Re-decide a recorded violation: a report's at the tolerance it
     records, which no --tol-* option may contradict; a bare record's at the
     --tol-* options ``given`` (by Tolerance field)."""
-    payload = json.loads(args.path.read_text())
+    payload = _read_json(args.path)
     where, record = _replay_record(payload, args.path)
     if isinstance(payload, dict) and "tolerance" in payload:
         tol = _recorded_tolerance(payload)
@@ -320,7 +325,7 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(args.path.read_text())
+    payload = _read_json(args.path)
     try:
         if _field(_checked(payload, "an object", ""), "kind", "a string") not in REPORT_KINDS:
             raise ValueError(f"field 'kind' must be one of {', '.join(REPORT_KINDS)}")

@@ -35,6 +35,7 @@ from .hermitian import (
     Tolerance,
     _check_same_dim,
     _check_seed,
+    _projection,
     _rng,
     _stack_depth,
     frobenius,
@@ -114,9 +115,10 @@ class MatrixSubspace:
         return np.dot(c[None], self.basis.reshape(len(c), -1)).reshape(self.basis.shape[1:])
 
 
-def _cut_masks(w: np.ndarray, norm: float, tol: Tolerance):
-    """The commutant and anticommutant pair masks of the eigenvalues ``w`` of
-    a matrix of Frobenius norm ``norm``, and the commutant cut.
+def _cut_masks(w: np.ndarray, norm, tol: Tolerance):
+    """The commutant and anticommutant pair masks of the eigenvalues ``w``
+    of a matrix of Frobenius norm ``norm``, and the commutant cut; on a
+    stack, each of ``w (..., n)`` and ``norm (...)`` decides alone.
 
     The eigenvector pair (a, b) spans singular vectors of ``X -> AX - XA``
     and ``X -> AX + XA`` with singular values ``|w_a - w_b|`` and
@@ -124,18 +126,23 @@ def _cut_masks(w: np.ndarray, norm: float, tol: Tolerance):
     of a realified SVD solve: ``rank_cut`` * max(largest singular value of
     that map, max(1, |A|_F)).
     """
-    scale = max(1.0, norm)
-    diffs, sums = np.abs(w[:, None] - w), np.abs(w[:, None] + w)
-    cut = tol.rank_cut * max(float(diffs.max()), scale)
-    anti_cut = tol.rank_cut * max(float(sums.max()), scale)
-    return diffs <= cut, sums <= anti_cut, cut
+    scale = np.maximum(1.0, norm)
+    diffs, sums = np.abs(w[..., None] - w[..., None, :]), np.abs(w[..., None] + w[..., None, :])
+    cut = tol.rank_cut * np.maximum(diffs.max(axis=(-2, -1)), scale)
+    anti_cut = tol.rank_cut * np.maximum(sums.max(axis=(-2, -1)), scale)
+    return diffs <= cut[..., None, None], sums <= anti_cut[..., None, None], cut
 
 
 def _pair_masks(a: np.ndarray, tol: Tolerance):
-    """``w``, ``V`` of ``A = V diag(w) V*`` and the :func:`_cut_masks` of ``w``."""
+    """``w``, ``V`` of ``A = V diag(w) V*`` and the :func:`_cut_masks` of ``w``, for one
+    matrix or a stack ``(..., n, n)``, each slice decided bit for bit as it is alone."""
     a = np.asarray(a, dtype=complex)
     w, v = np.linalg.eigh(a)
-    return w, v, *_cut_masks(w, frobenius(a), tol)
+    # each norm is frobenius's sum of dot products of a row-major matrix;
+    # the einsum of hermitian._frobenius_stack may differ in the last bit
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    square = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    return w, v, *_cut_masks(w, np.sqrt(square[..., 0, 0]), tol)
 
 
 def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
@@ -159,12 +166,7 @@ def _spectral_runs(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[slice
     most ``gap``, each with the projection onto its eigenvectors (columns
     of ``v``), symmetrized so it is exactly Hermitian."""
     starts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1), w.size]
-    runs = []
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        block = v[:, lo:hi]
-        p = block @ block.conj().T
-        runs.append((slice(lo, hi), (p + p.conj().T) / 2.0))
-    return runs
+    return [(slice(lo, hi), _projection(v[:, lo:hi])) for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 def commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
@@ -298,13 +300,15 @@ def subspace_proper_lt(s: MatrixSubspace, t: MatrixSubspace,
     return subspace_leq(s, t, tol) and s.real_dimension < t.real_dimension
 
 
-def quasi_equals_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def quasi_equals_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool | np.ndarray:
     """True when the anticommutant of ``A`` sits inside its commutant: no
     eigenvector pair of :func:`_pair_masks` is in the anticommutant mask
     and outside the commutant mask.  Away from the cuts, the spectrum of
-    ``A`` then meets its negative only in 0."""
+    ``A`` then meets its negative only in 0.  A ``bool``, or an array of
+    them for a stack ``(..., n, n)``."""
     _, _, comm, anti, _ = _pair_masks(a, tol)
-    return not np.any(anti & ~comm)
+    held = ~np.any(anti & ~comm, axis=(-2, -1))
+    return held if held.ndim else bool(held)
 
 
 def noncommuting_anticommuting_partner(

@@ -370,9 +370,9 @@ def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (c + c.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _projection(u: np.ndarray, rank: int) -> np.ndarray:
-    """Projection onto the first ``rank`` columns of the unitary ``u``."""
-    frame = u[:, :rank]
+def _projection(frame: np.ndarray) -> np.ndarray:
+    """Projection onto the span of the orthonormal columns of ``frame``,
+    symmetrized."""
     p = frame @ frame.conj().T
     return (p + p.conj().T) / 2.0
 
@@ -395,7 +395,7 @@ def random_projection(dim: int, rank: int, seed) -> np.ndarray:
     """Orthogonal projection of exact ``rank`` from a Haar-random frame."""
     if not 1 <= rank <= dim:
         raise ValueError(f"invalid rank {rank} for dimension {dim}")
-    return _projection(random_unitary(dim, seed), rank)
+    return _projection(random_unitary(dim, seed)[:, :rank])
 
 
 def random_scalar(dim: int, seed) -> np.ndarray:

@@ -8,9 +8,10 @@ counterexample archives stay diffable:
 Files failing the Hermitian check (1e-9 relative) are rejected on load.
 
 This module also owns the reading of every JSON input of the package
-(matrix files, replayed records, saved reports): :func:`_field` and
-:func:`_payload_entries` raise ValueError naming the path of the first
-malformed field, such as ``triple.a.entries[0]`` or ``map.conjugator.dim``.
+(matrix files, replayed records, saved reports): :func:`_read_json` names
+a file it cannot parse, and :func:`_field` and :func:`_payload_entries`
+raise ValueError naming the path of the first malformed field, such as
+``triple.a.entries[0]`` or ``map.conjugator.dim``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ _REQUIRED = object()  # the default of a field that must be present
 
 
 def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
-    """JSON-ready dict for one matrix."""
+    """JSON-ready dict for one matrix; one numpy call converts the grid."""
     m = np.asarray(m, dtype=complex)
-    payload = {
-        "dim": int(m.shape[0]),
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-    }
+    payload = {"dim": int(m.shape[0]), "entries": np.stack([m.real, m.imag], axis=-1).tolist()}
     if label is not None:
         payload["label"] = label
     return payload
@@ -78,18 +76,13 @@ def _field(payload: dict, name: str, kind: str, where: str = "", default=_REQUIR
 
 def _payload_entries(payload: dict, where: str = "") -> np.ndarray:
     """The complex entry grid of the matrix payload at path ``where``,
-    checked against its ``dim``; ValueError naming the malformed field."""
+    checked against its ``dim`` row by row and pair by pair (ValueError
+    naming the first malformed field), then converted in one call."""
     _checked(payload, "an object", where)
     dim = _field(payload, "dim", "a number", where)
     if isinstance(dim, float) or dim < 1:
         raise ValueError(f"field {_path(where, 'dim')!r} must be a positive integer, got {dim!r}")
     rows, label = _field(payload, "entries", "an array", where), _path(where, "entries")
-    # One pass checks the grid; only a malformed one is walked again, to
-    # name its first malformed row or [re, im] pair.
-    flat = [x for row in rows if type(row) is list and len(row) == dim
-            for pair in row if type(pair) is list and len(pair) == 2 for x in pair]
-    if len(rows) == dim and len(flat) == 2 * dim * dim and set(map(type, flat)) <= _NUMBERS:
-        return np.array(flat, dtype=float).view(complex).reshape(dim, dim)
     if len(rows) != dim:
         raise ValueError(f"field {label!r} must hold {dim} rows, got {len(rows)}")
     for i, row in enumerate(rows):
@@ -101,6 +94,7 @@ def _payload_entries(payload: dict, where: str = "") -> np.ndarray:
             if type(pair) is not list or len(pair) != 2 or not set(map(type, pair)) <= _NUMBERS:
                 raise ValueError(f"field '{label}[{i}][{j}]' must be a [re, im] pair of "
                                  f"numbers, got {json.dumps(pair)}")
+    return np.array(rows, dtype=float).view(complex)[..., 0]
 
 
 def payload_to_matrix(payload: dict, where: str = "") -> np.ndarray:
@@ -112,12 +106,17 @@ def save_matrix(path, m: np.ndarray, label: str | None = None) -> None:
     Path(path).write_text(json.dumps(matrix_to_payload(m, label), indent=2) + "\n")
 
 
+def _read_json(path):
+    """The JSON document of a file; ValueError naming a file that is unreadable or not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise ValueError(f"unreadable JSON file {path}: {exc}") from exc
+
+
 def load_matrix(path) -> np.ndarray:
     """The validated matrix of a matrix file; ValueError naming the file."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unreadable matrix file {path}: {exc}") from exc
+    payload = _read_json(path)
     try:
         return payload_to_matrix(payload)
     except ValueError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .commutant import (
     SearchExhausted,
-    _cut_masks,
+    _pair_masks,
     _pair_subspace,
     anticommutant,
     quasi_equals_commutant,
@@ -110,9 +110,9 @@ class ShiftPolicy:
             self.inner = ShiftPolicy("zero")
 
     def __call__(self, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> float | np.ndarray:
-        """The shift of one matrix, a ``float``, or of each matrix of a
-        stack ``(..., n, n)``, an array of shape ``a.shape[:-2]``; each
-        matrix of a stack gets the shift of a call on it alone."""
+        """The shift of one matrix, a ``float``, or of each matrix of a stack
+        ``(..., n, n)``, an array of shape ``a.shape[:-2]`` computed on the
+        whole stack; each matrix gets, bit for bit, its shift alone."""
         a = np.asarray(a)
         if self.kind == "zero":
             shift = np.zeros(a.shape[:-2])
@@ -121,21 +121,14 @@ class ShiftPolicy:
         elif self.kind == "trace_based":
             # each diagonal summed as np.trace sums one
             shift = a.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real / a.shape[-1]
-        elif self.kind == "pinned":
+        elif self.kind == "pinned":  # an anchor of another size matches nothing
             sym = (a + a.conj().swapaxes(-1, -2)) / 2.0
             anchor = (self.anchor + self.anchor.conj().T) / 2.0
-            shift = _per_matrix(sym, lambda y: self.value if np.array_equal(y, anchor) else 0.0)
+            same = sym.shape[-2:] == anchor.shape and (sym == anchor).all(axis=(-2, -1))
+            shift = np.where(same, self.value, np.zeros(a.shape[:-2]))
         else:  # theorem_compliant_quasi
-            shift = _per_matrix(a, lambda y: self.inner(y, tol)
-                                if quasi_equals_commutant(y, tol) else 0.0)
+            shift = np.where(quasi_equals_commutant(a, tol), self.inner(a, tol), 0.0)
         return float(shift) if a.ndim == 2 else shift
-
-
-def _per_matrix(a: np.ndarray, shift) -> np.ndarray:
-    """``shift(y)`` of each matrix ``y`` of a stack ``(..., n, n)``, as an
-    array of shape ``a.shape[:-2]``."""
-    n = a.shape[-1]
-    return np.array([shift(y) for y in a.reshape(-1, n, n)], dtype=float).reshape(a.shape[:-2])
 
 
 @dataclass(eq=False)
@@ -174,18 +167,16 @@ def apply_map(m: PreserverMap, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
     """Evaluate the map on one Hermitian matrix, or on each matrix of a stack
     ``(..., n, n)``; the output is Hermitian.  The shift is evaluated at
     ``tol``: a :class:`ShiftPolicy` once on the whole stack, any other
-    callable ``shift(a, tol)`` matrix by matrix."""
+    callable ``shift(a, tol)`` (:func:`compose`'s) matrix by matrix."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != m.conjugator.shape:
         raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape[-2:]}")
     x = a.conj() if m.antiunitary else a
     out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
     out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    if isinstance(m.shift, ShiftPolicy):
-        shift = m.shift(a, tol)
-    else:
-        shift = _per_matrix(a, lambda y: m.shift(y, tol))
-    return out + np.asarray(shift)[..., None, None] * np.eye(m.dim)
+    shift = (m.shift(a, tol) if isinstance(m.shift, ShiftPolicy)
+             else [m.shift(y, tol) for y in a.reshape(-1, *m.conjugator.shape)])
+    return out + np.reshape(shift, (*a.shape[:-2], 1, 1)) * np.eye(m.dim)
 
 
 def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
@@ -230,8 +221,10 @@ def check_triadic(
     return verdict if verdict.ndim else str(verdict)
 
 
-def is_violation(verdict: str) -> bool:
-    return verdict in (VIOLATION_FORWARD, VIOLATION_BACKWARD)
+def is_violation(verdict: str | np.ndarray) -> bool | np.ndarray:
+    """Whether a verdict, or each verdict of an array, is a violation."""
+    held = np.isin(verdict, (VIOLATION_FORWARD, VIOLATION_BACKWARD))
+    return held if held.ndim else bool(held)
 
 
 @dataclass
@@ -365,21 +358,20 @@ def _build(mode: int, dim: int, draws: list, tol: Tolerance) -> np.ndarray:
                          for (fa, fe, ff), (_, alpha, eps) in zip(fixtures, draws)], dtype=complex)
     if mode == 4:
         u = _unitary(np.array([normals for normals, *_ in draws]))
-        return np.array([(s_a * _projection(ua, rank_a) + t_a * eye,
-                          s_b * _projection(ub, rank_b) + t_b * eye,
-                          _projection(uc, rank_c))
+        return np.array([(s_a * _projection(ua[:, :rank_a]) + t_a * eye,
+                          s_b * _projection(ub[:, :rank_b]) + t_b * eye,
+                          _projection(uc[:, :rank_c]))
                          for (ua, ub, uc), (_, rank_a, s_a, t_a, rank_b, s_b, t_b, rank_c)
                          in zip(u, draws)])
     # mode 5: how many coefficients a trial draws next is the dimension of
-    # the anticommutant of its difference d, so its tail waits for eigh(d).
+    # the anticommutant of its difference d, so its tail waits for d's masks.
     normals, values, rngs = zip(*draws)
     d = _spectral(_unitary(np.array(normals)), np.array(values))
-    w, vectors = np.linalg.eigh(d)
+    _, vectors, _, anti, _ = _pair_masks(d, tol)
     tails = np.zeros((len(draws), 2, 2, dim, dim))  # C, unless drawn from the part, and B
     from_part = {}
     for i, rng in enumerate(rngs):
-        _, anti, _ = _cut_masks(w[i], frobenius(d[i]), tol)
-        part = _pair_subspace(vectors[i], anti)
+        part = _pair_subspace(vectors[i], anti[i])
         if part.real_dimension:
             from_part[i] = part.random_element(rng)
             rng.standard_normal(out=tails[i, 1])
@@ -447,8 +439,7 @@ def property_run(
         for dim, (indices, stack) in blocks.items():
             verdicts = check_triadic(maps[dim], stack[:, 0], stack[:, 1], stack[:, 2], tol)
             found += [Violation(*stack[i], direction=str(verdicts[i]), trial=int(indices[i]))
-                      for i in np.flatnonzero((verdicts == VIOLATION_FORWARD)
-                                              | (verdicts == VIOLATION_BACKWARD))]
+                      for i in np.flatnonzero(is_violation(verdicts))]
         violations += sorted(found, key=lambda v: v.trial)
     return TrialReport(trials=trials, violations=violations)
 
@@ -498,8 +489,7 @@ def necessity_search(
     if preserver is None:
         preserver = necessity_map(dim)
     part = anticommutant(a0, tol)
-    swap = np.zeros((dim, dim), dtype=complex)
-    swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)
+    swap = _swap_partner(np.eye(dim, dtype=complex))
 
     def candidate(trial: int, rng: np.random.Generator) -> np.ndarray:
         if trial == 0:

@@ -186,9 +186,9 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=DEFAULT_TOLERANCE):
     for rng in _generators([seed, 2], range(CONSTRUCTED_PAIRS)):
         dim = dims[int(rng.integers(len(dims)))]
         a = random_hermitian(dim, rng)
-        w, v = np.linalg.eigh(a)
-        b = (v * rng.uniform(0.5, 2.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)) @ v.conj().T
-        lambda_check(a, (b + b.conj().T) / 2.0, expected_sign=1.0)
+        _, v = np.linalg.eigh(a)
+        lambda_check(a, _spectral(v, rng.uniform(0.5, 2.0, size=dim)
+                                  * rng.choice([-1.0, 1.0], size=dim)), expected_sign=1.0)
     for rng in _generators([seed, 3], range(CONSTRUCTED_PAIRS)):
         dim = dims[int(rng.integers(len(dims)))]
         lam = float(rng.uniform(0.5, 2.0))

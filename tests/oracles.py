@@ -38,6 +38,10 @@ decided its pool on stacks.  The stacked route must return ``None`` where
 it does and otherwise a byte-equal witness, apart from verdicts within the
 last bits of the zero test.
 
+Per-entry matrix writer.  ``per_entry_payload`` converts a matrix to its
+JSON payload one entry at a time, as ``matrix_to_payload`` did before it
+converted the grid in one numpy call; the two must give the same JSON.
+
 Serial triple generator.  ``serial_triple`` draws one ``property_run``
 trial's triple with one sampler call per matrix, as the generator did
 before it was staged; the staged coroutines of ``preservers`` must make
@@ -70,6 +74,17 @@ from commutant_lab.preservers import (
     VIOLATION_BACKWARD,
     VIOLATION_FORWARD,
 )
+
+
+def per_entry_payload(m, label=None) -> dict:
+    """Oracle for ``matrix_to_payload``: each ``[re, im]`` pair converted
+    with ``float`` on its own."""
+    m = np.asarray(m, dtype=complex)
+    payload = {"dim": int(m.shape[0]),
+               "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m]}
+    if label is not None:
+        payload["label"] = label
+    return payload
 
 
 def _zero_threshold(a, tol: Tolerance) -> float:

@@ -109,6 +109,16 @@ class TestVerify:
         assert out == ""
         assert f"suite {suite} takes no block-fixture weight; only lemma-aef does" in err
 
+    @pytest.mark.parametrize("argv", [["lemma-aef", "--dim", "3"], ["lemma-1.8", "--dim", "2"],
+                                      ["brooke", "--tol-z", "1e-6"]],
+                             ids=["dim of lemma-aef", "dim of lemma-1.8", "tol-z"])
+    def test_option_prefix_is_usage_error(self, capsys, argv):
+        """An option matches by its full name only: ``--dim`` is not read
+        as ``--dims``, nor ``--tol-z`` as ``--tol-zero``."""
+        code, out, err = run_cli(capsys, ["verify", *argv])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
     def test_all_applies_trials_to_sampled_suites(self, capsys):
         """``all`` also applies --a to lemma-aef alone."""
         code, out, _ = run_cli(capsys, ["verify", "all", "--trials", "2", "--a", "2.0",
@@ -670,3 +680,39 @@ class TestReportCommand:
         assert (code, out) == (2, "")
         assert err == ("error: field 'basis[1].entries[0]' must be an array of 2 [re, im] pairs, "
                        "got a number\n")
+
+
+# Each command given a prefix of one of its options, after any required
+# ones: (argv, the unrecognized arguments).
+OPTION_PREFIXES = {
+    "replay": (["replay", "v.json", "--tol-z", "1e-6"], "--tol-z 1e-6"),
+    "commutant": (["commutant", "--input", "a.json", "--whi", "c"], "--whi c"),
+    "search necessity-f": (["search", "necessity-f", "--bud", "5"], "--bud 5"),
+    "search scalar-witness": (["search", "scalar-witness", "--input", "a.json", "--form",
+                               "json"], "--form json"),
+    "search lemma7-refute": (["search", "lemma7-refute", "--input", "a.json", "--targ",
+                              "x.json"], "--targ x.json"),
+    "report": (["report", "r.json", "--he"], "--he"),
+}
+
+
+@pytest.mark.parametrize("argv, unrecognized", list(OPTION_PREFIXES.values()),
+                         ids=list(OPTION_PREFIXES))
+def test_no_command_matches_an_option_prefix(capsys, argv, unrecognized):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {unrecognized}" in err
+
+
+@pytest.mark.parametrize("command", ["replay", "report"])
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe", None],
+                         ids=["not JSON", "not UTF-8", "missing"])
+def test_unreadable_file_is_named(capsys, tmp_path, command, content):
+    """Every file a command reads goes through one JSON reader, which names
+    a file it cannot read or parse."""
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unreadable JSON file {path}: ")

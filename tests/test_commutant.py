@@ -33,7 +33,7 @@ from commutant_lab import (
     subspace_leq,
     subspace_proper_lt,
 )
-from commutant_lab.commutant import _krylov_bicommutant
+from commutant_lab.commutant import _krylov_bicommutant, _pair_masks
 from commutant_lab.hermitian import _stack_depth
 from oracles import (
     anticommutant_dim_formula,
@@ -355,6 +355,45 @@ class TestQuasiGapSweep:
                 assert frobenius(b - b.conj().T) == 0.0
                 assert rel_j(a, b), delta
                 assert rel_c(a, b) == (window[0] < delta < window[1]), delta
+
+
+# The pair sums d of the quasi window (tests/test_preservers.py::TestQuasiWindow).
+QUASI_WINDOW_D = (6e-10, 1e-9, 1.2e-9, 2.5e-9)
+
+
+def pair_cut_stack(n):
+    """A stack of size-n matrices on both sides of every pair cut: zero, a
+    scalar, one pair (1.3, -1.3 + d) swept across the cuts (the gap sweep's
+    deltas and every quasi-window d) above a fixed rest of the spectrum in
+    the basis ``random_unitary(n, 77)``, which at n = 3 gives the window's
+    matrices themselves, and random matrices of norms 1e-3 to 1e3."""
+    v = random_unitary(n, 77)
+    stack = [np.zeros((n, n), dtype=complex), 2.5 * np.eye(n, dtype=complex)]
+    for d in (*TestQuasiGapSweep.DELTAS, *QUASI_WINDOW_D):
+        m = (v * np.array([1.3, -1.3 + d, 2.0, *np.linspace(2.5, 4.0, n - 3)])) @ v.conj().T
+        stack.append((m + m.conj().T) / 2.0)
+    stack += [random_hermitian(n, [45, n, t]) * 10.0 ** (t % 7 - 3) for t in range(11)]
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 16])
+def test_pair_masks_of_a_stack_match_its_slices(n, tol):
+    """Each slice of a stacked eigen-pair decision, at every leading shape,
+    equals bit for bit the decision on that matrix alone."""
+    stack = pair_cut_stack(n)
+    alone = [_pair_masks(a, tol) for a in stack]
+    for a, (w, *_, cut) in zip(stack, alone):  # the cut of the frobenius norm
+        assert cut == tol.rank_cut * max(float(np.abs(w[:, None] - w).max()), 1.0, frobenius(a))
+    held = [quasi_equals_commutant(a, tol) for a in stack]
+    assert all(type(h) is bool for h in held) and True in held and False in held
+    for x in (stack, stack.reshape(2, -1, n, n)):
+        masks = [m.reshape(len(stack), *m.shape[x.ndim - 2:]) for m in _pair_masks(x, tol)]
+        for i, one in enumerate(alone):
+            for got, want in zip(masks, one, strict=True):
+                assert got[i].tobytes() == np.asarray(want).tobytes(), (n, i)
+        got = quasi_equals_commutant(x, tol)
+        assert got.shape == x.shape[:-2] and got.dtype == bool
+        assert list(got.ravel()) == held
 
 
 class TestSubspaceComparison:

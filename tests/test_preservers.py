@@ -38,6 +38,7 @@ from commutant_lab.preservers import (
     VIOLATION_FORWARD,
     _aef_fixtures,
     _lemma4_candidates,
+    _swap_partner,
     _triples,
     default_necessity_anchor,
 )
@@ -184,6 +185,14 @@ class TestShiftPolicies:
         if kind == "theorem_compliant_quasi":  # zero on the partnered matrix alone
             assert list(np.flatnonzero(shift(stack, tol) == 0.0)) == [0]
 
+    def test_pinned_anchor_of_another_size_matches_nothing(self):
+        shift = ShiftPolicy("pinned", value=1.0, anchor=default_necessity_anchor(4))
+        one = shift(default_necessity_anchor(3))
+        assert type(one) is float and one == 0.0
+        stack = self.shift_stack(3).reshape(3, 4, 3, 3)
+        got = shift(stack)
+        assert got.shape == (3, 4) and got.dtype == np.float64 and not got.any()
+
     def test_per_matrix_callable_shift_through_apply_map(self):
         """A plain callable shift is called matrix by matrix, at the
         tolerance of the call."""
@@ -244,6 +253,23 @@ class TestCheckTriadic:
             w, v = np.linalg.eigh(a - b)
             c = (v * rng.standard_normal(dim)) @ v.conj().T
             assert not is_violation(check_triadic(maps[dim], a, b, (c + c.conj().T) / 2))
+
+
+def test_is_violation_of_one_verdict_and_of_an_array():
+    verdicts = [BOTH_HOLD, VIOLATION_FORWARD, BOTH_FAIL, VIOLATION_BACKWARD]
+    alone = [is_violation(v) for v in verdicts]
+    assert alone == [False, True, False, True] and all(type(x) is bool for x in alone)
+    got = is_violation(np.array(verdicts).reshape(2, 2))
+    assert got.dtype == bool and list(got.ravel()) == alone
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_swap_partner_of_the_identity_is_the_unit_entry_swap(dim):
+    """necessity_search's partner of diag(1, -1, 0, ...) is the swap of the
+    first two coordinates, scaled to unit norm, byte for byte."""
+    swap = np.zeros((dim, dim), dtype=complex)
+    swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)
+    assert _swap_partner(np.eye(dim, dtype=complex)).tobytes() == swap.tobytes()
 
 
 def near_tie():
@@ -318,6 +344,19 @@ class TestQuasiWindow:
         assert check_triadic(COMPLIANT_QUASI, a, zero, pair) == VIOLATION_FORWARD
         assert not quasi_equals_commutant(a, TIGHT_RANK_CUT)
         assert check_triadic(COMPLIANT_QUASI, a, zero, pair, TIGHT_RANK_CUT) == BOTH_HOLD
+
+    def test_window_decided_on_a_stack(self):
+        """Every window value of d, in one stack, decides as it does alone,
+        and the compliant shift of the stack is each matrix's own shift."""
+        stack = np.array([quasi_window(d)[0] for d in (6e-10, 1e-9, 1.2e-9, 2.5e-9)])
+        for tol, held in ((Tolerance(), True), (TIGHT_RANK_CUT, False)):
+            got = quasi_equals_commutant(stack, tol)
+            assert got.dtype == bool
+            assert list(got) == [quasi_equals_commutant(a, tol) for a in stack] == [held] * 4
+            shifts = COMPLIANT_QUASI.shift(stack, tol)
+            assert shifts.tobytes() == np.array([COMPLIANT_QUASI.shift(a, tol)
+                                                 for a in stack]).tobytes()
+            assert shifts.any() == held
 
     def test_shift_decides_at_the_tolerance_of_the_check(self):
         """One map, two checks: each verdict follows its own tolerance, and
