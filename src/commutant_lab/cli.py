@@ -29,12 +29,12 @@ from .commutant import (
     refute_biquasi_membership,
     scalar_witness,
 )
-from .hermitian import Tolerance, frobenius, random_hermitian
+from .hermitian import Tolerance, random_hermitian
 from .matrixfile import (_checked, _field, _path, _payload_entries, _read_json, load_matrix,
                          matrix_to_payload)
 from .preservers import necessity_map, necessity_search
-from .suites import (FIXED_GRID_SUITES, SUITE_NAMES, replay_violation, run_suite,
-                     violation_to_payload)
+from .suites import (FIXED_GRID_SUITES, SUITE_NAMES, TARGET_GUARD, _suite_kwargs,
+                     replay_violation, run_suite, violation_to_payload)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -193,7 +193,10 @@ def render_text(report: dict) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report to stdout in ``--format``, and as JSON to ``--out``;
+    the JSON is encoded only when one of them takes it."""
+    text = (json.dumps(report, indent=2, sort_keys=True) + "\n"
+            if args.format == "json" or args.out is not None else None)
     sys.stdout.write(text if args.format == "json" else render_text(report))
     if args.out is not None:
         args.out.write_text(text)
@@ -257,10 +260,13 @@ def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
     every = args.suite == "all"
     names = list(SUITE_NAMES) if every else [args.suite]
     # ``all`` applies --trials to the sampled suites and --a to lemma-aef only.
-    results = [run_suite(name, dims=dims, seed=seed, tol=tol,
-                         trials=None if every and name in FIXED_GRID_SUITES else args.trials,
-                         a_value=None if every and name != "lemma-aef" else args.a)
-               for name in names]
+    calls = [dict(name=name, dims=dims, seed=seed, tol=tol,
+                  trials=None if every and name in FIXED_GRID_SUITES else args.trials,
+                  a_value=None if every and name != "lemma-aef" else args.a)
+             for name in names]
+    for call in calls:  # every suite's options are checked before any suite runs
+        _suite_kwargs(**call)
+    results = [run_suite(**call) for call in calls]
     return {"kind": "verify", "command": "verify " + " ".join(names), "suites": results,
             "passed": all(r["passed"] for r in results)}
 
@@ -294,10 +300,11 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
     report = {"kind": "search", "command": f"search {args.kind}", "passed": True}
     try:
         if args.kind == "necessity-f":
-            trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol)
-            violation = trial_report.violations[0]
+            preserver = necessity_map(args.dim)
+            trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol,
+                                            preserver=preserver)
             return {**report, "status": f"violation found after {trial_report.trials} trials",
-                    "violation": violation_to_payload(violation, necessity_map(args.dim))}
+                    "violation": violation_to_payload(trial_report.violations[0], preserver)}
         matrix = load_matrix(args.input)
         if args.kind == "scalar-witness":
             witness = scalar_witness(matrix, seed=seed, tol=tol)
@@ -309,7 +316,7 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
             else:
                 bic = bicommutant(matrix, tol)
                 target = random_hermitian(matrix.shape[0], seed)
-                if bic.residual(target) <= 1e-6 * max(1.0, frobenius(target)):
+                if bic.contains(target, TARGET_GUARD):
                     target = random_hermitian(matrix.shape[0], seed + 1)
                 report["target"] = matrix_to_payload(target, label="sampled-target")
             witness = refute_biquasi_membership(target, matrix, budget=args.budget,

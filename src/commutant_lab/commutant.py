@@ -38,6 +38,7 @@ from .hermitian import (
     _projection,
     _rng,
     _stack_depth,
+    _symmetrize,
     frobenius,
     is_scalar,
     random_hermitian,
@@ -273,7 +274,7 @@ def _krylov_bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> Ma
     k = 1
     while k < n:
         y = a @ basis[k - 1]
-        y = ((y + y.conj().T) / 2.0).reshape(-1).view(float)
+        y = _symmetrize(y).reshape(-1).view(float)
         for _ in range(2):
             y = y - (flat[:k] @ y) @ flat[:k]
         r = float(np.linalg.norm(y))

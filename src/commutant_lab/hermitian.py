@@ -242,7 +242,7 @@ def as_hermitian(entries, rel: float = 1e-12) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if not is_hermitian(h, rel):
         raise ValueError(f"matrix is not Hermitian within relative tolerance {rel:g}")
-    return (h + h.conj().T) / 2.0
+    return _symmetrize(h)
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -343,6 +343,11 @@ def is_scalar(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return bool(tol.is_zero(frobenius(a - mean * np.eye(n)), frobenius(a)))
 
 
+def _symmetrize(x: np.ndarray) -> np.ndarray:
+    """The Hermitian part ``(X + X*)/2`` of one matrix or of each of a stack."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _hermitian(normals: np.ndarray) -> np.ndarray:
     """The symmetrized complex Gaussian of :func:`random_hermitian` from real
     normals of shape ``(..., 2, n, n)``: one matrix, or one per leading index.
@@ -351,8 +356,7 @@ def _hermitian(normals: np.ndarray) -> np.ndarray:
     imaginary parts.  A generator fills one ``(2, n, n)`` draw in the order
     of two ``(n, n)`` draws, so the samplers' one draw reproduces the two.
     """
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    return (g + g.conj().swapaxes(-1, -2)) / 2.0
+    return _symmetrize(normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
 
 
 def _unitary(normals: np.ndarray) -> np.ndarray:
@@ -366,15 +370,13 @@ def _unitary(normals: np.ndarray) -> np.ndarray:
 
 def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``V diag(values) V*``, symmetrized, for one eigenbasis or a stack."""
-    c = (v * values[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (c + c.conj().swapaxes(-1, -2)) / 2.0
+    return _symmetrize((v * values[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def _projection(frame: np.ndarray) -> np.ndarray:
     """Projection onto the span of the orthonormal columns of ``frame``,
     symmetrized."""
-    p = frame @ frame.conj().T
-    return (p + p.conj().T) / 2.0
+    return _symmetrize(frame @ frame.conj().T)
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

@@ -35,6 +35,7 @@ from .hermitian import (
     _projection,
     _spectral,
     _stack_depth,
+    _symmetrize,
     _unitary,
     frobenius,
     rel_c,
@@ -122,8 +123,7 @@ class ShiftPolicy:
             # each diagonal summed as np.trace sums one
             shift = a.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real / a.shape[-1]
         elif self.kind == "pinned":  # an anchor of another size matches nothing
-            sym = (a + a.conj().swapaxes(-1, -2)) / 2.0
-            anchor = (self.anchor + self.anchor.conj().T) / 2.0
+            sym, anchor = _symmetrize(a), _symmetrize(self.anchor)
             same = sym.shape[-2:] == anchor.shape and (sym == anchor).all(axis=(-2, -1))
             shift = np.where(same, self.value, np.zeros(a.shape[:-2]))
         else:  # theorem_compliant_quasi
@@ -135,6 +135,10 @@ class ShiftPolicy:
 class PreserverMap:
     """The classified map form: scale, unitary conjugation, optional
     entrywise conjugation first (the antiunitary case), and a scalar shift.
+
+    ``shift(a, tol)`` is a :class:`ShiftPolicy` or any callable of the same
+    contract: one matrix gives a ``float``, a stack ``(..., n, n)`` gives one
+    value per matrix, of shape ``a.shape[:-2]``.
     """
 
     scale: float
@@ -165,18 +169,14 @@ class PreserverMap:
 
 def apply_map(m: PreserverMap, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Evaluate the map on one Hermitian matrix, or on each matrix of a stack
-    ``(..., n, n)``; the output is Hermitian.  The shift is evaluated at
-    ``tol``: a :class:`ShiftPolicy` once on the whole stack, any other
-    callable ``shift(a, tol)`` (:func:`compose`'s) matrix by matrix."""
+    ``(..., n, n)``; the output is Hermitian.  The shift is called once, on
+    the whole input, at ``tol``."""
     a = np.asarray(a, dtype=complex)
     if a.shape[-2:] != m.conjugator.shape:
         raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {a.shape[-2:]}")
     x = a.conj() if m.antiunitary else a
-    out = m.scale * (m.conjugator @ x @ m.conjugator.conj().T)
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    shift = (m.shift(a, tol) if isinstance(m.shift, ShiftPolicy)
-             else [m.shift(y, tol) for y in a.reshape(-1, *m.conjugator.shape)])
-    return out + np.reshape(shift, (*a.shape[:-2], 1, 1)) * np.eye(m.dim)
+    out = _symmetrize(m.scale * (m.conjugator @ x @ m.conjugator.conj().T))
+    return out + np.reshape(m.shift(a, tol), (*a.shape[:-2], 1, 1)) * np.eye(m.dim)
 
 
 def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
@@ -188,7 +188,7 @@ def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
     u_inner = inner.conjugator.conj() if outer.antiunitary else inner.conjugator
     u = outer.conjugator @ u_inner
 
-    def shift(a: np.ndarray, tol: Tolerance) -> float:
+    def shift(a: np.ndarray, tol: Tolerance) -> float | np.ndarray:
         return outer.scale * inner.shift(a, tol) + outer.shift(apply_map(inner, a, tol), tol)
 
     return PreserverMap(
@@ -271,8 +271,7 @@ def _swap_partner(v: np.ndarray) -> np.ndarray:
     n = v.shape[-1]
     swap = np.zeros((n, n), dtype=complex)
     swap[0, 1] = swap[1, 0] = 1.0 / np.sqrt(2.0)
-    c = v @ swap @ v.conj().swapaxes(-1, -2)
-    return (c + c.conj().swapaxes(-1, -2)) / 2.0
+    return _symmetrize(v @ swap @ v.conj().swapaxes(-1, -2))
 
 
 # The mode of a fully random triple; modes 0-5 are structured.

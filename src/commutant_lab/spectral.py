@@ -22,7 +22,7 @@ import numpy as np
 
 from .commutant import (_krylov_bicommutant, _spectral_runs, quasi_equals_commutant,
                         subspace_proper_lt)
-from .hermitian import DEFAULT_TOLERANCE, Tolerance, frobenius, is_scalar
+from .hermitian import DEFAULT_TOLERANCE, Tolerance, _symmetrize, frobenius, is_scalar
 
 __all__ = [
     "SpectralData",
@@ -260,14 +260,6 @@ def lemma181_oracle(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return _partition_oracle(a, tol, accept=lambda b: quasi_equals_commutant(b, tol))
 
 
-def _first_range_vector(p: np.ndarray, inside: bool) -> np.ndarray:
-    """Deterministic unit vector in the range of P (or of I - P)."""
-    w, v = np.linalg.eigh(p)
-    mask = w > 0.5 if inside else w <= 0.5
-    cols = v[:, mask]
-    return cols[:, 0]
-
-
 def lemma_primitive_witnesses(p: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Witness pair (B, C) separating ``alpha P + beta I`` from primitivity,
     the same pair for every real ``beta``.
@@ -297,15 +289,15 @@ def lemma_primitive_witnesses(p: np.ndarray, alpha: float) -> tuple[np.ndarray, 
     rank = int(round(np.trace(p).real))
     if rank < 2 or n - rank < 2:
         raise ValueError("projection must have rank >= 2 and corank >= 2")
-    q1_vec = _first_range_vector(p, inside=True)
-    q2_vec = _first_range_vector(p, inside=False)
+    w, v = np.linalg.eigh(p)  # first unit vectors in the ranges of P and I - P
+    q1_vec, q2_vec = v[:, w > 0.5][:, 0], v[:, w <= 0.5][:, 0]
     q1 = np.outer(q1_vec, q1_vec.conj())
     q2 = np.outer(q2_vec, q2_vec.conj())
     eye = np.eye(n, dtype=complex)
     gamma = 2.0 * abs(alpha)
     b = -gamma * (q1 + q2) - 2.0 * eye
     c = q1 + 2.0 * (p - q1) + 3.0 * (eye - p)
-    return (b + b.conj().T) / 2.0, (c + c.conj().T) / 2.0
+    return _symmetrize(b), _symmetrize(c)
 
 
 def build_aef(a: float, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

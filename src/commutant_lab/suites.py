@@ -12,6 +12,7 @@ comparisons ignore.
 from __future__ import annotations
 
 import time
+from math import isfinite
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .hermitian import (
     _check_seed,
     _generators,
     _spectral,
+    _symmetrize,
     frobenius,
     is_scalar,
     random_hermitian,
@@ -84,6 +86,8 @@ EXPLORATORY_TRIALS = 200
 LEMMA4_CANDIDATES = 1000
 AEF_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
 REFUTATION_BUDGET = 16
+# A lemma-7 target in the second commutant at this tolerance is skipped or redrawn.
+TARGET_GUARD = Tolerance(rel_zero=1e-6)
 
 
 class _Recorder:
@@ -198,8 +202,7 @@ def suite_brooke(dims=(3, 4, 5, 8), trials=1000, seed=0, tol=DEFAULT_TOLERANCE):
         a = _spectral(v, values)
         swap = np.zeros((dim, dim), dtype=complex)
         swap[0, 1] = swap[1, 0] = 1.0
-        b = v @ swap @ v.conj().T
-        lambda_check(a, (b + b.conj().T) / 2.0, expected_sign=-1.0)
+        lambda_check(a, _symmetrize(v @ swap @ v.conj().T), expected_sign=-1.0)
 
     return rec.result("brooke", {"random_pairs": trials,
                                  "constructed_pairs": 2 * CONSTRUCTED_PAIRS,
@@ -286,8 +289,9 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=DEFAULT_TOLERANCE,
             for mat, pair, label in ((fa, (-lam, lam), "A"), (fe, (-abs(a), abs(a)), "E"),
                                      (ff, (-1.0, 1.0), "F")):
                 sd = spectral_decompose(mat, tol)
-                # scalar * (I - 2 * rank-one projection) decomposition
-                proj = (np.eye(dim) - mat / sd.distinct_values[1]) / 2.0
+                # scalar * (I - 2 * rank-one projection) decomposition, by the
+                # top spectral point: a one-point spectrum fails the checks
+                proj = (np.eye(dim) - mat / sd.distinct_values[-1]) / 2.0
                 for ok, what in (
                     (sd.count == 2, "two spectral points"),
                     (bool(np.all(np.abs(sd.distinct_values - np.array(pair)) <= 1e-10)),
@@ -389,8 +393,8 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=DEFAULT_TOLERANCE, t
         bic = bicommutant(a, tol)
         for j, target_rng in enumerate(_generators([seed, 9, i], range(targets))):
             x = random_hermitian(dim, target_rng)
-            if bic.residual(x) <= 1e-6 * max(1.0, frobenius(x)):
-                continue  # vanishing-probability resample guard
+            if bic.contains(x, TARGET_GUARD):
+                continue
             witness = refute_biquasi_membership(x, a, budget=REFUTATION_BUDGET, seed=seed + j,
                                                 tol=tol, quasi=qc)
             ok = (
@@ -675,16 +679,13 @@ _PRIMITIVE_SUITES = ("lemma-primitive", "lemma-primitive1")
 FIXED_GRID_SUITES = ("lemma-aef", *_PRIMITIVE_SUITES)
 
 
-def run_suite(name, dims=None, trials=None, seed=0, tol=DEFAULT_TOLERANCE, a_value=None):
-    """Run one named suite with optional overrides for dims/trials/seed, and
-    for the block-fixture weight (``a_value``, lemma-aef only).
-
-    The result carries the suite's wall time as ``elapsed_seconds``.
-    """
+def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
+    """The keyword arguments of suite ``name`` under :func:`run_suite`'s
+    overrides; raises ValueError on any override the suite cannot take, so
+    that a caller can check every suite before it runs one."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(_SUITES)}")
     _check_seed(seed)
-    fn = _SUITES[name]
     kwargs = {"seed": seed, "tol": tol}
     if dims is not None:
         dims = tuple(int(d) for d in dims)
@@ -702,8 +703,23 @@ def run_suite(name, dims=None, trials=None, seed=0, tol=DEFAULT_TOLERANCE, a_val
     if a_value is not None:
         if name != "lemma-aef":
             raise ValueError(f"suite {name} takes no block-fixture weight; only lemma-aef does")
+        if not (isfinite(a_value) and a_value != 0.0):
+            raise ValueError(f"the block-fixture weight must be finite and nonzero, "
+                             f"got {a_value!r}")
         kwargs["a_values"] = (float(a_value),)
+    return kwargs
+
+
+def run_suite(name, dims=None, trials=None, seed=0, tol=DEFAULT_TOLERANCE, a_value=None):
+    """Run one named suite with optional overrides for dims/trials/seed, and
+    for the block-fixture weight (``a_value``, lemma-aef only, finite and
+    nonzero).  An override the suite cannot take raises ValueError before
+    the suite starts.
+
+    The result carries the suite's wall time as ``elapsed_seconds``.
+    """
+    kwargs = _suite_kwargs(name, dims, trials, seed, tol, a_value)
     start = time.perf_counter()
-    result = fn(**kwargs)
+    result = _SUITES[name](**kwargs)
     result["elapsed_seconds"] = round(time.perf_counter() - start, 6)
     return result

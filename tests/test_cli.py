@@ -144,6 +144,55 @@ class TestVerify:
         assert out == ""
         assert f"COMMUTANT_LAB_SEED must be a nonnegative integer, got {shown}" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--dims", "3"], "suite lemma-primitive needs dimensions of at least 4"),
+        (["--a", "0"], "the block-fixture weight must be finite and nonzero, got 0.0"),
+    ], ids=["dims 3", "a 0"])
+    def test_all_checks_every_suite_before_running_one(self, capsys, monkeypatch, argv,
+                                                       message):
+        from commutant_lab import suites
+        called = []
+
+        def recorder(name):
+            return lambda **kwargs: called.append(name) or {"name": name, "passed": True}
+
+        for name in suites.SUITE_NAMES:
+            monkeypatch.setitem(suites._SUITES, name, recorder(name))
+        code, out, err = run_cli(capsys, ["verify", "all", *argv])
+        assert (code, out, called) == (2, "", [])
+        assert message in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_a_must_be_finite_and_nonzero(self, capsys, value):
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", f"--a={value}"])
+        assert (code, out) == (2, "")
+        assert "the block-fixture weight must be finite and nonzero" in err
+
+    def test_aef_weight_with_one_spectral_point_is_a_recorded_failure(self, capsys):
+        """At a = 1e-10, E's two spectral points merge into one cluster; the
+        reflection-direction check then fails instead of raising."""
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", "--a", "1e-10", "--dims", "3",
+                                          "--format", "json"])
+        assert (code, err) == (1, "")
+        suite = json.loads(out)["suites"][0]
+        assert suite["counterexamples"][0] == {
+            "context": "E: two spectral points (a=1e-10, dim=3)"}
+
+    def test_text_report_is_not_json_encoded(self, capsys, monkeypatch, tmp_path):
+        """``--format text`` encodes the JSON only for ``--out``."""
+        from commutant_lab import cli
+        encoded = []
+        dumps = cli.json.dumps
+        monkeypatch.setattr(cli.json, "dumps",
+                            lambda *args, **kwargs: encoded.append(1) or dumps(*args, **kwargs))
+        argv = ["verify", "lemma-aef", "--a", "1.0", "--dims", "3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, encoded) == (0, [])
+        assert "suite lemma-aef: PASS" in out
+        code, text, _ = run_cli(capsys, [*argv, "--out", str(tmp_path / "r.json")])
+        assert (code, len(encoded)) == (0, 1)
+        assert json.loads((tmp_path / "r.json").read_text())["passed"] is True
+        assert text.splitlines()[:-1] == out.splitlines()[:-1]  # all but the elapsed time
 
     def test_exhausted_witness_search_is_a_recorded_failure(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "lemma-scalar", "--tol-zero", "0.9",

@@ -193,20 +193,20 @@ class TestShiftPolicies:
         got = shift(stack)
         assert got.shape == (3, 4) and got.dtype == np.float64 and not got.any()
 
-    def test_per_matrix_callable_shift_through_apply_map(self):
-        """A plain callable shift is called matrix by matrix, at the
-        tolerance of the call."""
+    def test_callable_shift_is_called_once_on_the_stack(self):
+        """A plain callable shift is called once, on the whole stack, at the
+        tolerance of the call; each slice of the image is the serial one."""
         seen = []
 
         def shift(a, tol):
             seen.append((a.shape, tol))
-            return float(a[0, 0].real) - 2.0 * float(a[1, 1].real)
+            return a[..., 0, 0].real - 2.0 * a[..., 1, 1].real
 
         m = PreserverMap(-1.5, random_unitary(4, 43), antiunitary=True, shift=shift)
         stack = self.shift_stack(4).reshape(2, 6, 4, 4)
         tol = Tolerance(rel_zero=1e-7)
         out = apply_map(m, stack, tol)
-        assert out.shape == stack.shape and seen == [((4, 4), tol)] * 12
+        assert out.shape == stack.shape and seen == [((2, 6, 4, 4), tol)]
         for y, x in zip(out.reshape(-1, 4, 4), stack.reshape(-1, 4, 4)):
             assert y.tobytes() == serial_apply_map(m, x, tol).tobytes()
 
