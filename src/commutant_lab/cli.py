@@ -33,8 +33,8 @@ from .hermitian import Tolerance, random_hermitian
 from .matrixfile import (_checked, _field, _path, _payload_entries, _read_json, load_matrix,
                          matrix_to_payload)
 from .preservers import necessity_map, necessity_search
-from .suites import (FIXED_GRID_SUITES, SUITE_NAMES, TARGET_GUARD, _suite_kwargs,
-                     replay_violation, run_suite, violation_to_payload)
+from .suites import (SUITE_NAMES, TARGET_GUARD, replay_violation, run_suite, suite_calls,
+                     violation_to_payload)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -86,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     def command(parent, name: str, text: str) -> argparse.ArgumentParser:
         return parent.add_parser(name, help=text, allow_abbrev=False)
 
-    def add_common(p, seed=True):
+    def add_common(p, tolerances, seed=True):  # tolerances: the Tolerance fields it reads
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="suite seed (default: COMMUTANT_LAB_SEED or 0)")
-        for name, option in TOLERANCE_OPTIONS.items():
-            p.add_argument(option, dest=name, type=float, default=None)
+        for name in tolerances:
+            p.add_argument(TOLERANCE_OPTIONS[name], dest=name, type=float, default=None)
         p.add_argument("--out", type=Path, default=None,
                        help="also write the report to this path")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -103,17 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=None)
     verify.add_argument("--a", type=float, default=None,
                         help="block-fixture weight (lemma-aef only)")
-    add_common(verify)
+    add_common(verify, TOLERANCE_OPTIONS)
 
     replay = command(sub, "replay", "re-decide a recorded triadic violation at the tolerance "
                      "its file records (--tol-* for a bare record)")
     replay.add_argument("path", type=Path)
-    add_common(replay, seed=False)
+    add_common(replay, ("rel_zero", "rank_cut"), seed=False)
 
     comm = command(sub, "commutant", "commutant structure of a matrix file")
     comm.add_argument("--input", type=Path, required=True)
     comm.add_argument("--which", choices=("c", "anti", "quasi", "cc"), default="c")
-    add_common(comm)
+    add_common(comm, ("rank_cut",))
 
     search = command(sub, "search", "counterexample and witness searches")
     kinds = search.add_subparsers(dest="kind", required=True)
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (witness, refute):
         p.add_argument("--input", type=Path, required=True, help="matrix file (A)")
     for p in (necessity, witness, refute):
-        add_common(p)
+        add_common(p, ("rel_zero",) if p is witness else ("rel_zero", "rank_cut"))
 
     rep = command(sub, "report", "pretty-print a saved JSON report")
     rep.add_argument("path", type=Path)
@@ -256,19 +256,11 @@ def cmd_replay(args, given: dict) -> dict:
 
 
 def cmd_verify(args, seed: int, tol: Tolerance) -> dict:
-    dims = None if args.dims is None else _parse_dims(args.dims)
-    every = args.suite == "all"
-    names = list(SUITE_NAMES) if every else [args.suite]
-    # ``all`` applies --trials to the sampled suites and --a to lemma-aef only.
-    calls = [dict(name=name, dims=dims, seed=seed, tol=tol,
-                  trials=None if every and name in FIXED_GRID_SUITES else args.trials,
-                  a_value=None if every and name != "lemma-aef" else args.a)
-             for name in names]
-    for call in calls:  # every suite's options are checked before any suite runs
-        _suite_kwargs(**call)
+    calls = suite_calls(args.suite, None if args.dims is None else _parse_dims(args.dims),
+                        args.trials, seed, tol, args.a)
     results = [run_suite(**call) for call in calls]
-    return {"kind": "verify", "command": "verify " + " ".join(names), "suites": results,
-            "passed": all(r["passed"] for r in results)}
+    return {"kind": "verify", "command": "verify " + " ".join(c["name"] for c in calls),
+            "suites": results, "passed": all(r["passed"] for r in results)}
 
 
 def cmd_commutant(args, seed: int, tol: Tolerance) -> dict:
@@ -354,7 +346,7 @@ def main(argv=None) -> int:
             return cmd_report(args)
         start = time.perf_counter()
         given = {name: getattr(args, name) for name in TOLERANCE_OPTIONS
-                 if getattr(args, name) is not None}
+                 if getattr(args, name, None) is not None}
         if args.command == "replay":
             report = cmd_replay(args, given)
         else:

@@ -315,18 +315,20 @@ def quasi_equals_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) ->
 def noncommuting_anticommuting_partner(
     a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> np.ndarray | None:
-    """Unit Hermitian ``B = (v_a v_b* + v_b v_a*) / sqrt(2)`` of the first
-    eigenvector pair (a, b) that :func:`quasi_equals_commutant` rules out;
-    ``None`` exactly when it holds.  ``|AB - BA|_F = |w_a - w_b|`` is above
-    the commutant cut but may be below ``rel_zero * max(1, |A|_F)``, where
-    ``rel_c`` reads B as commuting with ``A``.
+    """Unit Hermitian ``B = (v_a v_b* + v_b v_a*) / sqrt(2)``, the first
+    :func:`_pair_subspace` element of the first eigenvector pair (a, b)
+    that :func:`quasi_equals_commutant` rules out; ``None`` exactly when it
+    holds.  ``|AB - BA|_F = |w_a - w_b|`` is above the commutant cut but
+    may be below ``rel_zero * max(1, |A|_F)``, where ``rel_c`` reads B as
+    commuting with ``A``.
     """
     _, v, comm, anti, _ = _pair_masks(a, tol)
     pairs = np.argwhere(anti & ~comm)
     if len(pairs) == 0:
         return None
-    b = np.outer(v[:, pairs[0][0]], v[:, pairs[0][1]].conj())
-    return (b + b.conj().T) / np.sqrt(2.0)
+    first = np.zeros_like(comm)
+    first[tuple(pairs[0])] = True
+    return _pair_subspace(v, first).basis[0]
 
 
 def refute_biquasi_membership(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .commutant import (_krylov_bicommutant, _spectral_runs, quasi_equals_commutant,
                         subspace_proper_lt)
-from .hermitian import DEFAULT_TOLERANCE, Tolerance, _symmetrize, frobenius, is_scalar
+from .hermitian import DEFAULT_TOLERANCE, Tolerance, _projection, _symmetrize, frobenius, is_scalar
 
 __all__ = [
     "SpectralData",
@@ -267,8 +267,8 @@ def lemma_primitive_witnesses(p: np.ndarray, alpha: float) -> tuple[np.ndarray, 
     For a projection P with rank and corank both at least two (dimension at
     least four), returns a two-point-spectrum B commuting with P and a C
     whose second commutant sits strictly between those of A = alpha P +
-    beta I and A - B.  Built from deterministic rank-one compressions
-    Q1 <= P and Q2 <= I - P:
+    beta I and A - B.  Built from the rank-one projections Q1 <= P and
+    Q2 <= I - P onto the first eigenvectors of P in their ranges:
 
         B = -2|alpha| (Q1 + Q2) - 2 I
         C = Q1 + 2 (P - Q1) + 3 (I - P)
@@ -290,9 +290,7 @@ def lemma_primitive_witnesses(p: np.ndarray, alpha: float) -> tuple[np.ndarray, 
     if rank < 2 or n - rank < 2:
         raise ValueError("projection must have rank >= 2 and corank >= 2")
     w, v = np.linalg.eigh(p)  # first unit vectors in the ranges of P and I - P
-    q1_vec, q2_vec = v[:, w > 0.5][:, 0], v[:, w <= 0.5][:, 0]
-    q1 = np.outer(q1_vec, q1_vec.conj())
-    q2 = np.outer(q2_vec, q2_vec.conj())
+    q1, q2 = _projection(v[:, w > 0.5][:, :1]), _projection(v[:, w <= 0.5][:, :1])
     eye = np.eye(n, dtype=complex)
     gamma = 2.0 * abs(alpha)
     b = -gamma * (q1 + q2) - 2.0 * eye

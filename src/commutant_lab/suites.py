@@ -1,12 +1,12 @@
 """Named verification suites behind the command-line harness.
 
 Every suite is a pure function of ``(dims, seed, tol)``, plus ``trials``
-for the sampled suites (``lemma-aef`` and the two primitive suites run a
-fixed grid), returning a plain dict: name, pass flag, check/failure counts,
-suite-specific details and counterexample records carrying full matrices
-for replay.  Identical arguments reproduce identical results;
-:func:`run_suite` adds the wall time as ``elapsed_seconds``, which replay
-comparisons ignore.
+for the sampled suites; ``lemma-aef`` and the two primitive suites run a
+fixed grid, and ``lemma-aef`` reads weights, not a seed.  Each returns a
+plain dict: name, pass flag, check/failure counts, suite-specific details
+and counterexample records carrying full matrices for replay.  Identical
+arguments reproduce identical results; :func:`run_suite` adds the wall
+time as ``elapsed_seconds``, which replay comparisons ignore.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .hermitian import (
     Tolerance,
     _check_seed,
     _generators,
+    _projection,
     _spectral,
     _symmetrize,
     frobenius,
@@ -66,13 +67,13 @@ from .spectral import (
 )
 
 __all__ = [
-    "FIXED_GRID_SUITES",
     "SUITE_NAMES",
     "map_from_payload",
     "map_to_payload",
     "run_suite",
     "shift_from_payload",
     "shift_to_payload",
+    "suite_calls",
     "violation_to_payload",
 ]
 
@@ -85,6 +86,11 @@ EXPLORATORY_TRIALS = 200
 # random candidates per part of each lemma-7 refutation search.
 LEMMA4_CANDIDATES = 1000
 AEF_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
+# Largest block-fixture weight |a|.  Products of the fixtures have entries
+# of order a**2, so squared Frobenius norms grow like a**4 and with the
+# dimension; they overflow the float maximum 1.8e308 = (1.2e77)**4 from
+# a = 3e76 at dim 64, and at 1e75 only at dimensions far beyond memory.
+AEF_WEIGHT_BOUND = 1e75
 REFUTATION_BUDGET = 16
 # A lemma-7 target in the second commutant at this tolerance is skipped or redrawn.
 TARGET_GUARD = Tolerance(rel_zero=1e-6)
@@ -276,10 +282,10 @@ def suite_lemma_4(dims=(3, 4, 5, 8), trials=20, seed=0, tol=DEFAULT_TOLERANCE):
 # --------------------------------------------------------------------------
 
 
-def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=DEFAULT_TOLERANCE,
+def suite_lemma_aef(dims=(3, 4, 5, 8), tol=DEFAULT_TOLERANCE,
                     a_values=(0.25, 0.5, 1.0, 2.0, 4.0)):
     """Spectra and the exact commutation pattern of the A/E/F block fixtures,
-    over a finite exact grid."""
+    over a finite exact grid; nothing is sampled, so it takes no seed."""
     rec = _Recorder()
 
     for a in a_values:
@@ -290,8 +296,11 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), seed=0, tol=DEFAULT_TOLERANCE,
                                      (ff, (-1.0, 1.0), "F")):
                 sd = spectral_decompose(mat, tol)
                 # scalar * (I - 2 * rank-one projection) decomposition, by the
-                # top spectral point: a one-point spectrum fails the checks
-                proj = (np.eye(dim) - mat / sd.distinct_values[-1]) / 2.0
+                # bulk: the point of multiplicity dim - 1 (lam, a or 1, the
+                # bottom point of E for a < 0); a one-point spectrum fails
+                # the checks
+                bulk = sd.distinct_values[np.argmax(sd.multiplicities)]
+                proj = (np.eye(dim) - mat / bulk) / 2.0
                 for ok, what in (
                     (sd.count == 2, "two spectral points"),
                     (bool(np.all(np.abs(sd.distinct_values - np.array(pair)) <= 1e-10)),
@@ -470,8 +479,7 @@ def _suite_primitive(name, dims, seed, tol, quasi_side: bool):
         w, v = np.linalg.eigh(p1)
         for take in (1, 2, dim - 1):
             idx = np.argsort(-w)[:take]
-            q = v[:, idx] @ v[:, idx].conj().T
-            b1 = 2.0 * q + 0.5 * np.eye(dim)
+            b1 = 2.0 * _projection(v[:, idx]) + 0.5 * np.eye(dim)
             rec.check(bicommutant(p1 - b1, tol).real_dimension <= 3,
                       {"context": f"rank-one converse at dim {dim}"})
         # Precondition probes
@@ -681,12 +689,12 @@ FIXED_GRID_SUITES = ("lemma-aef", *_PRIMITIVE_SUITES)
 
 def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
     """The keyword arguments of suite ``name`` under :func:`run_suite`'s
-    overrides; raises ValueError on any override the suite cannot take, so
-    that a caller can check every suite before it runs one."""
+    overrides, with no seed for lemma-aef, which samples nothing; raises
+    ValueError on any override the suite cannot take."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {sorted(_SUITES)}")
     _check_seed(seed)
-    kwargs = {"seed": seed, "tol": tol}
+    kwargs = {"tol": tol} if name == "lemma-aef" else {"seed": seed, "tol": tol}
     if dims is not None:
         dims = tuple(int(d) for d in dims)
         if any(d < 3 for d in dims):
@@ -706,15 +714,32 @@ def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
         if not (isfinite(a_value) and a_value != 0.0):
             raise ValueError(f"the block-fixture weight must be finite and nonzero, "
                              f"got {a_value!r}")
+        if abs(a_value) > AEF_WEIGHT_BOUND:
+            raise ValueError(f"the block-fixture weight must be at most {AEF_WEIGHT_BOUND:g} "
+                             f"in magnitude, got {a_value!r}")
         kwargs["a_values"] = (float(a_value),)
     return kwargs
 
 
+def suite_calls(suite, dims, trials, seed, tol, a_value) -> list[dict]:
+    """The :func:`run_suite` keyword dicts of ``verify suite``, all checked before one runs;
+    ``"all"`` gives ``trials`` to the sampled suites and ``a_value`` to lemma-aef only."""
+    every = suite == "all"
+    calls = [dict(name=name, dims=dims, seed=seed, tol=tol,
+                  trials=None if every and name in FIXED_GRID_SUITES else trials,
+                  a_value=None if every and name != "lemma-aef" else a_value)
+             for name in (SUITE_NAMES if every else (suite,))]
+    for call in calls:
+        _suite_kwargs(**call)
+    return calls
+
+
 def run_suite(name, dims=None, trials=None, seed=0, tol=DEFAULT_TOLERANCE, a_value=None):
-    """Run one named suite with optional overrides for dims/trials/seed, and
-    for the block-fixture weight (``a_value``, lemma-aef only, finite and
-    nonzero).  An override the suite cannot take raises ValueError before
-    the suite starts.
+    """Run one named suite with optional overrides for dims/trials/seed (a
+    valid seed, which lemma-aef does not read) and for the block-fixture
+    weight (``a_value``, lemma-aef only: finite, nonzero, at most
+    ``AEF_WEIGHT_BOUND`` in magnitude).  An override the suite cannot take
+    raises ValueError before the suite starts.
 
     The result carries the suite's wall time as ``elapsed_seconds``.
     """

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from commutant_lab import run_suite, save_matrix
+from commutant_lab import (PreserverMap, ShiftPolicy, Tolerance, property_run,
+                           random_hermitian, random_unitary, run_suite, save_matrix)
 from commutant_lab.cli import main
+from commutant_lab.suites import AEF_WEIGHT_BOUND, SUITE_NAMES, suite_calls, violation_to_payload
 
 from conftest import diag
 
@@ -26,9 +28,12 @@ def strip_timing(report):
 
 
 class TestVerify:
-    def test_aef_pass(self, capsys):
-        code, out, _ = run_cli(capsys, ["verify", "lemma-aef", "--a", "1.0", "--dims", "3"])
-        assert code == 0
+    @pytest.mark.parametrize("value", ["1.0", "-4", "-2", "-0.5", "-0.25"])
+    def test_aef_pass(self, capsys, value):
+        """E = a (I - 2P) has its bulk at a, the bottom spectral point for a < 0."""
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", f"--a={value}",
+                                          "--dims", "3,4,5,8"])
+        assert (code, err) == (0, "")
         assert "suite lemma-aef: PASS" in out
 
     def test_theorem4_small_run(self, capsys):
@@ -178,6 +183,22 @@ class TestVerify:
         assert suite["counterexamples"][0] == {
             "context": "E: two spectral points (a=1e-10, dim=3)"}
 
+    @pytest.mark.parametrize("value", [AEF_WEIGHT_BOUND, -AEF_WEIGHT_BOUND])
+    def test_aef_weight_at_the_bound_runs_clean(self, capsys, value):
+        """No overflow at the bound (warnings are errors here); the checks
+        that fail in that float regime are recorded failures."""
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", f"--a={value!r}",
+                                          "--dims", "3,8,64", "--format", "json"])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["suites"][0]["failures"] > 0
+
+    @pytest.mark.parametrize("value", ["1.01e75", "-1e76", "1e200"])
+    def test_aef_weight_above_the_bound_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", f"--a={value}"])
+        assert (code, out) == (2, "")
+        assert (f"error: the block-fixture weight must be at most 1e+75 in magnitude, "
+                f"got {float(value)!r}") in err
+
     def test_text_report_is_not_json_encoded(self, capsys, monkeypatch, tmp_path):
         """``--format text`` encodes the JSON only for ``--out``."""
         from commutant_lab import cli
@@ -204,6 +225,18 @@ class TestVerify:
 
 
 class TestRunSuite:
+    def test_all_routes_trials_to_sampled_suites_and_a_to_lemma_aef(self):
+        """``verify all --trials 5 --a 2``; a named suite gets the options as given."""
+        fixed_grid = ("lemma-aef", "lemma-primitive", "lemma-primitive1")
+        tol = Tolerance()
+        assert suite_calls("all", None, 5, 0, tol, 2.0) == [
+            dict(name=name, dims=None, seed=0, tol=tol,
+                 trials=None if name in fixed_grid else 5,
+                 a_value=2.0 if name == "lemma-aef" else None)
+            for name in SUITE_NAMES]
+        assert suite_calls("lemma-4", (3,), 5, 7, tol, None) == [
+            dict(name="lemma-4", dims=(3,), seed=7, tol=tol, trials=5, a_value=None)]
+
     @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5"), ("3", "'3'"),
                                              (True, "True")])
     def test_seed_validated(self, seed, shown):
@@ -329,6 +362,15 @@ class TestCommutantCommand:
         code, _, err = run_cli(capsys, ["commutant", "--input", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--tol-zero", "--tol-cluster"])
+    def test_option_commutant_does_not_read_is_usage_error(self, capsys, tmp_path, option):
+        """Every ``--which`` decides at ``rank_cut`` alone."""
+        path = tmp_path / "a.json"
+        save_matrix(path, diag(1, 2, 3))
+        code, out, err = run_cli(capsys, ["commutant", "--input", str(path), option, "1e-9"])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {option} 1e-9" in err
+
     @pytest.mark.parametrize("name", list(MALFORMED_GRIDS))
     def test_malformed_grid_rejected(self, capsys, tmp_path, monkeypatch, name):
         message = write_malformed_grid(tmp_path, name)
@@ -417,6 +459,8 @@ class TestSearchCommand:
         ("necessity-f", "--input"), ("necessity-f", "--target"),
         ("scalar-witness", "--dim"), ("scalar-witness", "--budget"),
         ("scalar-witness", "--target"), ("lemma7-refute", "--dim"),
+        ("necessity-f", "--tol-cluster"), ("scalar-witness", "--tol-rank"),
+        ("scalar-witness", "--tol-cluster"), ("lemma7-refute", "--tol-cluster"),
     ])
     def test_option_the_kind_does_not_read_is_usage_error(self, capsys, tmp_path,
                                                           kind, option):
@@ -610,8 +654,10 @@ class TestReplayCommand:
 
 
     @pytest.mark.parametrize("option", [["--trials", "5"], ["--dims", "3"], ["--dim", "3"],
-                                        ["--a", "2"], ["--seed", "7"], ["theorem-4"]],
-                             ids=["trials", "dims", "dim", "a", "seed", "suite name"])
+                                        ["--a", "2"], ["--seed", "7"], ["theorem-4"],
+                                        ["--tol-cluster", "1e-6"]],
+                             ids=["trials", "dims", "dim", "a", "seed", "suite name",
+                                  "tol-cluster"])
     def test_option_replay_does_not_read_is_usage_error(self, capsys, tmp_path, option):
         path = tmp_path / "v.json"
         necessity_report(capsys, path)
@@ -629,12 +675,15 @@ class TestReplayCommand:
     @pytest.mark.parametrize("option", ["--tol-zero", "--tol-rank", "--tol-cluster"])
     def test_tolerance_option_against_recorded_tolerance_is_usage_error(self, capsys, tmp_path,
                                                                          option):
+        """replay takes no --tol-cluster at all: no replay reads a cluster gap."""
         path = tmp_path / "t4.json"
         report = loose_theorem_4_report(capsys, path)
-        name = {"--tol-zero": "rel_zero", "--tol-rank": "rank_cut",
-                "--tol-cluster": "cluster_gap"}[option]
         code, out, err = run_cli(capsys, ["replay", str(path), option, "1e-9"])
         assert (code, out) == (2, "")
+        if option == "--tol-cluster":
+            assert f"unrecognized arguments: {option} 1e-9" in err
+            return
+        name = {"--tol-zero": "rel_zero", "--tol-rank": "rank_cut"}[option]
         assert err == (f"error: {path} records {name}={report['tolerance'][name]!r}, the "
                        f"tolerance replay decides at; drop {option}\n")
 
@@ -751,6 +800,56 @@ def test_no_command_matches_an_option_prefix(capsys, argv, unrecognized):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {unrecognized}" in err
+
+
+def compliant_quasi_record(path):
+    """Write the first violation of theorem-5's exploratory map at seed 0
+    and dimension 3 as a bare record; its ``theorem_compliant_quasi`` shift
+    decides at ``rank_cut``."""
+    m = PreserverMap(scale=1.0, conjugator=random_unitary(3, [0, 11, 3]),
+                     shift=ShiftPolicy("theorem_compliant_quasi",
+                                       inner=ShiftPolicy("trace_based")),
+                     relation_kind="quasi")
+    violation = property_run({3: m}, trials=10, seed=104729).violations[0]
+    path.write_text(json.dumps(violation_to_payload(violation, m)))
+
+
+# Each --tol-* option of a command other than verify, on an input whose
+# report body (tolerance and timing aside) it changes: (argv, option, value).
+KEPT_TOLERANCES = {
+    "replay --tol-zero": (["replay", "q.json"], "--tol-zero", "0.5"),
+    "replay --tol-rank": (["replay", "q.json"], "--tol-rank", "0.5"),
+    "commutant --tol-rank": (["commutant", "--input", "d.json"], "--tol-rank", "1e-6"),
+    "search necessity-f --tol-zero": (["search", "necessity-f"], "--tol-zero", "0.9"),
+    # at --tol-zero 0.9 the swap candidate of trial 0 breaks nothing, and
+    # later candidates come from the anchor's anticommutant
+    "search necessity-f --tol-rank": (["search", "necessity-f", "--tol-zero", "0.9"],
+                                      "--tol-rank", "1"),
+    "search scalar-witness --tol-zero": (["search", "scalar-witness", "--input", "s.json"],
+                                         "--tol-zero", "0.5"),
+    "search lemma7-refute --tol-zero": (["search", "lemma7-refute", "--input", "r.json"],
+                                        "--tol-zero", "0.9"),
+    "search lemma7-refute --tol-rank": (["search", "lemma7-refute", "--input", "r.json"],
+                                        "--tol-rank", "0.5"),
+}
+
+
+@pytest.mark.parametrize("argv, option, value", list(KEPT_TOLERANCES.values()),
+                         ids=list(KEPT_TOLERANCES))
+def test_kept_tolerance_option_is_read(capsys, tmp_path, monkeypatch, argv, option, value):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("d.json", diag(1, -1, 1 + 1e-9, 2, 0))
+    save_matrix("s.json", diag(1, -1, 0.5))
+    save_matrix("r.json", random_hermitian(4, 0))
+    compliant_quasi_record(tmp_path / "q.json")
+    bodies = []
+    for given in ([], [option, value]):
+        _, out, err = run_cli(capsys, [*argv, *given, "--format", "json"])
+        assert err == ""
+        report = strip_timing(json.loads(out))
+        del report["tolerance"]
+        bodies.append(report)
+    assert bodies[0] != bodies[1]
 
 
 @pytest.mark.parametrize("command", ["replay", "report"])

@@ -16,8 +16,6 @@ ALLOWED = {
     ("cli", "cmd_commutant", "seed"):
         "`commutant --seed` is never read, and the subspace-scale benchmark "
         "workload passes it; removing it waits for a benchmark-only change",
-    ("suites", "suite_lemma_aef", "seed"):
-        "run_suite passes every suite a seed; lemma-aef runs a fixed grid",
 }
 
 
