@@ -73,7 +73,6 @@ from .preservers import (
 )
 from .spectral import (
     SpectralData,
-    apply_function,
     build_aef,
     distinct_count,
     has_two_point_spectrum,

@@ -162,12 +162,16 @@ def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
     return MatrixSubspace(dim=v.shape[0], basis=basis)
 
 
-def _spectral_runs(w: np.ndarray, v: np.ndarray, gap: float) -> list[tuple[slice, np.ndarray]]:
-    """Runs of the ascending eigenvalues ``w`` whose consecutive gaps are at
-    most ``gap``, each with the projection onto its eigenvectors (columns
-    of ``v``), symmetrized so it is exactly Hermitian."""
-    starts = [0, *(np.flatnonzero(np.diff(w) > gap) + 1), w.size]
-    return [(slice(lo, hi), _projection(v[:, lo:hi])) for lo, hi in zip(starts[:-1], starts[1:])]
+def _coincident_runs(a: np.ndarray, tol: Tolerance
+                     ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
+    """The one rule for "these eigenvalues coincide": the ascending
+    eigenvalues ``w`` of ``a`` and its runs, the maximal stretches of ``w``
+    whose consecutive gaps are at or below the commutant cut of
+    :func:`_pair_masks`, each with the projection onto its eigenvectors,
+    symmetrized so it is exactly Hermitian."""
+    w, v, _, _, cut = _pair_masks(a, tol)
+    starts = [0, *(np.flatnonzero(np.diff(w) > cut) + 1), w.size]
+    return w, [(slice(lo, hi), _projection(v[:, lo:hi])) for lo, hi in zip(starts[:-1], starts[1:])]
 
 
 def commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
@@ -219,15 +223,14 @@ def bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubs
     """Hermitian X commuting with every element of ``commutant(A)``.
 
     The commutant joins eigenvectors whose eigenvalues lie within its cut,
-    so its commutant is spanned by the projections onto the runs of sorted
-    eigenvalues whose consecutive gaps are within that cut; the basis is
-    ``P / sqrt(run length)``.
+    so its commutant is spanned by the projections onto the
+    :func:`_coincident_runs`; the basis is ``P / sqrt(run length)``.
     """
     # benchmarks/tracer.py sizes each bicommutant call by the commutant
     # call nested inside it, so the commutant stays a call of its own.
     commutant(a, tol)
-    w, v, _, _, cut = _pair_masks(a, tol)
-    basis = [p / np.sqrt(run.stop - run.start) for run, p in _spectral_runs(w, v, cut)]
+    w, runs = _coincident_runs(a, tol)
+    basis = [p / np.sqrt(run.stop - run.start) for run, p in runs]
     return MatrixSubspace(dim=w.size, basis=np.array(basis))
 
 

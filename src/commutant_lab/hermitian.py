@@ -67,7 +67,9 @@ class Tolerance:
     rank_cut
         Relative singular-value cutoff for kernel computations.
     cluster_gap
-        Relative gap below which two eigenvalues belong to one cluster.
+        Recorded in every report's ``tolerance`` block, and read by no
+        computation: eigenvalues coincide at the ``rank_cut`` commutant cut
+        (see :func:`~commutant_lab.spectral.spectral_decompose`).
     """
 
     rel_zero: float = 1e-9

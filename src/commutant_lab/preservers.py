@@ -476,8 +476,9 @@ def necessity_search(
     a matrix with a noncommuting anticommuting partner.
 
     The default map is :func:`necessity_map`; candidate triples pair its
-    anchor ``diag(1, -1, 0, ...)`` with a scalar and a third matrix drawn
-    from the anchor's anticommutant but not its commutant.  Raises
+    anchor ``diag(1, -1, 0, ...)`` with a scalar and a third matrix: the
+    swap partner at trial 0, then draws from the anchor's anticommutant but
+    not its commutant, which is built only when trial 0 does not decide.  Raises
     :class:`SearchExhausted` when no violation shows up within ``budget``
     trials, which is the expected outcome for a compliant (all-zero) shift.
     """
@@ -487,12 +488,15 @@ def necessity_search(
     a0 = default_necessity_anchor(dim)
     if preserver is None:
         preserver = necessity_map(dim)
-    part = anticommutant(a0, tol)
     swap = _swap_partner(np.eye(dim, dtype=complex))
+    part = None  # the anchor's anticommutant, built only when trial 0 does not decide
 
     def candidate(trial: int, rng: np.random.Generator) -> np.ndarray:
+        nonlocal part
         if trial == 0:
             return swap
+        if part is None:
+            part = anticommutant(a0, tol)
         for _ in range(16):
             c = part.random_element(rng)
             if not rel_c(a0, c, tol):

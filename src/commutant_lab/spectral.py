@@ -16,17 +16,16 @@ eigendecomposition that finds the clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .commutant import (_krylov_bicommutant, _spectral_runs, quasi_equals_commutant,
+from .commutant import (_coincident_runs, _krylov_bicommutant, quasi_equals_commutant,
                         subspace_proper_lt)
 from .hermitian import DEFAULT_TOLERANCE, Tolerance, _projection, _symmetrize, frobenius, is_scalar
 
 __all__ = [
     "SpectralData",
-    "apply_function",
     "build_aef",
     "distinct_count",
     "has_two_point_spectrum",
@@ -71,15 +70,17 @@ class SpectralData:
 
 
 def spectral_decompose(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralData:
-    """Eigendecompose ``a`` and cluster eigenvalues greedily left-to-right.
+    """Eigendecompose ``a`` and cluster its eigenvalues into the runs of
+    :func:`~commutant_lab.commutant._coincident_runs`.
 
-    Consecutive eigenvalues join one cluster when their gap is at most
-    ``cluster_gap * max(1, spread)``; each cluster reports its mean value
-    and the projection onto the span of its eigenvectors.
+    Consecutive eigenvalues join one cluster when their gap is at or below
+    the commutant cut ``rank_cut * max(spread, max(1, |A|_F))``, the cut at
+    which :func:`~commutant_lab.commutant.commutant` joins them, so there
+    are as many clusters as ``bicommutant(a)`` has dimensions.  Each
+    cluster reports its mean value and the projection onto the span of its
+    eigenvectors.
     """
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(a)
-    runs = _spectral_runs(w, v, tol.cluster_gap * max(1.0, float(w[-1] - w[0])))
+    w, runs = _coincident_runs(a, tol)
     return SpectralData(
         distinct_values=np.array([float(np.mean(w[run])) for run, _ in runs]),
         multiplicities=np.array([run.stop - run.start for run, _ in runs], dtype=int),
@@ -94,33 +95,6 @@ def distinct_count(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
 
 def has_two_point_spectrum(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     return distinct_count(a, tol) == 2
-
-
-def apply_function(
-    a: np.ndarray,
-    values: Callable[[float], float] | Mapping[float, float],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> np.ndarray:
-    """Spectral calculus: replace each eigenvalue cluster by a real value.
-
-    ``values`` is either a callable on cluster representatives or a mapping
-    keyed by them (nearest key within the clustering gap is accepted).
-    Raises ``ValueError`` when a cluster has no value.
-    """
-    sd = spectral_decompose(a, tol)
-    gap = tol.cluster_gap * max(1.0, float(np.ptp(sd.distinct_values)) if sd.count > 1 else 1.0)
-    out = np.zeros_like(np.asarray(a, dtype=complex))
-    for value, proj in zip(sd.distinct_values, sd.projections):
-        if callable(values):
-            f = float(values(value))
-        else:
-            keys = np.array(sorted(values))
-            idx = int(np.argmin(np.abs(keys - value)))
-            if abs(keys[idx] - value) > max(gap, 1e-8):
-                raise ValueError(f"no value assigned to eigenvalue cluster at {value:g}")
-            f = float(values[keys[idx]])
-        out = out + f * proj
-    return out
 
 
 def projection_decomposition(
@@ -222,6 +196,13 @@ def lemma18_minimality(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> boo
     clusters; each candidate is checked against the Krylov
     bicommutant.  Holds exactly for two-point spectra.  Raises on scalar
     input and on more than ten clusters (enumeration infeasible).
+
+    Window: the Krylov bicommutant joins two eigenvalues up to a relative
+    gap of about 7.5e-7 (see :func:`~commutant_lab.commutant._krylov_bicommutant`),
+    the clusters only up to the commutant cut.  Where a gap is also too
+    large for a merge to pass the ``rel_zero`` containment test, no merge
+    fits strictly inside and the answer is True for more than two spectral
+    points: on ``U diag(0, d, 1, 2) U*`` at d from 3.2e-9 to 1.8e-7.
     """
     _require(a, tol, "minimality", quasi_side=False)
     return _partition_oracle(a, tol, accept=lambda b: True)
@@ -254,7 +235,9 @@ def lemma181_oracle(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
 
     Enumerates proper cluster merges of ``a`` restricted to candidates whose
     anticommutant the engine verifies to sit inside their commutant, and
-    tests the bicommutant containment with the Krylov bicommutant.
+    tests the bicommutant containment with the Krylov bicommutant.  It
+    shares the window of :func:`lemma18_minimality`: True on
+    ``U diag(0, d, 1, 2) U*`` at d from 3.2e-9 to 1.8e-7.
     """
     _require(a, tol, "oracle", quasi_side=True)
     return _partition_oracle(a, tol, accept=lambda b: quasi_equals_commutant(b, tol))

@@ -173,15 +173,22 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "the block-fixture weight must be finite and nonzero" in err
 
-    def test_aef_weight_with_one_spectral_point_is_a_recorded_failure(self, capsys):
-        """At a = 1e-10, E's two spectral points merge into one cluster; the
-        reflection-direction check then fails instead of raising."""
-        code, out, err = run_cli(capsys, ["verify", "lemma-aef", "--a", "1e-10", "--dims", "3",
+    @pytest.mark.parametrize("weight, first", [
+        ("1e-11", "E: two spectral points (a=1e-11, dim=3)"),
+        ("1e-10", "alpha A - eps E vs F commutation (a=1e-10, dim=3, -2.0, -1.0)"),
+    ], ids=["1e-11", "1e-10"])
+    def test_aef_weight_near_the_cluster_cut_is_a_recorded_failure(self, capsys, weight,
+                                                                   first):
+        """E's points +-a lie 2a apart and join one cluster at or below the
+        commutant cut, 1e-10 here: at a = 1e-11 the spectral checks of E
+        fail instead of raising; at a = 1e-10 E keeps two points, and the
+        first failure is a commutator of size about a that the zero test
+        reads as zero."""
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", "--a", weight, "--dims", "3",
                                           "--format", "json"])
         assert (code, err) == (1, "")
         suite = json.loads(out)["suites"][0]
-        assert suite["counterexamples"][0] == {
-            "context": "E: two spectral points (a=1e-10, dim=3)"}
+        assert suite["counterexamples"][0] == {"context": first}
 
     @pytest.mark.parametrize("value", [AEF_WEIGHT_BOUND, -AEF_WEIGHT_BOUND])
     def test_aef_weight_at_the_bound_runs_clean(self, capsys, value):
@@ -362,7 +369,7 @@ class TestCommutantCommand:
         code, _, err = run_cli(capsys, ["commutant", "--input", str(tmp_path / "nope.json")])
         assert code == 2
 
-    @pytest.mark.parametrize("option", ["--tol-zero", "--tol-cluster"])
+    @pytest.mark.parametrize("option", ["--tol-zero"])
     def test_option_commutant_does_not_read_is_usage_error(self, capsys, tmp_path, option):
         """Every ``--which`` decides at ``rank_cut`` alone."""
         path = tmp_path / "a.json"
@@ -459,8 +466,7 @@ class TestSearchCommand:
         ("necessity-f", "--input"), ("necessity-f", "--target"),
         ("scalar-witness", "--dim"), ("scalar-witness", "--budget"),
         ("scalar-witness", "--target"), ("lemma7-refute", "--dim"),
-        ("necessity-f", "--tol-cluster"), ("scalar-witness", "--tol-rank"),
-        ("scalar-witness", "--tol-cluster"), ("lemma7-refute", "--tol-cluster"),
+        ("scalar-witness", "--tol-rank"),
     ])
     def test_option_the_kind_does_not_read_is_usage_error(self, capsys, tmp_path,
                                                           kind, option):
@@ -591,6 +597,20 @@ class TestReplayCommand:
         assert replay["tolerance"] == report["tolerance"]
         assert replay["tolerance"]["rel_zero"] == 0.5
 
+    def test_report_with_another_cluster_gap_replays_and_renders(self, capsys, tmp_path):
+        """No computation reads ``cluster_gap``; a report that recorded a
+        value other than the default still replays and renders."""
+        path = tmp_path / "t4.json"
+        report = loose_theorem_4_report(capsys, path)
+        report["tolerance"]["cluster_gap"] = 1e-6
+        path.write_text(json.dumps(report))
+        code, out, err = run_cli(capsys, ["replay", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tolerance"] == report["tolerance"]
+        code, out, err = run_cli(capsys, ["report", str(path)])
+        assert (code, err) == (0, "")
+        assert "tolerance: rel_zero=0.5 rank_cut=1e-10 cluster_gap=1e-06\n" in out
+
     def test_bare_record_replays_at_the_options(self, capsys, tmp_path):
         path = tmp_path / "t4.json"
         record = loose_theorem_4_report(capsys, path)["suites"][0]["counterexamples"][0]
@@ -654,10 +674,8 @@ class TestReplayCommand:
 
 
     @pytest.mark.parametrize("option", [["--trials", "5"], ["--dims", "3"], ["--dim", "3"],
-                                        ["--a", "2"], ["--seed", "7"], ["theorem-4"],
-                                        ["--tol-cluster", "1e-6"]],
-                             ids=["trials", "dims", "dim", "a", "seed", "suite name",
-                                  "tol-cluster"])
+                                        ["--a", "2"], ["--seed", "7"], ["theorem-4"]],
+                             ids=["trials", "dims", "dim", "a", "seed", "suite name"])
     def test_option_replay_does_not_read_is_usage_error(self, capsys, tmp_path, option):
         path = tmp_path / "v.json"
         necessity_report(capsys, path)
@@ -672,17 +690,13 @@ class TestReplayCommand:
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --replay" in err
 
-    @pytest.mark.parametrize("option", ["--tol-zero", "--tol-rank", "--tol-cluster"])
+    @pytest.mark.parametrize("option", ["--tol-zero", "--tol-rank"])
     def test_tolerance_option_against_recorded_tolerance_is_usage_error(self, capsys, tmp_path,
                                                                          option):
-        """replay takes no --tol-cluster at all: no replay reads a cluster gap."""
         path = tmp_path / "t4.json"
         report = loose_theorem_4_report(capsys, path)
         code, out, err = run_cli(capsys, ["replay", str(path), option, "1e-9"])
         assert (code, out) == (2, "")
-        if option == "--tol-cluster":
-            assert f"unrecognized arguments: {option} 1e-9" in err
-            return
         name = {"--tol-zero": "rel_zero", "--tol-rank": "rank_cut"}[option]
         assert err == (f"error: {path} records {name}={report['tolerance'][name]!r}, the "
                        f"tolerance replay decides at; drop {option}\n")
@@ -800,6 +814,25 @@ def test_no_command_matches_an_option_prefix(capsys, argv, unrecognized):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {unrecognized}" in err
+
+
+# Every command, with its required arguments; none takes --tol-cluster.
+COMMANDS = {
+    "verify": ["verify", "all"],
+    "replay": ["replay", "v.json"],
+    "commutant": ["commutant", "--input", "a.json"],
+    "search necessity-f": ["search", "necessity-f"],
+    "search scalar-witness": ["search", "scalar-witness", "--input", "a.json"],
+    "search lemma7-refute": ["search", "lemma7-refute", "--input", "a.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
+def test_no_command_takes_tol_cluster(capsys, argv):
+    """No computation reads ``cluster_gap``, so no command sets it."""
+    code, out, err = run_cli(capsys, [*argv, "--tol-cluster", "1e-6"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol-cluster 1e-6" in err
 
 
 def compliant_quasi_record(path):

@@ -30,6 +30,7 @@ from commutant_lab import (
     scalar_witness,
     triadic_relation,
 )
+from commutant_lab import preservers
 from commutant_lab.hermitian import _stack_depth
 from commutant_lab.preservers import (
     BOTH_FAIL,
@@ -721,6 +722,22 @@ class TestNecessitySearch:
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match=f"^budget must be at least 1, got {budget}$"):
             necessity_search(3, budget=budget)
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_anticommutant_built_only_when_trial_0_does_not_decide(self, monkeypatch, dim):
+        """Trial 0, the swap partner, decides the default search without the
+        anchor's anticommutant; a search that goes on builds it once."""
+        built = []
+        solve = preservers.anticommutant
+        monkeypatch.setattr(preservers, "anticommutant",
+                            lambda a, tol: built.append(dim) or solve(a, tol))
+        assert necessity_search(dim).trials == 1
+        assert built == []
+        compliant = PreserverMap(1.0, np.eye(dim, dtype=complex),
+                                 shift=ShiftPolicy("zero"), relation_kind="quasi")
+        with pytest.raises(SearchExhausted):
+            necessity_search(dim, budget=5, preserver=compliant)
+        assert built == [dim]
 
 
 class TestLemma4Check:

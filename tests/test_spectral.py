@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from commutant_lab import (
-    apply_function,
+    Tolerance,
     bicommutant,
     build_aef,
     commutant,
@@ -32,6 +32,7 @@ from commutant_lab import (
     subspace_eq,
     subspace_proper_lt,
 )
+from commutant_lab.commutant import _pair_masks
 
 from conftest import diag
 
@@ -78,10 +79,8 @@ class TestSpectralData:
 
 
 def _cluster_gap(a):
-    from commutant_lab import Tolerance
-
-    w = np.linalg.eigvalsh(a)
-    return Tolerance().cluster_gap * max(1.0, float(w[-1] - w[0]))
+    """The commutant cut, at or below which eigenvalues join one cluster."""
+    return _pair_masks(a, Tolerance())[4]
 
 
 class TestCountPredicates:
@@ -92,29 +91,6 @@ class TestCountPredicates:
         assert distinct_count(p) == 2
         assert has_two_point_spectrum(p)
         assert not has_two_point_spectrum(diag(1, 2, 3))
-
-
-class TestApplyFunction:
-    def test_identity_function_reconstructs(self):
-        a = random_hermitian(5, 2)
-        assert frobenius(apply_function(a, lambda v: v) - a) <= 1e-8 * max(1.0, frobenius(a))
-
-    def test_constant_function(self):
-        a = random_hermitian(4, 3)
-        assert np.allclose(apply_function(a, lambda v: 2.5), 2.5 * np.eye(4), atol=1e-10)
-
-    def test_mapping_input(self):
-        out = apply_function(diag(1, 2, 3), {1: 0, 2: 0, 3: 1})
-        assert np.allclose(out, diag(0, 0, 1), atol=1e-10)
-
-    def test_missing_cluster_value(self):
-        with pytest.raises(ValueError, match="no value"):
-            apply_function(diag(1, 2, 3), {1: 0, 2: 0})
-
-    def test_result_commutes(self):
-        a = random_hermitian(5, 4)
-        f = apply_function(a, np.cos)
-        assert rel_c(a, f)
 
 
 class TestProjectionDecomposition:
@@ -215,6 +191,44 @@ class TestLemma18:
                 mults[rng.integers(k)] += 1
             a = spectrum_matrix(rng, dim, np.repeat(values, mults))
             assert lemma18_minimality(a) == has_two_point_spectrum(a)
+
+
+class TestClusterGapSweep:
+    """A = U diag(0, d, 1, 2) U*, U = ``random_unitary(4, 7)``, with the gap
+    d swept over quarter decades from 1e-12 to 1e-5."""
+
+    GAPS = np.logspace(-12, -5, 29)
+    # lemma18_minimality and lemma181_oracle answer True, for four spectral
+    # points, at the gaps inside this window: 3.2e-9 to 1.8e-7
+    KRYLOV_WINDOW = (2e-9, 2.5e-7)
+
+    def matrix(self, gap):
+        return spectrum_matrix(7, 4, [0.0, gap, 1.0, 2.0])
+
+    def test_clusters_are_the_bicommutant_runs(self):
+        """By the double commutant theorem, dim C(C(A)) is the number of
+        distinct eigenvalues, and dim C(A) the sum of their squared
+        multiplicities."""
+        for gap in self.GAPS:
+            a = self.matrix(gap)
+            sd = spectral_decompose(a)
+            assert distinct_count(a) == bicommutant(a).real_dimension, gap
+            assert commutant(a).real_dimension == int(np.sum(sd.multiplicities ** 2)), gap
+
+    def test_partition_oracles_inside_the_krylov_window(self):
+        """The Krylov bicommutant joins 0 and d up to a relative gap of about
+        7.5e-7, the clusters only up to the commutant cut; once d is also
+        too large for a merge to pass the containment test at ``rel_zero``,
+        the oracles find no smaller second commutant and answer True,
+        although the lemma holds only for two-point spectra."""
+        lo, hi = self.KRYLOV_WINDOW
+        for gap in self.GAPS:
+            a = self.matrix(gap)
+            assert not has_two_point_spectrum(a), gap
+            assert lemma18_minimality(a) == (lo < gap < hi), gap
+            if quasi_equals_commutant(a):
+                assert lemma181_oracle(a) == (lo < gap < hi), gap
+                assert not lemma181_condition(a), gap
 
 
 class TestLemma181:
