@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -30,8 +31,8 @@ from .commutant import (
     scalar_witness,
 )
 from .hermitian import Tolerance, random_hermitian
-from .matrixfile import (_checked, _field, _path, _payload_entries, _read_json, load_matrix,
-                         matrix_to_payload)
+from .matrixfile import (_checked, _field, _json_text, _path, _payload_entries, _read_json,
+                         load_matrix, matrix_to_payload)
 from .preservers import necessity_map, necessity_search
 from .suites import (SUITE_NAMES, TARGET_GUARD, replay_violation, run_suite, suite_calls,
                      violation_to_payload)
@@ -75,7 +76,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args keeps no state between calls.
     # Options match by full name only, so a misspelled one is an error.
     parser = argparse.ArgumentParser(
         prog="commutant-lab", allow_abbrev=False,
@@ -193,13 +196,14 @@ def render_text(report: dict) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    """Write the report to stdout in ``--format``, and as JSON to ``--out``;
-    the JSON is encoded only when one of them takes it."""
-    text = (json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as JSON to ``--out``, then to stdout in ``--format``,
+    so that an unwritable ``--out`` leaves stdout empty; the JSON is encoded
+    only when one of them takes it."""
+    text = (_json_text(report) + "\n"
             if args.format == "json" or args.out is not None else None)
-    sys.stdout.write(text if args.format == "json" else render_text(report))
     if args.out is not None:
         args.out.write_text(text)
+    sys.stdout.write(text if args.format == "json" else render_text(report))
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,17 @@ This module also owns the reading of every JSON input of the package
 (matrix files, replayed records, saved reports): :func:`_read_json` names
 a file it cannot parse, and :func:`_field` and :func:`_payload_entries`
 raise ValueError naming the path of the first malformed field, such as
-``triple.a.entries[0]`` or ``map.conjugator.dim``.
+``triple.a.entries[0]`` or ``map.conjugator.dim``.  It also owns the one
+JSON writer, :func:`_json_text`, through which matrix files and every
+report are written.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,96 @@ def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
     if label is not None:
         payload["label"] = label
     return payload
+
+
+_ENCODE_STRING = json.encoder.encode_basestring_ascii
+_INDENT = "  "
+
+
+def _json_text(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    ``value`` written at indent ``level``.
+
+    With ``indent`` the stdlib encodes in pure Python; this walk writes the
+    same text faster, and writes a matrix payload's entry grid of finite
+    floats with one ``%`` formatting call.  It raises TypeError where the
+    stdlib does, but does not detect a value that contains itself.
+    """
+    if isinstance(value, str):
+        return _ENCODE_STRING(value)
+    text = _scalar_text(value)
+    if text is not None:
+        return text
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        floats = _float_grid(value)
+        if floats is not None:
+            return _grid_template(len(value), len(value[0]), level) % floats
+        return _block("[", [_json_text(item, level + 1) for item in value], level, "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return _block("{", [_key_text(key) + ": " + _json_text(item, level + 1)
+                            for key, item in sorted(value.items())], level, "}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a number, boolean or None by the stdlib's rules
+    (``NaN`` and ``Infinity`` included); None for any other value."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _ENCODE_STRING(text)
+
+
+def _block(opening: str, items: list[str], level: int, closing: str) -> str:
+    """A nonempty JSON array or object of item texts, opened at ``level``."""
+    inner = "\n" + _INDENT * (level + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
+
+
+def _float_grid(rows) -> tuple | None:
+    """The floats of ``rows``, in order, if it is a rows x cols x 2 grid of
+    finite Python floats (a matrix payload's ``entries``); else None.  Every
+    check runs at C speed."""
+    if type(rows[0]) is not list or set(map(type, rows)) != {list} \
+            or len(set(map(len, rows))) != 1:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    floats = tuple(chain.from_iterable(pairs))
+    if set(map(type, floats)) != {float} or not all(map(math.isfinite, floats)):
+        return None
+    return floats
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_template(rows: int, cols: int, level: int) -> str:
+    """The text of a rows x cols x 2 grid opened at ``level``, with a ``%r``
+    field for each float, which writes ``float.__repr__(x)`` as json does."""
+    pair = _block("[", ["%r", "%r"], level + 2, "]")
+    return _block("[", [_block("[", [pair] * cols, level + 1, "]")] * rows, level, "]")
 
 
 def _json_type(value) -> str:
@@ -103,7 +198,7 @@ def payload_to_matrix(payload: dict, where: str = "") -> np.ndarray:
 
 
 def save_matrix(path, m: np.ndarray, label: str | None = None) -> None:
-    Path(path).write_text(json.dumps(matrix_to_payload(m, label), indent=2) + "\n")
+    Path(path).write_text(_json_text(matrix_to_payload(m, label)) + "\n")
 
 
 def _read_json(path):

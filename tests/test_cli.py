@@ -1,6 +1,10 @@
 """Command-line harness: exit codes, report determinism, replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,12 +211,13 @@ class TestVerify:
                 f"got {float(value)!r}") in err
 
     def test_text_report_is_not_json_encoded(self, capsys, monkeypatch, tmp_path):
-        """``--format text`` encodes the JSON only for ``--out``."""
+        """``--format text`` encodes the JSON only for ``--out``, and then once.
+        The writer is counted where ``cli`` looks it up, so its own recursion
+        is not."""
         from commutant_lab import cli
         encoded = []
-        dumps = cli.json.dumps
-        monkeypatch.setattr(cli.json, "dumps",
-                            lambda *args, **kwargs: encoded.append(1) or dumps(*args, **kwargs))
+        write = cli._json_text
+        monkeypatch.setattr(cli, "_json_text", lambda value: encoded.append(1) or write(value))
         argv = ["verify", "lemma-aef", "--a", "1.0", "--dims", "3"]
         code, out, _ = run_cli(capsys, argv)
         assert (code, encoded) == (0, [])
@@ -221,6 +226,15 @@ class TestVerify:
         assert (code, len(encoded)) == (0, 1)
         assert json.loads((tmp_path / "r.json").read_text())["passed"] is True
         assert text.splitlines()[:-1] == out.splitlines()[:-1]  # all but the elapsed time
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unwritable_out_leaves_stdout_empty(self, capsys, tmp_path, fmt):
+        """``--out`` is written before stdout, so an unwritable one exits 2
+        with no report printed, as every other input error does."""
+        code, out, err = run_cli(capsys, ["verify", "lemma-aef", "--dims", "3", "--format", fmt,
+                                          "--out", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Is a directory" in err
 
     def test_exhausted_witness_search_is_a_recorded_failure(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "lemma-scalar", "--tol-zero", "0.9",
@@ -897,3 +911,26 @@ def test_unreadable_file_is_named(capsys, tmp_path, command, content):
     code, out, err = run_cli(capsys, [command, str(path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: unreadable JSON file {path}: ")
+
+
+def test_parser_built_once_keeps_no_state(capsys, monkeypatch):
+    """One process builds the parser once.  Calls made in turn in it give
+    the exit codes, stderr and report bodies of fresh processes, so no
+    option value of one call reaches the next."""
+    from commutant_lab.cli import build_parser
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("COMMUTANT_LAB_SEED", raising=False)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    calls = [["verify", "all", "--dims", "3"],
+             ["verify", "lemma-aef", "--dim", "3"],
+             ["verify", "lemma-aef", "--dims", "3", "--a", "2.0", "--seed", "5",
+              "--tol-zero", "1e-6"],
+             ["verify", "lemma-aef"]]
+    for argv in calls:
+        argv = [*argv, "--format", "json"]
+        code, out, err = run_cli(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "commutant_lab", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, err) == (fresh.returncode, fresh.stderr), argv
+        assert out == fresh.stdout == "" or (
+            strip_timing(json.loads(out)) == strip_timing(json.loads(fresh.stdout))), argv

@@ -10,9 +10,11 @@ from commutant_lab import (
     matrix_to_payload,
     payload_to_matrix,
     random_hermitian,
+    random_unitary,
     save_matrix,
 )
-from commutant_lab.matrixfile import _payload_entries
+from commutant_lab import cli
+from commutant_lab.matrixfile import _float_grid, _json_text, _payload_entries
 from oracles import per_entry_payload
 
 
@@ -121,3 +123,142 @@ def test_rejects_non_object_document(tmp_path):
     with pytest.raises(ValueError) as info:
         load_matrix(path)
     assert str(info.value) == f"{path}: the document must be an object, got an array"
+
+
+# --------------------------------------------------------------------------
+# The JSON writer against its oracle, the stdlib encoder
+# --------------------------------------------------------------------------
+
+
+def stdlib_text(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("label", [None, "grid"])
+def test_save_matrix_writes_the_stdlib_bytes(tmp_path, n, label):
+    """The payload's keys are already sorted, so the one writer leaves the
+    bytes of a matrix file as the unsorted stdlib encoder wrote them."""
+    a = signed_grid(n)
+    save_matrix(tmp_path / "m.json", a, label=label)
+    want = json.dumps(matrix_to_payload(a, label), indent=2) + "\n"
+    assert (tmp_path / "m.json").read_text() == want
+
+
+def spectrum_matrix(n, kind):
+    """A generic Hermitian matrix, or one whose eigenvalues 1, -1, 2, 0
+    repeat, so that its anticommutant is not zero."""
+    if kind == "generic":
+        return random_hermitian(n, [41, n])
+    u = random_unitary(n, [42, n])
+    return (u * np.resize([1.0, -1.0, 2.0, 0.0], n)) @ u.conj().T
+
+
+@pytest.fixture
+def written(monkeypatch, capsys):
+    """Run CLI calls with ``--format json``; returns the report objects that
+    ``cli`` hands its writer, after checking that each stdout is the
+    stdlib's text of its report."""
+    reports = []
+    write = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda value: reports.append(value) or write(value))
+
+    def run(*calls):
+        for argv in calls:
+            cli.main([*argv, "--format", "json"])
+            assert capsys.readouterr().out == stdlib_text(reports[-1]) + "\n", argv
+        return reports[-len(calls):]
+    return run
+
+
+@pytest.mark.parametrize("kind", ["generic", "degenerate"])
+@pytest.mark.parametrize("n", [4, 16])
+def test_writer_matches_stdlib_on_commutant_reports(tmp_path, written, n, kind):
+    path = tmp_path / "a.json"
+    save_matrix(path, spectrum_matrix(n, kind))
+    reports = written(*(["commutant", "--input", str(path), "--which", which]
+                        for which in ("c", "anti", "cc", "quasi")))
+    assert reports[3]["parts"]["anticommutant"] == (0 if kind == "generic" else 3 * (n // 4) ** 2)
+    for report in reports:
+        assert _json_text(report) == stdlib_text(report)
+
+
+def test_writer_matches_stdlib_on_verify_reports(written):
+    passing, failing = written(["verify", "all", "--seed", "0"],
+                               ["verify", "theorem-4", "--tol-zero", "0.5", "--dims", "3",
+                                "--trials", "100"])
+    assert passing["passed"] and not failing["passed"]
+    assert failing["suites"][0]["counterexamples"][0]["triple"]["a"]["entries"]
+    for report in (passing, failing):
+        assert _json_text(report) == stdlib_text(report)
+
+
+def test_writer_matches_stdlib_on_search_and_replay_reports(tmp_path, written):
+    save_matrix(tmp_path / "a.json", spectrum_matrix(4, "generic"))
+    reports = written(["search", "necessity-f", "--out", str(tmp_path / "v.json")],
+                      ["search", "lemma7-refute", "--input", str(tmp_path / "a.json"),
+                       "--budget", "4"],
+                      ["search", "scalar-witness", "--input", str(tmp_path / "a.json")],
+                      ["replay", str(tmp_path / "v.json")])
+    assert [r["kind"] for r in reports] == ["search", "search", "search", "replay"]
+    for report in reports:
+        assert _json_text(report) == stdlib_text(report)
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16]
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+def test_writer_matches_stdlib_on_edge_floats(x):
+    """A non-finite float sends its grid to the general walk; the others
+    stay on the grid path.  Both write what the stdlib writes."""
+    grid = [[[x, 1.0], [0.5, x]], [[2.0, -0.0], [x, 3.0]]]
+    assert (_float_grid(grid) is not None) == np.isfinite(x)
+    for value in (x, [x], (x, x), {"x": x}, {x: "key"}, grid, {"dim": 2, "entries": grid},
+                  [[grid]]):
+        assert _json_text(value) == stdlib_text(value)
+
+
+ODD_VALUES = {
+    "ragged rows": [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]],
+    "short pair": [[[1.0, 2.0], [3.0]]],
+    "long pair": [[[1.0, 2.0, 3.0]]],
+    "int in grid": [[[1, 2.0]]],
+    "bool in grid": [[[True, 2.0]]],
+    "numpy float in grid": [[[np.float64(0.1), 2.0]]],
+    "tuple pair in grid": [[(1.0, 2.0)]],
+    "dict in grid": [[[1.0, 2.0]], {"a": 1}],
+    "empty rows": [[], []],
+    "empty pairs": [[[]]],
+    "empty containers": {"a": [], "b": {}, "c": (), "d": [[], {}]},
+    "tuples": (1, (2.5, "x"), [(None, True, False)]),
+    "numbers": [0, -7, 2 ** 70, True, np.float64(1e16), np.float64(-0.0), 0.1],
+    "non-ASCII strings": {"clé": "ünï\u2603\U0001f600", "\u00e9": ["\u2028"]},
+    "control characters": {"\x00\x1f": "\t\n\r\x7f\"\\/", "b": "\x08\x0c"},
+    "number keys": {1: "one", 2.5: "float", False: "bool"},
+    "null key": {None: "null"},
+}
+
+
+@pytest.mark.parametrize("value", list(ODD_VALUES.values()), ids=list(ODD_VALUES))
+def test_writer_matches_stdlib_on_odd_values(value):
+    assert _json_text(value) == stdlib_text(value)
+    assert _json_text({"entries": value}) == stdlib_text({"entries": value})
+
+
+def test_payload_grid_takes_the_grid_path():
+    for n in (1, 4):
+        assert _float_grid(matrix_to_payload(signed_grid(n))["entries"]) is not None
+    for name in ("ragged rows", "short pair", "int in grid", "bool in grid",
+                 "numpy float in grid", "tuple pair in grid"):
+        assert _float_grid(ODD_VALUES[name]) is None, name
+
+
+@pytest.mark.parametrize("value", [object(), [np.int64(1)], {(1, 2): 0}, {"a": {1, 2}}],
+                         ids=["object", "numpy int", "tuple key", "set"])
+def test_writer_rejects_what_stdlib_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        _json_text(value)
+    with pytest.raises(TypeError) as theirs:
+        stdlib_text(value)
+    assert str(ours.value) == str(theirs.value)
