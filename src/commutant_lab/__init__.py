@@ -13,8 +13,8 @@ seeded, reproducible desk-scale computations:
   eigendecomposition, a Krylov oracle for the second commutant, subspace
   comparison and refutation search;
 * :mod:`~commutant_lab.spectral` — clustered eigendecomposition,
-  two-point-spectrum and primitivity predicates, partition oracles and the
-  explicit block fixtures;
+  two-point-spectrum predicates, partition oracles and the explicit block
+  fixtures;
 * :mod:`~commutant_lab.preservers` — maps ``A -> c U A U* + shift(A) I``
   (optionally antiunitary), triadic-relation property runs, necessity and
   rigidity searches;
@@ -42,7 +42,6 @@ from .hermitian import (
     as_hermitian,
     commutator,
     frobenius,
-    is_hermitian,
     is_scalar,
     jordan_product,
     random_hermitian,
@@ -64,7 +63,6 @@ from .preservers import (
     Violation,
     apply_map,
     check_triadic,
-    compose,
     is_violation,
     lemma4_check,
     necessity_map,
@@ -77,13 +75,11 @@ from .spectral import (
     distinct_count,
     has_two_point_spectrum,
     in_k,
-    is_primitive,
     lemma18_minimality,
     lemma18_witness,
     lemma181_condition,
     lemma181_oracle,
     lemma_primitive_witnesses,
-    projection_decomposition,
     spectral_decompose,
 )
 from .suites import SUITE_NAMES, run_suite

@@ -7,9 +7,13 @@ that space, and the anticommutant the kernel of ``X -> AX + XA``.  In the
 eigenbasis of ``A`` both maps are diagonal on unit eigenvector pairs, with
 singular values ``|w_a - w_b|`` and ``|w_a + w_b|``, so the production
 routes read both kernels, and the second commutant, off one
-eigendecomposition.  Singular values at or below ``rank_cut`` times
-max(largest singular value, input scale) count as zero, the scale floor
-matching the relative-zero semantics of the binary relations.
+eigendecomposition.  The cut of each map is ``rank_cut`` times
+max(largest singular value, input scale), the scale floor matching the
+relative-zero semantics of the binary relations.  A pair is in the
+anticommutant when its sum is at or below the cut.  The commutant joins
+whole runs of eigenvalues whose consecutive gaps are at or below the cut,
+so on a chain of close eigenvalues it keeps pairs whose difference is
+above the cut, where a realified SVD solve cuts pair by pair.
 
 The second commutant also has an oracle here that uses neither an
 eigendecomposition nor an SVD: the algebra generated by ``A``, built by
@@ -84,20 +88,11 @@ class MatrixSubspace:
     def real_dimension(self) -> int:
         return int(self.basis.shape[0])
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Pairing of ``x`` against each basis element."""
-        if self.real_dimension == 0:
-            return np.zeros(0)
-        return np.einsum("kij,ij->k", self.basis.conj(), x).real
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``x`` onto the subspace."""
-        if self.real_dimension == 0:
-            return np.zeros_like(np.asarray(x, dtype=complex))
-        return self._combine(self.coefficients(x))
-
     def residual(self, x: np.ndarray) -> float:
-        return frobenius(x - self.project(x))
+        """Frobenius norm of ``x`` minus its orthogonal projection onto the subspace."""
+        if self.real_dimension == 0:
+            return frobenius(x)
+        return frobenius(x - self._combine(np.einsum("kij,ij->k", self.basis.conj(), x).real))
 
     def contains(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         return bool(tol.is_zero(self.residual(x), frobenius(x)))
@@ -117,21 +112,31 @@ class MatrixSubspace:
 
 
 def _cut_masks(w: np.ndarray, norm, tol: Tolerance):
-    """The commutant and anticommutant pair masks of the eigenvalues ``w``
-    of a matrix of Frobenius norm ``norm``, and the commutant cut; on a
-    stack, each of ``w (..., n)`` and ``norm (...)`` decides alone.
+    """The commutant and anticommutant pair masks of the ascending
+    eigenvalues ``w`` of a matrix of Frobenius norm ``norm``, and the
+    commutant cut; on a stack, each of ``w (..., n)`` and ``norm (...)``
+    decides alone.
 
     The eigenvector pair (a, b) spans singular vectors of ``X -> AX - XA``
     and ``X -> AX + XA`` with singular values ``|w_a - w_b|`` and
-    ``|w_a + w_b|``; it is in a mask when that value is at or below the cut
-    of a realified SVD solve: ``rank_cut`` * max(largest singular value of
-    that map, max(1, |A|_F)).
+    ``|w_a + w_b|``.  The cut of each map is that of a realified SVD solve:
+    ``rank_cut`` * max(largest singular value of that map, max(1, |A|_F));
+    the largest ``|w_a - w_b|`` is the spread ``w[-1] - w[0]``.  A pair is
+    in the anticommutant mask when its sum is at or below its cut.  The
+    commutant joins whole runs: eigenvalue i is labelled by how many
+    consecutive gaps up to i lie above the cut, and a pair is in the
+    commutant mask when its two labels are equal.  So a chain of gaps each
+    at or below the cut is one run, even where its ends lie farther apart
+    than the cut, and the commutant has dimension sum m**2 over the runs'
+    lengths m.
     """
     scale = np.maximum(1.0, norm)
-    diffs, sums = np.abs(w[..., None] - w[..., None, :]), np.abs(w[..., None] + w[..., None, :])
-    cut = tol.rank_cut * np.maximum(diffs.max(axis=(-2, -1)), scale)
+    cut = tol.rank_cut * np.maximum(w[..., -1] - w[..., 0], scale)
+    labels = np.zeros(w.shape, dtype=np.intp)
+    (w[..., 1:] - w[..., :-1] > cut[..., None]).cumsum(axis=-1, out=labels[..., 1:])
+    sums = np.abs(w[..., None] + w[..., None, :])
     anti_cut = tol.rank_cut * np.maximum(sums.max(axis=(-2, -1)), scale)
-    return diffs <= cut[..., None, None], sums <= anti_cut[..., None, None], cut
+    return labels[..., None] == labels[..., None, :], sums <= anti_cut[..., None, None], cut
 
 
 def _pair_masks(a: np.ndarray, tol: Tolerance):
@@ -165,12 +170,13 @@ def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
 def _coincident_runs(a: np.ndarray, tol: Tolerance
                      ) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
     """The one rule for "these eigenvalues coincide": the ascending
-    eigenvalues ``w`` of ``a`` and its runs, the maximal stretches of ``w``
-    whose consecutive gaps are at or below the commutant cut of
-    :func:`_pair_masks`, each with the projection onto its eigenvectors,
-    symmetrized so it is exactly Hermitian."""
-    w, v, _, _, cut = _pair_masks(a, tol)
-    starts = [0, *(np.flatnonzero(np.diff(w) > cut) + 1), w.size]
+    eigenvalues ``w`` of ``a`` and its runs, the blocks of the commutant
+    mask of :func:`_pair_masks` (maximal stretches of ``w`` whose
+    consecutive gaps are at or below the commutant cut), each with the
+    projection onto its eigenvectors, symmetrized so it is exactly
+    Hermitian."""
+    w, v, comm, _, _ = _pair_masks(a, tol)
+    starts = [0, *(np.flatnonzero(~np.diagonal(comm, 1)) + 1), w.size]
     return w, [(slice(lo, hi), _projection(v[:, lo:hi])) for lo, hi in zip(starts[:-1], starts[1:])]
 
 

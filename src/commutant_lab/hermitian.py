@@ -21,7 +21,6 @@ __all__ = [
     "as_hermitian",
     "commutator",
     "frobenius",
-    "is_hermitian",
     "is_scalar",
     "jordan_product",
     "random_hermitian",
@@ -36,6 +35,14 @@ __all__ = [
 ]
 
 RELATION_KINDS = ("commutative", "quasi")
+# Largest entry magnitude of an input matrix, and of the block-fixture
+# weight.  Norms are taken unscaled: a matrix with entries of magnitude m
+# has |A|_F**2 up to n**2 m**2, which at m = 1e160 overflows to inf, and
+# against an infinite scale every relative zero test passes.  A product of
+# two such matrices has squared norm up to n**4 m**4, finite at 1e75 up to
+# n = 115; the block fixtures' sparse products overflow from a = 3e76 at
+# dim 64, and at 1e75 only at dimensions far beyond memory.
+ENTRY_BOUND = 1e75
 
 
 def _stack_depth(n: int) -> int:
@@ -220,18 +227,11 @@ def frobenius(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def is_hermitian(x: np.ndarray, rel: float = 1e-12) -> bool:
-    """True when ``x`` is square and equals its conjugate transpose within ``rel``."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        return False
-    return frobenius(x - x.conj().T) <= rel * max(1.0, frobenius(x))
-
-
 def as_hermitian(entries, rel: float = 1e-12) -> np.ndarray:
     """Validate a square matrix as Hermitian and return its symmetrization.
 
-    The input must be finite and satisfy ``H = H*`` within ``rel`` (relative
+    The input must be finite, have entries of magnitude at most
+    ``ENTRY_BOUND`` and satisfy ``H = H*`` within ``rel`` (relative
     Frobenius); the returned copy is ``(H + H*)/2`` so the invariant holds
     exactly and representation noise does not leak into downstream solves.
     """
@@ -242,7 +242,11 @@ def as_hermitian(entries, rel: float = 1e-12) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 1")
     if not np.isfinite(h).all():
         raise ValueError("matrix has non-finite entries")
-    if not is_hermitian(h, rel):
+    largest = float(np.abs(h).max())
+    if largest > ENTRY_BOUND:
+        raise ValueError(f"matrix entries must be at most {ENTRY_BOUND:g} in magnitude, "
+                         f"got {largest:g}")
+    if frobenius(h - h.conj().T) > rel * max(1.0, frobenius(h)):
         raise ValueError(f"matrix is not Hermitian within relative tolerance {rel:g}")
     return _symmetrize(h)
 

@@ -3,7 +3,7 @@ optional entrywise conjugation for the antiunitary case), and property
 machinery that tests whether they preserve the triadic relations in both
 directions over sampled triples.
 
-Shift rules are arbitrary per-input real functions; the quasi-side
+Shift rules (:class:`ShiftPolicy`) are per-input real functions; the quasi-side
 "theorem-compliant" rule returns zero on every matrix that admits a
 noncommuting anticommuting partner.  The necessity search demonstrates that
 dropping this constraint breaks the quasi relation; keeping it does not
@@ -56,7 +56,6 @@ __all__ = [
     "Violation",
     "apply_map",
     "check_triadic",
-    "compose",
     "default_necessity_anchor",
     "is_violation",
     "lemma4_check",
@@ -136,9 +135,9 @@ class PreserverMap:
     """The classified map form: scale, unitary conjugation, optional
     entrywise conjugation first (the antiunitary case), and a scalar shift.
 
-    ``shift(a, tol)`` is a :class:`ShiftPolicy` or any callable of the same
-    contract: one matrix gives a ``float``, a stack ``(..., n, n)`` gives one
-    value per matrix, of shape ``a.shape[:-2]``.
+    ``shift(a, tol)`` is a :class:`ShiftPolicy`: one matrix gives a
+    ``float``, a stack ``(..., n, n)`` gives one value per matrix, of shape
+    ``a.shape[:-2]``.
     """
 
     scale: float
@@ -177,27 +176,6 @@ def apply_map(m: PreserverMap, a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
     x = a.conj() if m.antiunitary else a
     out = _symmetrize(m.scale * (m.conjugator @ x @ m.conjugator.conj().T))
     return out + np.reshape(m.shift(a, tol), (*a.shape[:-2], 1, 1)) * np.eye(m.dim)
-
-
-def compose(outer: PreserverMap, inner: PreserverMap) -> PreserverMap:
-    """Map of the same form acting like ``outer`` after ``inner``."""
-    if outer.relation_kind != inner.relation_kind:
-        raise ValueError("composition requires matching relation kinds")
-    if outer.dim != inner.dim:
-        raise ValueError("dimension mismatch between the two maps")
-    u_inner = inner.conjugator.conj() if outer.antiunitary else inner.conjugator
-    u = outer.conjugator @ u_inner
-
-    def shift(a: np.ndarray, tol: Tolerance) -> float | np.ndarray:
-        return outer.scale * inner.shift(a, tol) + outer.shift(apply_map(inner, a, tol), tol)
-
-    return PreserverMap(
-        scale=outer.scale * inner.scale,
-        conjugator=u,
-        antiunitary=outer.antiunitary != inner.antiunitary,
-        shift=shift,  # a raw callable: composed maps are not serializable
-        relation_kind=outer.relation_kind,
-    )
 
 
 def check_triadic(

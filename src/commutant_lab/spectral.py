@@ -1,6 +1,6 @@
 """Spectral decomposition with eigenvalue clustering, and the structure
-predicates built on it: two-point spectra, primitivity, balanced spectra,
-partition oracles for bicommutant minimality, and the explicit block
+predicates built on it: two-point spectra, balanced spectra, partition
+oracles for bicommutant minimality, and the explicit block
 fixtures used by the preserver suites.
 
 The partition oracles rest on a finite-dimensional reduction: if the second
@@ -30,13 +30,11 @@ __all__ = [
     "distinct_count",
     "has_two_point_spectrum",
     "in_k",
-    "is_primitive",
     "lemma18_minimality",
     "lemma18_witness",
     "lemma181_condition",
     "lemma181_oracle",
     "lemma_primitive_witnesses",
-    "projection_decomposition",
     "spectral_decompose",
 ]
 
@@ -58,15 +56,8 @@ class SpectralData:
     projections: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return int(self.projections.shape[1])
-
-    @property
     def count(self) -> int:
         return int(self.distinct_values.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        return np.tensordot(self.distinct_values, self.projections, axes=1)
 
 
 def spectral_decompose(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> SpectralData:
@@ -97,23 +88,6 @@ def has_two_point_spectrum(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) ->
     return distinct_count(a, tol) == 2
 
 
-def projection_decomposition(
-    a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[tuple[float, np.ndarray]]:
-    """Write ``a`` as a real combination of its spectral projections.
-
-    Terms with coefficient zero (relative to the matrix scale) are dropped;
-    at most ``dim`` terms remain and they reconstruct ``a``.
-    """
-    sd = spectral_decompose(a, tol)
-    scale = frobenius(a)
-    return [
-        (float(value), proj)
-        for value, proj in zip(sd.distinct_values, sd.projections)
-        if not tol.is_zero(abs(value), scale)
-    ]
-
-
 def in_k(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True for scaled reflections: two spectral points adding up to zero.
 
@@ -124,15 +98,6 @@ def in_k(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     if sd.count != 2:
         return False
     return bool(tol.is_zero(abs(sd.distinct_values[0] + sd.distinct_values[1]), frobenius(a)))
-
-
-def is_primitive(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True for ``alpha P + beta I`` with P a rank-one projection, alpha != 0.
-
-    Equivalently: exactly two spectral points, one of multiplicity one.
-    """
-    sd = spectral_decompose(a, tol)
-    return sd.count == 2 and int(sd.multiplicities.min()) == 1
 
 
 def _set_partitions(items: Sequence[int]):

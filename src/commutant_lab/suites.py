@@ -29,6 +29,7 @@ from .commutant import (
 )
 from .hermitian import (
     DEFAULT_TOLERANCE,
+    ENTRY_BOUND,
     Tolerance,
     _check_seed,
     _generators,
@@ -86,11 +87,6 @@ EXPLORATORY_TRIALS = 200
 # random candidates per part of each lemma-7 refutation search.
 LEMMA4_CANDIDATES = 1000
 AEF_GRID = (-2.0, -1.0, 0.5, 1.0, 2.0)
-# Largest block-fixture weight |a|.  Products of the fixtures have entries
-# of order a**2, so squared Frobenius norms grow like a**4 and with the
-# dimension; they overflow the float maximum 1.8e308 = (1.2e77)**4 from
-# a = 3e76 at dim 64, and at 1e75 only at dimensions far beyond memory.
-AEF_WEIGHT_BOUND = 1e75
 REFUTATION_BUDGET = 16
 # A lemma-7 target in the second commutant at this tolerance is skipped or redrawn.
 TARGET_GUARD = Tolerance(rel_zero=1e-6)
@@ -714,8 +710,8 @@ def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
         if not (isfinite(a_value) and a_value != 0.0):
             raise ValueError(f"the block-fixture weight must be finite and nonzero, "
                              f"got {a_value!r}")
-        if abs(a_value) > AEF_WEIGHT_BOUND:
-            raise ValueError(f"the block-fixture weight must be at most {AEF_WEIGHT_BOUND:g} "
+        if abs(a_value) > ENTRY_BOUND:
+            raise ValueError(f"the block-fixture weight must be at most {ENTRY_BOUND:g} "
                              f"in magnitude, got {a_value!r}")
         kwargs["a_values"] = (float(a_value),)
     return kwargs
@@ -738,7 +734,7 @@ def run_suite(name, dims=None, trials=None, seed=0, tol=DEFAULT_TOLERANCE, a_val
     """Run one named suite with optional overrides for dims/trials/seed (a
     valid seed, which lemma-aef does not read) and for the block-fixture
     weight (``a_value``, lemma-aef only: finite, nonzero, at most
-    ``AEF_WEIGHT_BOUND`` in magnitude).  An override the suite cannot take
+    ``hermitian.ENTRY_BOUND`` in magnitude).  An override the suite cannot take
     raises ValueError before the suite starts.
 
     The result carries the suite's wall time as ``elapsed_seconds``.

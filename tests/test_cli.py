@@ -12,7 +12,8 @@ import pytest
 from commutant_lab import (PreserverMap, ShiftPolicy, Tolerance, property_run,
                            random_hermitian, random_unitary, run_suite, save_matrix)
 from commutant_lab.cli import main
-from commutant_lab.suites import AEF_WEIGHT_BOUND, SUITE_NAMES, suite_calls, violation_to_payload
+from commutant_lab.hermitian import ENTRY_BOUND
+from commutant_lab.suites import SUITE_NAMES, suite_calls, violation_to_payload
 
 from conftest import diag
 
@@ -194,7 +195,7 @@ class TestVerify:
         suite = json.loads(out)["suites"][0]
         assert suite["counterexamples"][0] == {"context": first}
 
-    @pytest.mark.parametrize("value", [AEF_WEIGHT_BOUND, -AEF_WEIGHT_BOUND])
+    @pytest.mark.parametrize("value", [ENTRY_BOUND, -ENTRY_BOUND])
     def test_aef_weight_at_the_bound_runs_clean(self, capsys, value):
         """No overflow at the bound (warnings are errors here); the checks
         that fail in that float regime are recorded failures."""
@@ -400,6 +401,49 @@ class TestCommutantCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+
+
+class TestEntryBound:
+    """Matrix input has entries of magnitude at most ``ENTRY_BOUND``.  At
+    1e160, |A|_F**2 overflows to inf and every relative zero test passes,
+    so commutant read diag(1, 2, 3) * 1e160 as commuting with everything."""
+
+    @pytest.mark.parametrize("argv", [["commutant", "--which", "c"],
+                                      ["search", "scalar-witness"]], ids="-".join)
+    def test_entry_above_the_bound_rejected(self, capsys, tmp_path, argv):
+        path = tmp_path / "big.json"
+        save_matrix(path, 1e160 * diag(1, 2, 3))
+        code, out, err = run_cli(capsys, [*argv, "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: matrix entries must be at most 1e+75 in magnitude, "
+                       f"got 3e+160\n")
+
+    # I (x) ([[0, 1], [1, 0]] (+) [[1, 1], [1, 1]] / 2) of dimension 16: eigenvalues
+    # 1, -1 and 0, eight, four and four times, and entries 1, 1/2 and 0
+    DIMENSIONS = {"c": 96, "anti": 80, "cc": 3}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("argv", [*(["commutant", "--which", which] for which in
+                                        ("c", "anti", "cc", "quasi")),
+                                      ["search", "scalar-witness"],
+                                      ["search", "lemma7-refute", "--budget", "4"]],
+                             ids="-".join)
+    def test_entries_at_the_bound_run_clean(self, capsys, tmp_path, argv, sign):
+        """No overflow at the bound (warnings are errors here), and the
+        dimensions are those of the spectrum."""
+        block = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5]])
+        a = sign * ENTRY_BOUND * np.kron(np.eye(4), block)
+        path = tmp_path / "a.json"
+        save_matrix(path, a)
+        code, out, err = run_cli(capsys, [*argv, "--input", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        if argv[0] == "search":
+            assert report["witness"] is not None
+        elif argv[-1] == "quasi":
+            assert report["parts"] == {"commutant": 96, "anticommutant": 80}
+        else:
+            assert report["real_dimension"] == self.DIMENSIONS[argv[-1]]
 
 class TestSearchCommand:
     def test_necessity_emits_replayable_violation(self, capsys, tmp_path):

@@ -19,7 +19,6 @@ from commutant_lab import (
     in_k,
     is_scalar,
     jordan_product,
-    projection_decomposition,
     random_hermitian,
     random_projection,
     random_scalar,
@@ -282,11 +281,6 @@ def _in_k_site(s):
     return abs(s - s * (1 - 1e-3)), frobenius(a), lambda tol: in_k(a, tol)
 
 
-def _dropped_term_site(s):
-    a = s * diag(2, 0.01, 0.01)
-    return s * 0.01, frobenius(a), lambda tol: len(projection_decomposition(a, tol)) == 1
-
-
 def _unfitted_site(s):
     a = s * diag(1, 0, 0)
     b = s * (diag(0, 1, 1) + 1e-3 * random_hermitian(3, 65))
@@ -308,7 +302,6 @@ ZERO_TEST_SITES = {
     "contains": _contains_site,
     "subspace_leq": _leq_site,
     "in_k": _in_k_site,
-    "projection_decomposition": _dropped_term_site,
     "proportionality_fit": _unfitted_site,
 }
 

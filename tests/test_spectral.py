@@ -13,7 +13,6 @@ from commutant_lab import (
     frobenius,
     has_two_point_spectrum,
     in_k,
-    is_primitive,
     is_scalar,
     jordan_product,
     lemma18_minimality,
@@ -21,7 +20,6 @@ from commutant_lab import (
     lemma181_condition,
     lemma181_oracle,
     lemma_primitive_witnesses,
-    projection_decomposition,
     quasi_equals_commutant,
     random_hermitian,
     random_projection,
@@ -73,7 +71,8 @@ class TestSpectralData:
                 assert frobenius(p @ p - p) <= 1e-10
                 for q in sd.projections[i + 1:]:
                     assert frobenius(p @ q) <= 1e-10
-            assert frobenius(sd.reconstruct() - a) <= 1e-8 * max(1.0, frobenius(a))
+            spectral_sum = np.tensordot(sd.distinct_values, sd.projections, axes=1)
+            assert frobenius(spectral_sum - a) <= 1e-8 * max(1.0, frobenius(a))
             gaps = np.diff(sd.distinct_values)
             assert np.all(gaps > _cluster_gap(a))
 
@@ -94,33 +93,35 @@ class TestCountPredicates:
 
 
 class TestProjectionDecomposition:
+    """``a`` is the real combination of its spectral projections, one term
+    per distinct eigenvalue."""
+
     def test_projection_single_term(self):
         p = random_projection(4, 2, 5)
-        terms = projection_decomposition(p)
-        assert len(terms) == 1
-        coeff, proj = terms[0]
-        assert abs(coeff - 1.0) <= 1e-10
-        assert frobenius(proj - p) <= 1e-10
+        sd = spectral_decompose(p)
+        assert sd.count == 2
+        assert abs(sd.distinct_values[1] - 1.0) <= 1e-10
+        assert frobenius(sd.projections[1] - p) <= 1e-10
 
     def test_scalar(self):
-        terms = projection_decomposition(2.0 * np.eye(3, dtype=complex))
-        assert len(terms) == 1
-        assert abs(terms[0][0] - 2.0) <= 1e-12
-        assert np.allclose(terms[0][1], np.eye(3))
+        sd = spectral_decompose(2.0 * np.eye(3, dtype=complex))
+        assert sd.count == 1
+        assert abs(sd.distinct_values[0] - 2.0) <= 1e-12
+        assert np.allclose(sd.projections[0], np.eye(3))
 
     def test_distinct_diagonal_gives_rank_one_terms(self):
-        terms = projection_decomposition(diag(1, 2, 3))
-        assert len(terms) == 3
-        assert [round(c) for c, _ in terms] == [1, 2, 3]
-        for _, proj in terms:
+        sd = spectral_decompose(diag(1, 2, 3))
+        assert sd.count == 3
+        assert [round(c) for c in sd.distinct_values] == [1, 2, 3]
+        for proj in sd.projections:
             assert abs(np.trace(proj).real - 1.0) <= 1e-10
 
     def test_reconstruction_and_term_bound(self):
         for seed in range(10):
             a = random_hermitian(6, [seed, 1])
-            terms = projection_decomposition(a)
-            assert len(terms) <= 6
-            total = sum(c * p for c, p in terms)
+            sd = spectral_decompose(a)
+            assert sd.count <= 6
+            total = sum(c * p for c, p in zip(sd.distinct_values, sd.projections))
             assert frobenius(total - a) <= 1e-8 * max(1.0, frobenius(a))
 
 
@@ -137,25 +138,6 @@ class TestInK:
 
     def test_scalar_not_in_k(self):
         assert not in_k(np.eye(3, dtype=complex))
-
-
-class TestIsPrimitive:
-    def test_examples(self):
-        assert is_primitive(diag(5, 2, 2))
-        assert not is_primitive(diag(5, 5, 2, 2))
-        assert is_primitive(random_projection(3, 1, 8))
-
-    def test_affine_invariance(self):
-        for seed in range(10):
-            rng = np.random.default_rng([seed, 2])
-            dim = int(rng.integers(3, 7))
-            rank = int(rng.integers(1, dim))
-            values = np.zeros(dim)
-            values[:rank] = 1.0
-            a = spectrum_matrix(rng, dim, values)
-            base = is_primitive(a)
-            for c, t in ((2.0, 0.0), (-1.0, 3.0), (0.5, -1.2)):
-                assert is_primitive(c * a + t * np.eye(dim)) == base
 
 
 class TestLemma18:
@@ -214,6 +196,18 @@ class TestClusterGapSweep:
             sd = spectral_decompose(a)
             assert distinct_count(a) == bicommutant(a).real_dimension, gap
             assert commutant(a).real_dimension == int(np.sum(sd.multiplicities ** 2)), gap
+
+    def test_a_chain_of_gaps_under_the_cut_is_one_run(self):
+        """On diag(0, 0.8c, 1.6c, 1), c = 1e-10 the commutant cut, both gaps
+        of the chain are under the cut and its ends are not: the three
+        points are one run, in the commutant as in the clusters."""
+        c = 1e-10
+        a = diag(0, 0.8 * c, 1.6 * c, 1)
+        assert _cluster_gap(a) == c
+        sd = spectral_decompose(a)
+        assert sd.multiplicities.tolist() == [3, 1]
+        assert commutant(a).real_dimension == int(np.sum(sd.multiplicities ** 2)) == 10
+        assert distinct_count(a) == bicommutant(a).real_dimension == 2
 
     def test_partition_oracles_inside_the_krylov_window(self):
         """The Krylov bicommutant joins 0 and d up to a relative gap of about
