@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 from .commutant import (
+    _PAIR_CACHE,
     SearchExhausted,
     anticommutant,
     bicommutant,
@@ -340,6 +341,7 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    _PAIR_CACHE.clear()  # no decomposition outlives the command that made it
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

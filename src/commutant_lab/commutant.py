@@ -37,7 +37,6 @@ import numpy as np
 from .hermitian import (
     DEFAULT_TOLERANCE,
     Tolerance,
-    _check_same_dim,
     _check_seed,
     _projection,
     _rng,
@@ -139,10 +138,44 @@ def _cut_masks(w: np.ndarray, norm, tol: Tolerance):
     return labels[..., None] == labels[..., None, :], sums <= anti_cut[..., None, None], cut
 
 
+# Single matrices whose pair masks :func:`_pair_masks` keeps, most recently
+# used last; :func:`~commutant_lab.cli.main` empties it at every call.
+_PAIR_CACHE: dict = {}
+_PAIR_CACHE_SIZE = 16
+
+
 def _pair_masks(a: np.ndarray, tol: Tolerance):
     """``w``, ``V`` of ``A = V diag(w) V*`` and the :func:`_cut_masks` of ``w``, for one
-    matrix or a stack ``(..., n, n)``, each slice decided bit for bit as it is alone."""
+    matrix or a stack ``(..., n, n)``, each slice decided bit for bit as it is alone.
+
+    One matrix goes through a cache of the last ``_PAIR_CACHE_SIZE``
+    matrices, keyed by the bytes of the complex matrix, its size and
+    ``tol``, and its arrays are read-only; a stack is decomposed afresh.
+    The suites ask for one matrix's masks several times (``bicommutant``
+    alone asks twice): without the cache, a seed-0 ``verify all`` makes
+    about 2,170 single-matrix decompositions of 741 distinct matrices.  The
+    cache is scoped to one command: :func:`~commutant_lab.cli.main` empties
+    it at the start of every call, so no decomposition outlives the
+    command that made it, and many commands run in one process cost what
+    they cost as separate processes.
+    """
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        return _decompose(a, tol)
+    key = (a.tobytes(), a.shape[0], tol)
+    masks = _PAIR_CACHE.pop(key, None)
+    if masks is None:
+        masks = _decompose(a, tol)
+        for array in masks[:4]:  # w, V and the two masks; the cut is a scalar
+            array.flags.writeable = False
+        if len(_PAIR_CACHE) >= _PAIR_CACHE_SIZE:
+            del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
+    _PAIR_CACHE[key] = masks
+    return masks
+
+
+def _decompose(a: np.ndarray, tol: Tolerance):
+    """:func:`_pair_masks` without the cache, for a complex matrix or stack."""
     w, v = np.linalg.eigh(a)
     # each norm is frobenius's sum of dot products of a row-major matrix;
     # the einsum of hermitian._frobenius_stack may differ in the last bit
@@ -347,7 +380,7 @@ def refute_biquasi_membership(
     seed=0,
     tol: Tolerance = DEFAULT_TOLERANCE,
     quasi: QuasiCommutant | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray | None | list[np.ndarray | None]:
     """Search for M in the quasi-commutant of A that fails to quasi-commute with X.
 
     A returned witness proves X is outside the second quasi-commutant of A;
@@ -362,14 +395,26 @@ def refute_biquasi_membership(
     the first candidate alone, since most outsiders fail it, then as many
     at a time as :func:`~commutant_lab.hermitian._stack_depth` gives.  The
     witness is the first failing candidate in pool order, whatever the
-    chunk size.  A :class:`numpy.random.Generator` passed as ``seed``
-    therefore advances by the draws of every random candidate up to the
-    end of the chunk that holds the witness, or of all of them when there
-    is none.
+    chunk size.
+
+    ``x`` may also be a stack of targets ``(k, n, n)``; the result is then a
+    list of ``k`` witnesses or ``None``.  The targets share one pool, built
+    once: each chunk is decided for every target it has not yet refuted,
+    and the search stops once every target is refuted.  So each entry
+    equals what a call on that target alone returns with the same integer
+    seed.  A :class:`numpy.random.Generator` passed as ``seed`` advances by
+    the draws of every random candidate up to the end of the chunk that
+    refutes the last target, or of all of them when some target stays
+    unrefuted.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    _check_same_dim(np.asarray(x), np.asarray(a))
+    targets = np.asarray(x)
+    single = targets.ndim == 2
+    if single:
+        targets = targets[None]
+    if targets.ndim != 3 or targets.shape[1:] != np.shape(a):
+        raise ValueError(f"dimension mismatch: {np.shape(x)} vs {np.shape(a)}")
     qc = quasi if quasi is not None else quasi_commutant(a, tol)
     n = qc.dim
     eye = np.eye(n, dtype=complex)
@@ -391,15 +436,20 @@ def refute_biquasi_membership(
                 if part is qc.commutant_part:
                     yield eye + m
 
+    witnesses = [None] * len(targets)
+    open_targets = list(range(len(targets)))
     pool = candidates()
     size = 1
-    while chunk := list(islice(pool, size)):
-        commutes, anticommutes = rel_stack(x, np.array(chunk), tol)
-        broken = np.flatnonzero(~(commutes | anticommutes))
-        if broken.size:
-            return chunk[broken[0]]
+    while open_targets and (chunk := list(islice(pool, size))):
+        stack = np.array(chunk)
+        for t in open_targets:
+            commutes, anticommutes = rel_stack(targets[t], stack, tol)
+            broken = np.flatnonzero(~(commutes | anticommutes))
+            if broken.size:
+                witnesses[t] = chunk[broken[0]]
+        open_targets = [t for t in open_targets if witnesses[t] is None]
         size = _stack_depth(n)
-    return None
+    return witnesses[0] if single else witnesses
 
 
 def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray | None:

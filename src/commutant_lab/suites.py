@@ -412,10 +412,11 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=DEFAULT_TOLERANCE, t
         if quasi_equals_commutant(a, tol):
             members = list(bic.basis) + [np.eye(dim, dtype=complex), a]
             members += [bic.random_element(rng) for _ in range(3)]
-            for z in members:
-                members_checked += 1
-                witness = refute_biquasi_membership(z, a, budget=REFUTATION_BUDGET, seed=seed,
-                                                    tol=tol, quasi=qc)
+            witnesses = refute_biquasi_membership(np.array(members), a,
+                                                  budget=REFUTATION_BUDGET, seed=seed,
+                                                  tol=tol, quasi=qc)
+            members_checked += len(members)
+            for z, witness in zip(members, witnesses):
                 rec.check(witness is None, lambda: {"a": matrix_to_payload(a),
                                                     "z": matrix_to_payload(z),
                                                     "witness": matrix_to_payload(witness)})
@@ -695,6 +696,9 @@ def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
         dims = tuple(int(d) for d in dims)
         if any(d < 3 for d in dims):
             raise ValueError("dimensions below 3 are outside the supported regime")
+        # a repeated dimension would be sampled twice as often, and recorded
+        if len(set(dims)) != len(dims):
+            raise ValueError(f"dimensions must be distinct, got {','.join(map(str, dims))}")
         if name in _PRIMITIVE_SUITES and any(d < 4 for d in dims):
             raise ValueError(f"suite {name} needs dimensions of at least 4")
         kwargs["dims"] = dims

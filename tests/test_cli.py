@@ -57,6 +57,14 @@ class TestVerify:
         assert code == 2
         assert "below 3" in err
 
+    @pytest.mark.parametrize("suite", ["lemma-1.8", "theorem-4", "all"])
+    def test_repeated_dimension_rejected(self, capsys, suite):
+        # theorem-4 would run on {3} and record [3, 3]; lemma-1.8 would
+        # draw other matrices than --dims 3 does
+        code, out, err = run_cli(capsys, ["verify", suite, "--dims", "3,4,3"])
+        assert (code, out) == (2, "")
+        assert err == "error: dimensions must be distinct, got 3,4,3\n"
+
     def test_primitive_dims_validated(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "lemma-primitive", "--dims", "3,4"])
         assert code == 2
@@ -978,3 +986,18 @@ def test_parser_built_once_keeps_no_state(capsys, monkeypatch):
         assert (code, err) == (fresh.returncode, fresh.stderr), argv
         assert out == fresh.stdout == "" or (
             strip_timing(json.loads(out)) == strip_timing(json.loads(fresh.stdout))), argv
+
+
+def test_each_call_starts_with_an_empty_pair_cache(capsys, tmp_path):
+    """The eigen-pair cache lives for one command: after a call it holds
+    the matrices that call decomposed and none of an earlier call's."""
+    from commutant_lab.commutant import _PAIR_CACHE
+    first, second = diag(1, 2, 3), diag(1, 1, 2)
+    for name, m in (("first", first), ("second", second)):
+        save_matrix(tmp_path / f"{name}.json", m)
+        code, _, _ = run_cli(capsys, ["commutant", "--input", str(tmp_path / f"{name}.json"),
+                                      "--which", "cc"])
+        assert code == 0
+        assert [key[0] for key in _PAIR_CACHE] == [m.tobytes()]
+    code, _, _ = run_cli(capsys, ["commutant"])  # a usage error empties it too
+    assert (code, len(_PAIR_CACHE)) == (2, 0)

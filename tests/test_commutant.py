@@ -33,7 +33,8 @@ from commutant_lab import (
     subspace_leq,
     subspace_proper_lt,
 )
-from commutant_lab.commutant import _krylov_bicommutant, _pair_masks
+from commutant_lab.commutant import (_PAIR_CACHE, _PAIR_CACHE_SIZE, _decompose,
+                                     _krylov_bicommutant, _pair_masks)
 from commutant_lab.hermitian import _stack_depth
 from oracles import (
     anticommutant_dim_formula,
@@ -635,6 +636,127 @@ class TestStackedRefutation:
         state = rng.bit_generator.state
         assert refute_biquasi_membership(x, a, seed=rng) is not None
         assert rng.bit_generator.state == state
+
+
+def random_draws(qc, candidates: int | None, budget: int, seed):
+    """A generator advanced as the refutation pool's random part advances
+    its own while it yields ``candidates`` random candidates (all of them
+    when ``None``): per round one draw for the commutant part, which yields
+    M and I + M, then one for the anticommutant part, which yields M; an
+    empty part is skipped."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    for _ in range(budget):
+        for part, yields in ((qc.commutant_part, 2), (qc.anticommutant_part, 1)):
+            if part.real_dimension and (candidates is None or made < candidates):
+                rng.standard_normal(part.real_dimension)
+                made += yields
+    return rng
+
+
+class TestRefutationOfAStack:
+    """A stack of targets shares one pool; each entry is the single-target
+    search's result."""
+
+    @staticmethod
+    def cases(n):
+        """An operator with both parts nonzero (a sign pair), its
+        quasi-commutant, and targets: outsiders and members, interleaved."""
+        rng = np.random.default_rng([n, 46])
+        values = np.concatenate([[1.0, -1.0], rng.choice(np.arange(2, 6), size=n - 2)])
+        a = spectrum_matrix(rng, n, values)
+        bic = bicommutant(a)
+        targets = [random_hermitian(n, rng), np.eye(n, dtype=complex), a,
+                   random_hermitian(n, rng), bic.random_element(rng), -2.5 * a]
+        return a, quasi_commutant(a), targets
+
+    @pytest.mark.parametrize("n", [3, 32])
+    @pytest.mark.parametrize("budget", [0, 8])
+    def test_each_entry_is_the_single_target_result(self, n, budget):
+        a, qc, targets = self.cases(n)
+        assert qc.anticommutant_part.real_dimension > 0
+        got = refute_biquasi_membership(np.array(targets), a, budget=budget, seed=5, quasi=qc)
+        assert isinstance(got, list) and len(got) == len(targets)
+        for x, witness in zip(targets, got, strict=True):
+            assert same_witness(witness, refute_biquasi_membership(x, a, budget=budget, seed=5,
+                                                                   quasi=qc))
+            assert same_witness(witness, serial_refute_biquasi_membership(x, a, budget=budget,
+                                                                          seed=5))
+        assert {w is None for w in got} == {True, False}
+
+    def test_generator_ends_after_the_chunk_that_refutes_the_last_target(self):
+        a, x = TestStackedRefutation.RANDOM_PART["past two chunks"]
+        qc = quasi_commutant(a)
+        budget, depth = 64, _stack_depth(12)
+        # the fourth chunk ends inside the random part, which goes on past it
+        random_in_chunk = 1 + 3 * depth - fixed_pool_size(qc)
+        assert 0 < random_in_chunk < 3 * budget
+        targets = np.array([x, random_hermitian(12, 48)])
+        single = [refute_biquasi_membership(t, a, budget=budget, seed=9, quasi=qc)
+                  for t in targets]
+        rng = np.random.default_rng(9)
+        got = refute_biquasi_membership(targets, a, budget=budget, seed=rng, quasi=qc)
+        assert all(w is not None for w in got)
+        assert all(same_witness(w, s) for w, s in zip(got, single, strict=True))
+        reference = random_draws(qc, random_in_chunk, budget, 9)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert reference.bit_generator.state != random_draws(qc, None, budget, 9
+                                                            ).bit_generator.state
+
+    def test_generator_draws_everything_while_a_target_stays_unrefuted(self):
+        a, x = TestStackedRefutation.RANDOM_PART["past two chunks"]
+        qc = quasi_commutant(a)
+        rng = np.random.default_rng(9)
+        got = refute_biquasi_membership(np.array([x, a]), a, budget=64, seed=rng, quasi=qc)
+        assert got[0] is not None and got[1] is None
+        assert rng.bit_generator.state == random_draws(qc, None, 64, 9).bit_generator.state
+
+    def test_empty_stack_and_shape_checks(self):
+        a = diag(1, 2, 3)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert refute_biquasi_membership(np.zeros((0, 3, 3)), a, seed=rng) == []
+        assert rng.bit_generator.state == state
+        for x in (np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((1, 2, 3, 3))):
+            with pytest.raises(ValueError, match="^dimension mismatch"):
+                refute_biquasi_membership(x, a)
+
+
+class TestPairMaskCache:
+    """Single matrices' pair masks are kept, read-only, for the current command."""
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("rank_cut", [1e-10, 0.05])
+    def test_cached_arrays_are_read_only_and_equal_an_uncached_call(self, n, rank_cut):
+        tol = Tolerance(rank_cut=rank_cut)
+        a = spectrum_matrix(np.random.default_rng([n, 49]), n, [1, -1, *range(n - 2)])
+        _PAIR_CACHE.clear()
+        first = _pair_masks(a, tol)
+        assert _pair_masks(a.copy(), tol) is first  # keyed by the bytes, not the object
+        fresh = _decompose(a, tol)
+        stacked = _pair_masks(a[None], tol)  # stacks bypass the cache
+        assert len(_PAIR_CACHE) == 1
+        for got, want, slices in zip(first, fresh, stacked, strict=True):
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes())
+            assert got.tobytes() == np.asarray(slices)[0].tobytes()
+        for array in first[:4]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_keyed_by_tolerance_and_bounded(self):
+        a = diag(1, 2, 3)
+        _PAIR_CACHE.clear()
+        assert _pair_masks(a, Tolerance(rank_cut=0.5)) is not _pair_masks(a, Tolerance())
+        assert len(_PAIR_CACHE) == 2
+        kept = _pair_masks(a, Tolerance())
+        for k in range(2 * _PAIR_CACHE_SIZE):
+            _pair_masks(diag(1, 2, 4 + k), Tolerance())
+            _pair_masks(a, Tolerance())  # used last, so never the one evicted
+        assert len(_PAIR_CACHE) == _PAIR_CACHE_SIZE
+        assert _pair_masks(a, Tolerance()) is kept
 
 
 class TestScalarWitness:
