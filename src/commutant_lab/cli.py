@@ -22,8 +22,8 @@ import time
 from pathlib import Path
 
 from .commutant import (
-    _PAIR_CACHE,
     SearchExhausted,
+    _cached_masks,
     anticommutant,
     bicommutant,
     commutant,
@@ -341,7 +341,7 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    _PAIR_CACHE.clear()  # no decomposition outlives the command that made it
+    _cached_masks.cache_clear()  # no decomposition outlives the command that made it
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         report["elapsed_seconds"] = time.perf_counter() - start
         _emit(report, args)
         return EXIT_PASS if report["passed"] else EXIT_FAIL
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,7 @@ when the two parts differ, so only a refutation search is exposed for it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 
@@ -138,39 +139,34 @@ def _cut_masks(w: np.ndarray, norm, tol: Tolerance):
     return labels[..., None] == labels[..., None, :], sums <= anti_cut[..., None, None], cut
 
 
-# Single matrices whose pair masks :func:`_pair_masks` keeps, most recently
-# used last; :func:`~commutant_lab.cli.main` empties it at every call.
-_PAIR_CACHE: dict = {}
-_PAIR_CACHE_SIZE = 16
-
-
 def _pair_masks(a: np.ndarray, tol: Tolerance):
     """``w``, ``V`` of ``A = V diag(w) V*`` and the :func:`_cut_masks` of ``w``, for one
     matrix or a stack ``(..., n, n)``, each slice decided bit for bit as it is alone.
 
-    One matrix goes through a cache of the last ``_PAIR_CACHE_SIZE``
-    matrices, keyed by the bytes of the complex matrix, its size and
-    ``tol``, and its arrays are read-only; a stack is decomposed afresh.
-    The suites ask for one matrix's masks several times (``bicommutant``
-    alone asks twice): without the cache, a seed-0 ``verify all`` makes
-    about 2,170 single-matrix decompositions of 741 distinct matrices.  The
-    cache is scoped to one command: :func:`~commutant_lab.cli.main` empties
-    it at the start of every call, so no decomposition outlives the
-    command that made it, and many commands run in one process cost what
-    they cost as separate processes.
+    One matrix goes through :func:`_cached_masks`, a ``functools.lru_cache``
+    of the last 16 matrices keyed by the bytes of the complex matrix, its
+    size and ``tol``, and its arrays are read-only; a stack is decomposed
+    afresh.  The suites ask for one matrix's masks several times
+    (``bicommutant`` alone asks twice): without the cache, a seed-0
+    ``verify all`` makes about 2,170 single-matrix decompositions of 741
+    distinct matrices.  The cache is scoped to one command:
+    :func:`~commutant_lab.cli.main` empties it at the start of every call,
+    so no decomposition outlives the command that made it, and many
+    commands run in one process cost what they cost as separate processes.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         return _decompose(a, tol)
-    key = (a.tobytes(), a.shape[0], tol)
-    masks = _PAIR_CACHE.pop(key, None)
-    if masks is None:
-        masks = _decompose(a, tol)
-        for array in masks[:4]:  # w, V and the two masks; the cut is a scalar
-            array.flags.writeable = False
-        if len(_PAIR_CACHE) >= _PAIR_CACHE_SIZE:
-            del _PAIR_CACHE[next(iter(_PAIR_CACHE))]
-    _PAIR_CACHE[key] = masks
+    return _cached_masks(a.tobytes(), a.shape[0], tol)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_masks(data: bytes, n: int, tol: Tolerance):
+    """:func:`_decompose` of the n x n complex matrix of bytes ``data``, with
+    read-only arrays."""
+    masks = _decompose(np.frombuffer(data, complex).reshape(n, n), tol)
+    for array in masks[:4]:  # w, V and the two masks; the cut is a scalar
+        array.flags.writeable = False
     return masks
 
 

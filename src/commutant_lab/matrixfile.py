@@ -13,7 +13,8 @@ a file it cannot parse, and :func:`_field` and :func:`_payload_entries`
 raise ValueError naming the path of the first malformed field, such as
 ``triple.a.entries[0]`` or ``map.conjugator.dim``.  It also owns the one
 JSON writer, :func:`_json_text`, through which matrix files and every
-report are written.
+report are written: ``json.dumps`` writes the text, and only the grids of
+finite floats are written here and spliced in.
 """
 
 from __future__ import annotations
@@ -45,70 +46,46 @@ def matrix_to_payload(m: np.ndarray, label: str | None = None) -> dict:
     return payload
 
 
-_ENCODE_STRING = json.encoder.encode_basestring_ascii
 _INDENT = "  "
+_GRID = "\x00float grid\x00"  # what a grid is written as before its text is spliced in
+_GRID_TEXT = json.dumps(_GRID)
 
 
-def _json_text(value, level: int = 0) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
-    ``value`` written at indent ``level``.
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
-    With ``indent`` the stdlib encodes in pure Python; this walk writes the
-    same text faster, and writes a matrix payload's entry grid of finite
-    floats with one ``%`` formatting call.  It raises TypeError where the
-    stdlib does, but does not detect a value that contains itself.
+    The stdlib writes the text, except for each grid of finite floats (a
+    matrix payload's ``entries``): the walk puts a stand-in string in its
+    place, and the grid's text, written with one ``%`` formatting call, is
+    spliced in where the stand-in's text appears.  The walk visits dict
+    items in sorted order, so the grids are spliced in the order they are
+    written.  A value that holds the stand-in string itself is written by
+    the stdlib alone.  The walk does not detect a value that contains itself.
     """
-    if isinstance(value, str):
-        return _ENCODE_STRING(value)
-    text = _scalar_text(value)
-    if text is not None:
-        return text
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        floats = _float_grid(value)
-        if floats is not None:
-            return _grid_template(len(value), len(value[0]), level) % floats
-        return _block("[", [_json_text(item, level + 1) for item in value], level, "]")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return _block("{", [_key_text(key) + ": " + _json_text(item, level + 1)
-                            for key, item in sorted(value.items())], level, "}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    grids = []
+
+    def walk(item, level):
+        if isinstance(item, dict):
+            return {key: walk(x, level + 1) for key, x in sorted(item.items())}
+        if isinstance(item, (list, tuple)) and item:
+            floats = _float_grid(item)
+            if floats is None:
+                return [walk(x, level + 1) for x in item]
+            grids.append(_grid_template(len(item), len(item[0]), level) % floats)
+            return _GRID
+        return item
+
+    parts = json.dumps(walk(value, 0), indent=2, sort_keys=True).split(_GRID_TEXT)
+    if len(parts) != len(grids) + 1:
+        return json.dumps(value, indent=2, sort_keys=True)
+    return parts[0] + "".join(chain.from_iterable(zip(grids, parts[1:])))
 
 
-def _scalar_text(value) -> str | None:
-    """The JSON text of a number, boolean or None by the stdlib's rules
-    (``NaN`` and ``Infinity`` included); None for any other value."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _key_text(key) -> str:
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _ENCODE_STRING(text)
-
-
-def _block(opening: str, items: list[str], level: int, closing: str) -> str:
-    """A nonempty JSON array or object of item texts, opened at ``level``."""
+def _block(items: list[str], level: int) -> str:
+    """The text of a nonempty JSON array of item texts opened at ``level``,
+    as ``json.dumps`` writes it with ``indent=2``."""
     inner = "\n" + _INDENT * (level + 1)
-    return opening + inner + ("," + inner).join(items) + "\n" + _INDENT * level + closing
+    return "[" + inner + ("," + inner).join(items) + "\n" + _INDENT * level + "]"
 
 
 def _float_grid(rows) -> tuple | None:
@@ -131,8 +108,8 @@ def _float_grid(rows) -> tuple | None:
 def _grid_template(rows: int, cols: int, level: int) -> str:
     """The text of a rows x cols x 2 grid opened at ``level``, with a ``%r``
     field for each float, which writes ``float.__repr__(x)`` as json does."""
-    pair = _block("[", ["%r", "%r"], level + 2, "]")
-    return _block("[", [_block("[", [pair] * cols, level + 1, "]")] * rows, level, "]")
+    pair = _block(["%r", "%r"], level + 2)
+    return _block([_block([pair] * cols, level + 1)] * rows, level)
 
 
 def _json_type(value) -> str:

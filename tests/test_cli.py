@@ -410,6 +410,17 @@ class TestCommutantCommand:
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["verify", "theorem-4", "--dims", "10000000", "--trials", "1"],
+                                  ["verify", "lemma-aef", "--dims", "10000000"],
+                                  ["search", "necessity-f", "--dim", "10000000"]], ids="-".join)
+def test_dimension_beyond_memory_is_usage_error(capsys, argv):
+    """An n x n complex array at n = 10^7 needs 1.42 PiB, more than any
+    64-bit address space, so numpy's MemoryError comes before a page is
+    touched; it exits 2 with a message, not 1 with a traceback."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate 1.42 PiB")
+
 
 class TestEntryBound:
     """Matrix input has entries of magnitude at most ``ENTRY_BOUND``.  At
@@ -991,13 +1002,18 @@ def test_parser_built_once_keeps_no_state(capsys, monkeypatch):
 def test_each_call_starts_with_an_empty_pair_cache(capsys, tmp_path):
     """The eigen-pair cache lives for one command: after a call it holds
     the matrices that call decomposed and none of an earlier call's."""
-    from commutant_lab.commutant import _PAIR_CACHE
+    from commutant_lab.commutant import _cached_masks, _pair_masks
     first, second = diag(1, 2, 3), diag(1, 1, 2)
-    for name, m in (("first", first), ("second", second)):
+    for name, m, other in (("first", first, second), ("second", second, first)):
         save_matrix(tmp_path / f"{name}.json", m)
         code, _, _ = run_cli(capsys, ["commutant", "--input", str(tmp_path / f"{name}.json"),
                                       "--which", "cc"])
         assert code == 0
-        assert [key[0] for key in _PAIR_CACHE] == [m.tobytes()]
+        before = _cached_masks.cache_info()
+        assert before.currsize == 1
+        _pair_masks(m, Tolerance())  # this call's matrix is held ...
+        _pair_masks(other, Tolerance())  # ... and the earlier call's is not
+        after = _cached_masks.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
     code, _, _ = run_cli(capsys, ["commutant"])  # a usage error empties it too
-    assert (code, len(_PAIR_CACHE)) == (2, 0)
+    assert (code, _cached_masks.cache_info().currsize) == (2, 0)

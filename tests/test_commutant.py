@@ -33,8 +33,8 @@ from commutant_lab import (
     subspace_leq,
     subspace_proper_lt,
 )
-from commutant_lab.commutant import (_PAIR_CACHE, _PAIR_CACHE_SIZE, _decompose,
-                                     _krylov_bicommutant, _pair_masks)
+from commutant_lab.commutant import (_cached_masks, _decompose, _krylov_bicommutant,
+                                     _pair_masks)
 from commutant_lab.hermitian import _stack_depth
 from oracles import (
     anticommutant_dim_formula,
@@ -730,12 +730,13 @@ class TestPairMaskCache:
     def test_cached_arrays_are_read_only_and_equal_an_uncached_call(self, n, rank_cut):
         tol = Tolerance(rank_cut=rank_cut)
         a = spectrum_matrix(np.random.default_rng([n, 49]), n, [1, -1, *range(n - 2)])
-        _PAIR_CACHE.clear()
+        _cached_masks.cache_clear()
         first = _pair_masks(a, tol)
         assert _pair_masks(a.copy(), tol) is first  # keyed by the bytes, not the object
         fresh = _decompose(a, tol)
         stacked = _pair_masks(a[None], tol)  # stacks bypass the cache
-        assert len(_PAIR_CACHE) == 1
+        info = _cached_masks.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         for got, want, slices in zip(first, fresh, stacked, strict=True):
             got, want = np.asarray(got), np.asarray(want)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
@@ -748,14 +749,16 @@ class TestPairMaskCache:
 
     def test_keyed_by_tolerance_and_bounded(self):
         a = diag(1, 2, 3)
-        _PAIR_CACHE.clear()
+        _cached_masks.cache_clear()
         assert _pair_masks(a, Tolerance(rank_cut=0.5)) is not _pair_masks(a, Tolerance())
-        assert len(_PAIR_CACHE) == 2
+        assert _cached_masks.cache_info().currsize == 2
         kept = _pair_masks(a, Tolerance())
-        for k in range(2 * _PAIR_CACHE_SIZE):
+        size = _cached_masks.cache_info().maxsize
+        assert size == 16
+        for k in range(2 * size):
             _pair_masks(diag(1, 2, 4 + k), Tolerance())
             _pair_masks(a, Tolerance())  # used last, so never the one evicted
-        assert len(_PAIR_CACHE) == _PAIR_CACHE_SIZE
+        assert _cached_masks.cache_info().currsize == size
         assert _pair_masks(a, Tolerance()) is kept
 
 

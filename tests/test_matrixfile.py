@@ -14,7 +14,7 @@ from commutant_lab import (
     save_matrix,
 )
 from commutant_lab import cli
-from commutant_lab.matrixfile import _float_grid, _json_text, _payload_entries
+from commutant_lab.matrixfile import _GRID, _float_grid, _json_text, _payload_entries
 from oracles import per_entry_payload
 
 
@@ -242,6 +242,25 @@ ODD_VALUES = {
 
 @pytest.mark.parametrize("value", list(ODD_VALUES.values()), ids=list(ODD_VALUES))
 def test_writer_matches_stdlib_on_odd_values(value):
+    assert _json_text(value) == stdlib_text(value)
+    assert _json_text({"entries": value}) == stdlib_text({"entries": value})
+
+
+GRID = [[[1.0, -0.5], [0.25, 2.0]], [[0.25, -2.0], [3.0, 0.0]]]
+STAND_IN_VALUES = {
+    "value": {"label": _GRID},
+    "key": {_GRID: 1.0},
+    "next to a grid": {"a": GRID, "b": _GRID, "c": [GRID, [_GRID]]},
+    "key next to a grid": {_GRID: GRID, "entries": GRID},
+    "inside a longer string": [GRID, '"' + _GRID, _GRID + '"'],
+}
+
+
+@pytest.mark.parametrize("value", list(STAND_IN_VALUES.values()), ids=list(STAND_IN_VALUES))
+def test_writer_matches_stdlib_where_the_stand_in_string_appears(value):
+    """A grid is written as a stand-in string before its text is spliced in;
+    a value that holds that string itself is still written as the stdlib
+    writes it."""
     assert _json_text(value) == stdlib_text(value)
     assert _json_text({"entries": value}) == stdlib_text({"entries": value})
 
