@@ -81,8 +81,11 @@ class MatrixSubspace:
     Frobenius pairing; ``k`` may be zero.
     """
 
-    dim: int
     basis: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return int(self.basis.shape[1])
 
     @property
     def real_dimension(self) -> int:
@@ -193,7 +196,7 @@ def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
     adj = off.conj().transpose(0, 2, 1)
     s = 1.0 / np.sqrt(2.0)
     basis = np.concatenate([outer[rows == cols], s * (off + adj), 1j * s * (off - adj)])
-    return MatrixSubspace(dim=v.shape[0], basis=basis)
+    return MatrixSubspace(basis)
 
 
 def _coincident_runs(a: np.ndarray, tol: Tolerance
@@ -266,7 +269,7 @@ def bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubs
     commutant(a, tol)
     w, runs = _coincident_runs(a, tol)
     basis = [p / np.sqrt(run.stop - run.start) for run, p in runs]
-    return MatrixSubspace(dim=w.size, basis=np.array(basis))
+    return MatrixSubspace(np.array(basis))
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +323,7 @@ def _krylov_bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> Ma
             break
         flat[k] = y / r
         k += 1
-    return MatrixSubspace(dim=n, basis=basis[:k])
+    return MatrixSubspace(basis[:k])
 
 
 def subspace_leq(s: MatrixSubspace, t: MatrixSubspace, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

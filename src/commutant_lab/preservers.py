@@ -467,23 +467,17 @@ def necessity_search(
     if preserver is None:
         preserver = necessity_map(dim)
     swap = _swap_partner(np.eye(dim, dtype=complex))
-    part = None  # the anchor's anticommutant, built only when trial 0 does not decide
-
-    def candidate(trial: int, rng: np.random.Generator) -> np.ndarray:
-        nonlocal part
-        if trial == 0:
-            return swap
-        if part is None:
-            part = anticommutant(a0, tol)
-        for _ in range(16):
-            c = part.random_element(rng)
-            if not rel_c(a0, c, tol):
-                return c
-        return swap
-
+    part = None
     zero = np.zeros((dim, dim), dtype=complex)
     for t, rng in enumerate(_generators([seed], range(budget))):
-        c = candidate(t, rng)
+        if t == 1:
+            part = anticommutant(a0, tol)
+        c = swap
+        for _ in range(16 if t else 0):
+            d = part.random_element(rng)
+            if not rel_c(a0, d, tol):
+                c = d
+                break
         verdict = check_triadic(preserver, a0, zero, c, tol)
         if is_violation(verdict):
             return TrialReport(trials=t + 1, violations=[

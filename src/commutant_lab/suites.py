@@ -396,30 +396,27 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=DEFAULT_TOLERANCE, t
         a = random_hermitian(dim, rng)
         qc = quasi_commutant(a, tol)
         bic = bicommutant(a, tol)
-        for j, target_rng in enumerate(_generators([seed, 9, i], range(targets))):
-            x = random_hermitian(dim, target_rng)
-            if bic.contains(x, TARGET_GUARD):
-                continue
-            witness = refute_biquasi_membership(x, a, budget=REFUTATION_BUDGET, seed=seed + j,
-                                                tol=tol, quasi=qc)
-            ok = (
-                witness is not None
-                and qc.contains(witness, tol)
-                and not rel_q(x, witness, tol)
-            )
-            if rec.check(ok, lambda: {"a": matrix_to_payload(a), "x": matrix_to_payload(x)}):
-                refuted += 1
+        outsiders = [x for x in (random_hermitian(dim, target_rng)
+                                 for target_rng in _generators([seed, 9, i], range(targets)))
+                     if not bic.contains(x, TARGET_GUARD)]
+        members = []
         if quasi_equals_commutant(a, tol):
             members = list(bic.basis) + [np.eye(dim, dtype=complex), a]
             members += [bic.random_element(rng) for _ in range(3)]
-            witnesses = refute_biquasi_membership(np.array(members), a,
-                                                  budget=REFUTATION_BUDGET, seed=seed,
-                                                  tol=tol, quasi=qc)
-            members_checked += len(members)
-            for z, witness in zip(members, witnesses):
-                rec.check(witness is None, lambda: {"a": matrix_to_payload(a),
-                                                    "z": matrix_to_payload(z),
-                                                    "witness": matrix_to_payload(witness)})
+        if not outsiders and not members:
+            continue
+        witnesses = refute_biquasi_membership(np.array(outsiders + members), a,
+                                              budget=REFUTATION_BUDGET, seed=seed, tol=tol,
+                                              quasi=qc)
+        for x, witness in zip(outsiders, witnesses):
+            ok = witness is not None and qc.contains(witness, tol) and not rel_q(x, witness, tol)
+            if rec.check(ok, lambda: {"a": matrix_to_payload(a), "x": matrix_to_payload(x)}):
+                refuted += 1
+        members_checked += len(members)
+        for z, witness in zip(members, witnesses[len(outsiders):]):
+            rec.check(witness is None, lambda: {"a": matrix_to_payload(a),
+                                                "z": matrix_to_payload(z),
+                                                "witness": matrix_to_payload(witness)})
     return rec.result("lemma-7", {"operators": trials, "targets_per_operator": targets,
                                   "outsiders_refuted": refuted,
                                   "members_checked": members_checked})

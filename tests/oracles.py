@@ -177,7 +177,7 @@ def _kernel_subspace(images: np.ndarray, n: int, tol: Tolerance,
     rank = int(np.sum(svals > cut))
     coeffs = vt[rank:]
     basis = np.tensordot(coeffs, hermitian_basis(n), axes=1)
-    return MatrixSubspace(dim=n, basis=basis)
+    return MatrixSubspace(basis)
 
 
 def _images(a: np.ndarray, basis: np.ndarray, sign: float) -> np.ndarray:

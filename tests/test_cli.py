@@ -1,7 +1,9 @@
 """Command-line harness: exit codes, report determinism, replay."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -603,10 +605,11 @@ CORRUPT_MAPS = {
 }
 
 
-def loose_theorem_4_report(capsys, path):
-    """Write a ``verify theorem-4`` report at ``--tol-zero 0.5``, which finds
-    violations that the default tolerance does not reproduce, and return it."""
-    code, _, _ = run_cli(capsys, ["verify", "theorem-4", "--tol-zero", "0.5", "--dims", "3",
+def loose_theorem_report(capsys, path, suite="theorem-4"):
+    """Write a ``verify`` report of ``suite`` (theorem-4 or theorem-5) at
+    ``--tol-zero 0.5``, which finds violations that the default tolerance
+    does not reproduce, and return it."""
+    code, _, _ = run_cli(capsys, ["verify", suite, "--tol-zero", "0.5", "--dims", "3",
                                   "--trials", "100", "--out", str(path)])
     assert code == 1
     return json.loads(path.read_text())
@@ -663,9 +666,11 @@ class TestReplayCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == first["verdict"]
 
-    def test_report_replays_at_its_recorded_tolerance(self, capsys, tmp_path):
-        path = tmp_path / "t4.json"
-        report = loose_theorem_4_report(capsys, path)
+    @pytest.mark.parametrize("suite", ["theorem-4", "theorem-5"])
+    def test_report_replays_at_its_recorded_tolerance(self, capsys, tmp_path, suite):
+        """Quasi-side records go through the same map and shift readers."""
+        path = tmp_path / "t.json"
+        report = loose_theorem_report(capsys, path, suite)
         first = report["suites"][0]["counterexamples"][0]
         code, out, err = run_cli(capsys, ["replay", str(path), "--format", "json"])
         assert (code, err) == (0, "")
@@ -678,7 +683,7 @@ class TestReplayCommand:
         """No computation reads ``cluster_gap``; a report that recorded a
         value other than the default still replays and renders."""
         path = tmp_path / "t4.json"
-        report = loose_theorem_4_report(capsys, path)
+        report = loose_theorem_report(capsys, path)
         report["tolerance"]["cluster_gap"] = 1e-6
         path.write_text(json.dumps(report))
         code, out, err = run_cli(capsys, ["replay", str(path), "--format", "json"])
@@ -690,7 +695,7 @@ class TestReplayCommand:
 
     def test_bare_record_replays_at_the_options(self, capsys, tmp_path):
         path = tmp_path / "t4.json"
-        record = loose_theorem_4_report(capsys, path)["suites"][0]["counterexamples"][0]
+        record = loose_theorem_report(capsys, path)["suites"][0]["counterexamples"][0]
         path.write_text(json.dumps(record))
         code, out, _ = run_cli(capsys, ["replay", str(path), "--format", "json"])
         assert code == 1
@@ -703,7 +708,7 @@ class TestReplayCommand:
     @pytest.mark.parametrize("name", list(MALFORMED_TOLERANCES))
     def test_malformed_tolerance_block_rejected(self, capsys, tmp_path, name):
         path = tmp_path / "t4.json"
-        report = loose_theorem_4_report(capsys, path)
+        report = loose_theorem_report(capsys, path)
         report["tolerance"], message = MALFORMED_TOLERANCES[name]
         path.write_text(json.dumps(report))
         code, out, err = run_cli(capsys, ["replay", str(path)])
@@ -771,7 +776,7 @@ class TestReplayCommand:
     def test_tolerance_option_against_recorded_tolerance_is_usage_error(self, capsys, tmp_path,
                                                                          option):
         path = tmp_path / "t4.json"
-        report = loose_theorem_4_report(capsys, path)
+        report = loose_theorem_report(capsys, path)
         code, out, err = run_cli(capsys, ["replay", str(path), option, "1e-9"])
         assert (code, out) == (2, "")
         name = {"--tol-zero": "rel_zero", "--tol-rank": "rank_cut"}[option]
@@ -794,7 +799,7 @@ class TestReplayCommand:
 
     def test_malformed_suite_record_named_by_its_path(self, capsys, tmp_path):
         path = tmp_path / "t4.json"
-        report = loose_theorem_4_report(capsys, path)
+        report = loose_theorem_report(capsys, path)
         del report["suites"][0]["counterexamples"][0]["triple"]["b"]
         path.write_text(json.dumps(report))
         code, out, err = run_cli(capsys, ["replay", str(path)])
@@ -823,6 +828,14 @@ class TestReportCommand:
         code, out, _ = run_cli(capsys, ["report", str(out_path)])
         assert code == 0
         assert "suite lemma-scalar: PASS" in out
+
+    def test_search_report_rendered(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        necessity_report(capsys, path)
+        code, out, err = run_cli(capsys, ["report", str(path)])
+        assert (code, err) == (0, "")
+        assert "command: search necessity-f\n" in out
+        assert "\nviolation: {" in out and "\noverall: PASS\n" in out
 
     def test_non_report_rejected(self, capsys, tmp_path):
         path = tmp_path / "a.json"
@@ -974,6 +987,15 @@ def test_unreadable_file_is_named(capsys, tmp_path, command, content):
     code, out, err = run_cli(capsys, [command, str(path)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: unreadable JSON file {path}: ")
+
+
+def test_console_script_is_main():
+    """pip installs the ``commutant-lab`` console script from this entry;
+    every other test calls ``main`` in-process or through ``python -m``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    entry = re.search(r'^\[project\.scripts\]\ncommutant-lab = "(.*)"$', text, re.M)[1]
+    module, _, name = entry.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_parser_built_once_keeps_no_state(capsys, monkeypatch):

@@ -412,7 +412,7 @@ class TestSubspaceComparison:
         assert not subspace_leq(large, small)
 
     def test_dimension_two_not_inside_scalars(self):
-        scalars = MatrixSubspace(dim=2, basis=np.eye(2, dtype=complex)[None, :, :] / np.sqrt(2))
+        scalars = MatrixSubspace(np.eye(2, dtype=complex)[None, :, :] / np.sqrt(2))
         assert not subspace_leq(commutant(diag(1, 2)), scalars)
 
     def test_ambient_mismatch(self):

@@ -271,7 +271,7 @@ def _contains_site(s):
 def _leq_site(s):
     x = DIAGONALS + s * 1e-3 * random_hermitian(3, 64)
     x = x / frobenius(x)
-    inner = MatrixSubspace(dim=3, basis=x[None])
+    inner = MatrixSubspace(x[None])
     return (frobenius(x - np.diag(np.diag(x))), 1.0,
             lambda tol: subspace_leq(inner, commutant(DIAGONALS), tol))
 

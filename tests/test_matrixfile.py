@@ -1,6 +1,7 @@
 """Matrix interchange format: round trips and rejection of bad input."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_save_matrix_writes_the_stdlib_bytes(tmp_path, n, label):
     a = signed_grid(n)
     save_matrix(tmp_path / "m.json", a, label=label)
     want = json.dumps(matrix_to_payload(a, label), indent=2) + "\n"
-    assert (tmp_path / "m.json").read_text() == want
+    assert (tmp_path / "m.json").read_text() == want == stdlib_text(json.loads(want)) + "\n"
 
 
 def spectrum_matrix(n, kind):
@@ -155,18 +156,22 @@ def spectrum_matrix(n, kind):
 
 
 @pytest.fixture
-def written(monkeypatch, capsys):
-    """Run CLI calls with ``--format json``; returns the report objects that
-    ``cli`` hands its writer, after checking that each stdout is the
-    stdlib's text of its report."""
+def written(monkeypatch, capsys, tmp_path):
+    """Run CLI calls with ``--format json`` and an ``--out`` file; returns
+    the report objects that ``cli`` hands its writer, after checking that
+    each stdout and ``--out`` file hold the same bytes, the stdlib's text of
+    its report."""
     reports = []
     write = cli._json_text
     monkeypatch.setattr(cli, "_json_text", lambda value: reports.append(value) or write(value))
 
     def run(*calls):
         for argv in calls:
+            if "--out" not in argv:
+                argv = [*argv, "--out", str(tmp_path / "written.json")]
             cli.main([*argv, "--format", "json"])
-            assert capsys.readouterr().out == stdlib_text(reports[-1]) + "\n", argv
+            out = Path(argv[argv.index("--out") + 1]).read_text()
+            assert capsys.readouterr().out == out == stdlib_text(reports[-1]) + "\n", argv
         return reports[-len(calls):]
     return run
 
@@ -184,12 +189,15 @@ def test_writer_matches_stdlib_on_commutant_reports(tmp_path, written, n, kind):
 
 
 def test_writer_matches_stdlib_on_verify_reports(written):
-    passing, failing = written(["verify", "all", "--seed", "0"],
-                               ["verify", "theorem-4", "--tol-zero", "0.5", "--dims", "3",
-                                "--trials", "100"])
-    assert passing["passed"] and not failing["passed"]
-    assert failing["suites"][0]["counterexamples"][0]["triple"]["a"]["entries"]
-    for report in (passing, failing):
+    """The failing theorem runs nest grids in counterexample triples and
+    map conjugators."""
+    passing, *failing = written(["verify", "all", "--seed", "0"],
+                                *(["verify", suite, "--tol-zero", "0.5", "--dims", "3",
+                                   "--trials", "100"] for suite in ("theorem-4", "theorem-5")))
+    assert passing["passed"] and not any(report["passed"] for report in failing)
+    for report in failing:
+        assert report["suites"][0]["counterexamples"][0]["triple"]["a"]["entries"]
+    for report in (passing, *failing):
         assert _json_text(report) == stdlib_text(report)
 
 
