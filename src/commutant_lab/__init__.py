@@ -6,8 +6,8 @@ seeded, reproducible desk-scale computations:
 
 * :mod:`~commutant_lab.hermitian` — the binary relations (commute,
   anticommute, either) with tolerance semantics, one pair at a time or
-  over stacks of pairs, plus seeded sampling of
-  Hermitian matrices, projections and Haar unitaries;
+  over broadcast stacks of pairs with the same verdicts bit for bit, plus
+  seeded sampling of Hermitian matrices, projections and Haar unitaries;
 * :mod:`~commutant_lab.commutant` — commutant / anticommutant /
   quasi-commutant / second-commutant subspaces read off one
   eigendecomposition, a Krylov oracle for the second commutant, subspace

@@ -39,6 +39,7 @@ from .hermitian import (
     DEFAULT_TOLERANCE,
     Tolerance,
     _check_seed,
+    _frobenius_stack,
     _projection,
     _rng,
     _stack_depth,
@@ -176,11 +177,8 @@ def _cached_masks(data: bytes, n: int, tol: Tolerance):
 def _decompose(a: np.ndarray, tol: Tolerance):
     """:func:`_pair_masks` without the cache, for a complex matrix or stack."""
     w, v = np.linalg.eigh(a)
-    # each norm is frobenius's sum of dot products of a row-major matrix;
-    # the einsum of hermitian._frobenius_stack may differ in the last bit
-    flat = a.reshape(*a.shape[:-2], 1, -1)
-    square = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
-    return w, v, *_cut_masks(w, np.sqrt(square[..., 0, 0]), tol)
+    # each norm equals frobenius of that matrix byte for byte
+    return w, v, *_cut_masks(w, _frobenius_stack(a), tol)
 
 
 def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:

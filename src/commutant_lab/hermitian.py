@@ -284,31 +284,36 @@ def rel_q(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> b
 
 
 def _frobenius_stack(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack ``(T, n, n)``."""
-    flat = np.ascontiguousarray(x, dtype=complex).view(np.float64).reshape(len(x), -1)
-    return np.sqrt(np.einsum("ti,ti->t", flat, flat))
+    """:func:`frobenius` of each matrix of a stack ``(..., n, n)``, byte for
+    byte (``test_hermitian.py::test_frobenius_stack_equals_frobenius``)."""
+    x = np.asarray(x, dtype=complex)
+    if abs(x.strides[-1]) > abs(x.strides[-2]):  # np.linalg.norm reads these by column
+        x = x.swapaxes(-1, -2)
+    flat = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
+    square = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    return np.sqrt(square[..., 0, 0])
 
 
 def rel_stack(
     x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rel_c` and :func:`rel_j` of each pair of slices of two stacks.
-
-    ``y`` is a ``(T, n, n)`` array and ``x`` either one too or one matrix
-    ``(n, n)`` paired with every slice of ``y``; returns two boolean arrays
-    of length ``T``, the slices that commute and the slices that
-    anticommute.  Each slice gets its own zero test with scale
-    ``|X|_F |Y|_F``, so a verdict equals the serial one except for last-bit
-    differences in the norms.  Both verdicts are symmetric: two stacks
-    decide the same, bit for bit, in either order.
+    """:func:`rel_c` and :func:`rel_j` of each pair of two ``(..., n, n)``
+    stacks whose leading axes broadcast, as ``@`` pairs them: two boolean
+    arrays of the broadcast leading shape (0-d for two matrices), the pairs
+    that commute and those that anticommute.  Stacked ``@`` and
+    :func:`_frobenius_stack` reproduce the per-pair products and norms byte
+    for byte, so each verdict equals ``rel_c`` / ``rel_j`` on its pair, bit
+    for bit (``test_hermitian.py::TestExactFlip``), in either order.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if y.ndim != 3 or x.shape not in (y.shape, y.shape[1:]):
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    xy = x @ y
-    yx = y @ x
-    scale = _frobenius_stack(x.reshape(-1, *y.shape[1:])) * _frobenius_stack(y)
+    try:  # ``@`` raises on leading axes that do not broadcast
+        if x.ndim < 2 or not x.shape[-2:] == y.shape[-2:] == 2 * x.shape[-1:]:
+            raise ValueError
+        xy, yx = x @ y, y @ x
+    except ValueError:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}") from None
+    scale = _frobenius_stack(x) * _frobenius_stack(y)
     return (tol.is_zero(_frobenius_stack(xy - yx), scale),
             tol.is_zero(_frobenius_stack(xy + yx), scale))
 
@@ -332,13 +337,9 @@ def triadic_relation(
         raise ValueError(f"unknown relation kind {kind!r}; expected one of {RELATION_KINDS}")
     _check_same_dim(a, b)
     _check_same_dim(a, c)
-    d = a - b
-    single = d.ndim == 2
-    if single:
-        d, c = d[None], c[None]
-    commutes, anticommutes = rel_stack(d, c, tol)
+    commutes, anticommutes = rel_stack(a - b, c, tol)
     held = commutes if kind == "commutative" else commutes | anticommutes
-    return bool(held[0]) if single else held
+    return held if held.ndim else bool(held)
 
 
 def is_scalar(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

@@ -493,8 +493,8 @@ def _lemma4_candidates(a: np.ndarray, seed: int, start: int, stop: int) -> np.nd
     Each generator ``default_rng([seed, t])``, made by
     :func:`~commutant_lab.hermitian._generators`, makes its draws in the order
     of a per-candidate build; then each mode's arithmetic runs once on the
-    stack of its rows.  The stacked norm of mode 0 may differ from
-    ``frobenius`` in the last bit, and so may those candidates.
+    stack of its rows.  Mode 0's powers of 10 are Python floats, as there, so
+    each candidate equals that build byte for byte (``TestBatchedOracle``).
     """
     n = a.shape[0]
     mode = np.arange(start, stop) % 3
@@ -512,7 +512,7 @@ def _lemma4_candidates(a: np.ndarray, seed: int, start: int, stop: int) -> np.nd
     b = draw[:, None, None] * a
     perturb, fresh = mode == 0, mode == 1
     x = h[perturb] / _frobenius_stack(h)[perturb, None, None]
-    b[perturb] = a + (10.0 ** draw[perturb])[:, None, None] * x
+    b[perturb] = a + np.array([10.0 ** float(e) for e in draw[perturb]])[:, None, None] * x
     b[fresh] = h[fresh] * max(1.0, frobenius(a))
     return b
 
@@ -545,12 +545,12 @@ def lemma4_check(
     lam_eye = lam * np.eye(n, dtype=complex)
 
     def premises(b: np.ndarray) -> np.ndarray:
-        """Both premises for each B of a stack ``(T, n, n)``."""
+        """Both premises for each B of a stack ``(..., n, n)``."""
         _, first = rel_stack(a - lam_eye, b, tol)
         _, second = rel_stack(a, b - lam_eye, tol)  # (B - lam I) o A
         return first & second
 
-    if not premises(a[None])[0]:
+    if not premises(a):
         return False
     step = _stack_depth(n)
     for start in range(0, candidates, step):

@@ -15,7 +15,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from commutant_lab import Tolerance  # noqa: E402
+from commutant_lab import Tolerance, commutator, frobenius, jordan_product, rel_c  # noqa: E402
 
 
 @pytest.fixture
@@ -28,3 +28,16 @@ def diag(*values) -> np.ndarray:
 
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def exact_flip(relation, x, y) -> tuple[Tolerance, Tolerance]:
+    """The two consecutive ``rel_zero`` values around ``norm / max(1, scale)``
+    at which the serial ``relation(x, y, tol)`` (``rel_c`` or ``rel_j``)
+    changes its verdict: it fails at the first and holds at the second."""
+    product = commutator(x, y) if relation is rel_c else jordan_product(x, y)
+    r = frobenius(product) / max(1.0, frobenius(x) * frobenius(y))
+    while relation(x, y, Tolerance(rel_zero=r)):
+        r = float(np.nextafter(r, 0.0))
+    while not relation(x, y, Tolerance(rel_zero=r)):
+        r = float(np.nextafter(r, np.inf))
+    return Tolerance(rel_zero=float(np.nextafter(r, 0.0))), Tolerance(rel_zero=r)

@@ -27,16 +27,16 @@ Serial triadic route.  ``serial_apply_map`` and ``serial_check_triadic``
 evaluate a map and a triadic verdict one matrix at a time, deciding the
 relation with the serial ``rel_c`` / ``rel_q``.  The production
 ``apply_map`` and ``check_triadic`` take stacks and decide through
-``rel_stack``; the two routes share no relation code, so their norms may
-differ in the last bits and a verdict within those bits of the zero test
-may differ too.
+``rel_stack``; the two routes share no relation code, yet their products
+and norms agree byte for byte, so every verdict agrees too, even at the
+exact flip of the zero test (``test_hermitian.py::TestExactFlip``).
 
 Serial refutation search.  ``serial_refute_biquasi_membership`` walks the
 refutation pool one candidate at a time with ``rel_q``, building each
 candidate only when the one before it passed, as the search did before it
 decided its pool on stacks.  The stacked route must return ``None`` where
-it does and otherwise a byte-equal witness, apart from verdicts within the
-last bits of the zero test.
+it does and otherwise a byte-equal witness: its verdicts equal ``rel_q``'s
+bit for bit (``test_hermitian.py::TestExactFlip``).
 
 Per-entry matrix writer.  ``per_entry_payload`` converts a matrix to its
 JSON payload one entry at a time, as ``matrix_to_payload`` did before it

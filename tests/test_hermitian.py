@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from commutant_lab import (
     MatrixSubspace,
+    PreserverMap,
     Tolerance,
     as_hermitian,
+    check_triadic,
     commutant,
     commutator,
     frobenius,
@@ -31,6 +33,7 @@ from commutant_lab import (
     triadic_relation,
 )
 from commutant_lab.hermitian import (
+    _frobenius_stack,
     _generators,
     _given_state,
     _hermitian,
@@ -40,7 +43,8 @@ from commutant_lab.hermitian import (
 )
 from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
 
-from conftest import SWAP2, diag
+from conftest import SWAP2, diag, exact_flip
+from oracles import serial_apply_map, serial_check_triadic
 
 
 class TestJordanProduct:
@@ -161,12 +165,17 @@ class TestRelStack:
         assert commutes.any() and anticommutes.any() and not (commutes | anticommutes).all()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            rel_stack(np.zeros((2, 3, 3)), np.zeros((2, 4, 4)))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            rel_stack(np.eye(3), np.eye(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            rel_stack(np.eye(4), np.zeros((2, 3, 3)))
+        """Two matrices give 0-d verdicts; matrices of different sizes,
+        leading axes that do not broadcast and 1-D inputs raise."""
+        eye = np.eye(3)
+        commutes, anticommutes = rel_stack(eye, eye)
+        assert commutes.ndim == anticommutes.ndim == 0
+        assert (commutes, anticommutes) == (rel_c(eye, eye), rel_j(eye, eye))
+        for x, y in [(np.zeros((2, 3, 3)), np.zeros((2, 4, 4))), (np.eye(4), np.zeros((2, 3, 3))),
+                     (np.zeros((2, 3, 3)), np.zeros((3, 3, 3))), (np.zeros(3), np.zeros(3)),
+                     (np.zeros(3), np.zeros((2, 3, 3))), (np.zeros((3, 2)), np.zeros((3, 2)))]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                rel_stack(x, y)
 
     @pytest.mark.parametrize("dim", [3, 8])
     def test_one_matrix_against_a_stack(self, dim):
@@ -181,6 +190,77 @@ class TestRelStack:
                 assert all(np.array_equal(u, v) for u, v in zip(one, other))
             assert list(one[0]) == [rel_c(x, b) for b in y]
             assert list(one[1]) == [rel_j(x, b) for b in y]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16, 32])
+def test_frobenius_stack_equals_frobenius(n):
+    """Each norm of a stack equals ``frobenius`` of its matrix byte for byte,
+    on leading shapes (T,) and (2, T), with entries of magnitude 1e-3 to
+    1e3, for row-major matrices and for column-major ones."""
+    rng = np.random.default_rng([71, n])
+    for lead in [(20,), (2, 10)]:
+        magnitude = 10.0 ** rng.uniform(-3.0, 3.0, (*lead, n, n))
+        x = magnitude * np.exp(2j * np.pi * rng.uniform(size=magnitude.shape))
+        for stack in (x, x.swapaxes(-1, -2)):
+            norms = _frobenius_stack(stack)
+            assert norms.shape == lead
+            assert norms.tobytes() == np.array(
+                [frobenius(stack[i]) for i in np.ndindex(lead)]).tobytes()
+        one = x.reshape(-1, n, n)[0]
+        assert _frobenius_stack(one).tobytes() == np.float64(frobenius(one)).tobytes()
+
+
+class TestExactFlip:
+    """At the two consecutive ``rel_zero`` values where the serial ``rel_c``
+    or ``rel_j`` flips on a pair, every stacked route gives the serial
+    verdict.  The pairs commute or anticommute up to roundoff, so each flip
+    sits near ``rel_zero = 1e-16``, where a last-bit change in any norm
+    moves it."""
+
+    @staticmethod
+    def flip_pairs(seed, dim):
+        """(relation, index of its rel_stack verdict, triadic kind, x, y)."""
+        commuting, anticommuting, _ = relation_pairs(seed, dim)
+        return [(rel_c, 0, "commutative", *commuting), (rel_j, 1, "quasi", *anticommuting)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_rel_stack_and_triadic_relation(self, seed, dim):
+        others = relation_pairs(seed + 10, dim)
+        for relation, index, kind, x, y in self.flip_pairs(seed, dim):
+            xs, ys = (np.array(side) for side in zip(*others[:2], (x, y), others[2]))
+            zero = np.zeros_like(x)
+            for tol, held in zip(exact_flip(relation, x, y), (False, True)):
+                assert relation(x, y, tol) is held
+                assert rel_stack(x, y, tol)[index] == held
+                assert rel_stack(x, ys, tol)[index][2] == held
+                assert rel_stack(ys, x, tol)[index][2] == held
+                assert rel_stack(xs, ys, tol)[index][2] == held
+                assert rel_stack(xs.reshape(2, 2, dim, dim), ys.reshape(2, 2, dim, dim),
+                                 tol)[index][1, 0] == held
+                assert triadic_relation(x, zero, y, kind, tol) is held
+                assert triadic_relation(xs, np.zeros_like(xs), ys, kind, tol)[2] == held
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_triadic_matches_serial_oracle(self, seed):
+        """Flipping the source pair or the image pair of a triple (X, 0, Y):
+        ``check_triadic`` gives ``serial_check_triadic``'s verdict alone and
+        inside a stack of other triples."""
+        u = random_unitary(3, [seed, 72])
+        others = [tuple(random_hermitian(3, [seed, 73, t, k]) for k in range(3)) for t in range(3)]
+        seen = set()
+        for relation, _, kind, x, y in self.flip_pairs(seed, 3):
+            m = PreserverMap(2.0, u, relation_kind=kind)
+            triple = (x, np.zeros_like(x), y)
+            fa, fb, fc = (serial_apply_map(m, t) for t in triple)
+            stack = [np.array(side) for side in zip(*others[:2], triple, others[2])]
+            for pair in ((x, y), (fa - fb, fc)):
+                for tol in exact_flip(relation, *pair):
+                    expected = serial_check_triadic(m, *triple, tol)
+                    assert check_triadic(m, *triple, tol) == expected
+                    assert check_triadic(m, *stack, tol)[2] == expected
+                    seen.add(expected)
+        assert len(seen) > 1
 
 
 @pytest.mark.parametrize("n, depth", [(1, 16384), (3, 1820), (8, 256), (9, 202), (11, 135),
@@ -198,10 +278,10 @@ class TestScaleFloor:
 
     @staticmethod
     def verdicts(a, b, c):
-        commutes, anticommutes = rel_stack(a[None], b[None])
+        commutes, anticommutes = rel_stack(a, b)
         return (rel_c(a, b), rel_j(a, b), rel_q(a, b),
                 triadic_relation(a, b, c, "commutative"), triadic_relation(a, b, c, "quasi"),
-                bool(commutes[0]), bool(anticommutes[0]))
+                bool(commutes), bool(anticommutes))
 
     @pytest.mark.parametrize("dim", [3, 4, 6])
     def test_invariant_under_scaling_up(self, dim):
@@ -246,7 +326,7 @@ def _triadic_site(kind, norm):
 
 
 def _stack_site(index, norm):
-    return _pair_site(lambda a, b, tol: bool(rel_stack(a[None], b[None], tol)[index][0]), norm)
+    return _pair_site(lambda a, b, tol: bool(rel_stack(a, b, tol)[index]), norm)
 
 
 def _either_norm(a, b):
