@@ -316,8 +316,8 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
                 if bic.contains(target, TARGET_GUARD):
                     target = random_hermitian(matrix.shape[0], seed + 1)
                 report["target"] = matrix_to_payload(target, label="sampled-target")
-            witness = refute_biquasi_membership(target, matrix, budget=args.budget,
-                                                seed=seed, tol=tol)
+            [witness] = refute_biquasi_membership(target[None], matrix, budget=args.budget,
+                                                  seed=seed, tol=tol)
             label, found, empty = ("refutation-witness",
                                   "refuted: target is outside the second quasi-commutant",
                                   "unrefuted (not a membership proof)")

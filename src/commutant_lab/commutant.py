@@ -117,9 +117,8 @@ class MatrixSubspace:
 
 def _cut_masks(w: np.ndarray, norm, tol: Tolerance):
     """The commutant and anticommutant pair masks of the ascending
-    eigenvalues ``w`` of a matrix of Frobenius norm ``norm``, and the
-    commutant cut; on a stack, each of ``w (..., n)`` and ``norm (...)``
-    decides alone.
+    eigenvalues ``w`` of a matrix of Frobenius norm ``norm``; on a stack,
+    each of ``w (..., n)`` and ``norm (...)`` decides alone.
 
     The eigenvector pair (a, b) spans singular vectors of ``X -> AX - XA``
     and ``X -> AX + XA`` with singular values ``|w_a - w_b|`` and
@@ -140,7 +139,7 @@ def _cut_masks(w: np.ndarray, norm, tol: Tolerance):
     (w[..., 1:] - w[..., :-1] > cut[..., None]).cumsum(axis=-1, out=labels[..., 1:])
     sums = np.abs(w[..., None] + w[..., None, :])
     anti_cut = tol.rank_cut * np.maximum(sums.max(axis=(-2, -1)), scale)
-    return labels[..., None] == labels[..., None, :], sums <= anti_cut[..., None, None], cut
+    return labels[..., None] == labels[..., None, :], sums <= anti_cut[..., None, None]
 
 
 def _pair_masks(a: np.ndarray, tol: Tolerance):
@@ -169,7 +168,7 @@ def _cached_masks(data: bytes, n: int, tol: Tolerance):
     """:func:`_decompose` of the n x n complex matrix of bytes ``data``, with
     read-only arrays."""
     masks = _decompose(np.frombuffer(data, complex).reshape(n, n), tol)
-    for array in masks[:4]:  # w, V and the two masks; the cut is a scalar
+    for array in masks:
         array.flags.writeable = False
     return masks
 
@@ -205,7 +204,7 @@ def _coincident_runs(a: np.ndarray, tol: Tolerance
     consecutive gaps are at or below the commutant cut), each with the
     projection onto its eigenvectors, symmetrized so it is exactly
     Hermitian."""
-    w, v, comm, _, _ = _pair_masks(a, tol)
+    w, v, comm, _ = _pair_masks(a, tol)
     starts = [0, *(np.flatnonzero(~np.diagonal(comm, 1)) + 1), w.size]
     return w, [(slice(lo, hi), _projection(v[:, lo:hi])) for lo, hi in zip(starts[:-1], starts[1:])]
 
@@ -216,7 +215,7 @@ def commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspa
     Read off one eigendecomposition: the commutant pairs of
     :func:`_pair_masks`, ``|w_a - w_b|`` at or below its cut.
     """
-    _, v, comm, _, _ = _pair_masks(a, tol)
+    _, v, comm, _ = _pair_masks(a, tol)
     return _pair_subspace(v, comm)
 
 
@@ -226,7 +225,7 @@ def anticommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSu
     Read off one eigendecomposition: the anticommutant pairs of
     :func:`_pair_masks`, ``|w_a + w_b|`` at or below its cut.
     """
-    _, v, _, anti, _ = _pair_masks(a, tol)
+    _, v, _, anti = _pair_masks(a, tol)
     return _pair_subspace(v, anti)
 
 
@@ -241,17 +240,13 @@ class QuasiCommutant:
     commutant_part: MatrixSubspace
     anticommutant_part: MatrixSubspace
 
-    @property
-    def dim(self) -> int:
-        return self.commutant_part.dim
-
     def contains(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         return self.commutant_part.contains(x, tol) or self.anticommutant_part.contains(x, tol)
 
 
 def quasi_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> QuasiCommutant:
     """Commutant and anticommutant of ``A``, paired, from one eigendecomposition."""
-    _, v, comm, anti, _ = _pair_masks(a, tol)
+    _, v, comm, anti = _pair_masks(a, tol)
     return QuasiCommutant(_pair_subspace(v, comm), _pair_subspace(v, anti))
 
 
@@ -346,7 +341,7 @@ def quasi_equals_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) ->
     and outside the commutant mask.  Away from the cuts, the spectrum of
     ``A`` then meets its negative only in 0.  A ``bool``, or an array of
     them for a stack ``(..., n, n)``."""
-    _, _, comm, anti, _ = _pair_masks(a, tol)
+    _, _, comm, anti = _pair_masks(a, tol)
     held = ~np.any(anti & ~comm, axis=(-2, -1))
     return held if held.ndim else bool(held)
 
@@ -361,7 +356,7 @@ def noncommuting_anticommuting_partner(
     may be below ``rel_zero * max(1, |A|_F)``, where ``rel_c`` reads B as
     commuting with ``A``.
     """
-    _, v, comm, anti, _ = _pair_masks(a, tol)
+    _, v, comm, anti = _pair_masks(a, tol)
     pairs = np.argwhere(anti & ~comm)
     if len(pairs) == 0:
         return None
@@ -374,64 +369,52 @@ def refute_biquasi_membership(
     x: np.ndarray,
     a: np.ndarray,
     budget: int = 32,
-    seed=0,
+    seed: int = 0,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    quasi: QuasiCommutant | None = None,
-) -> np.ndarray | None | list[np.ndarray | None]:
-    """Search for M in the quasi-commutant of A that fails to quasi-commute with X.
+) -> list[np.ndarray | None]:
+    """For each target X of a stack ``(k, n, n)``, search for M in the
+    quasi-commutant of A that fails to quasi-commute with X: a list of k
+    witnesses or ``None``.  A witness proves its target is outside the
+    second quasi-commutant of A; ``None`` is not a membership proof.
 
-    A returned witness proves X is outside the second quasi-commutant of A;
-    ``None`` (no witness within budget) is not a membership proof.  The
-    candidate pool holds, in order, the basis of both parts, scalar-shifted
-    copies ``lam I + M`` of commutant elements, and ``budget`` rounds of
-    random unit combinations inside each part (with ``I + M`` after each
-    commutant one), drawn from one generator; a negative ``budget`` raises
-    ValueError.
-
-    The pool is built lazily and decided by :func:`rel_stack` in chunks:
-    the first candidate alone, since most outsiders fail it, then as many
-    at a time as :func:`~commutant_lab.hermitian._stack_depth` gives.  The
-    witness is the first failing candidate in pool order, whatever the
-    chunk size.
-
-    ``x`` may also be a stack of targets ``(k, n, n)``; the result is then a
-    list of ``k`` witnesses or ``None``.  The targets share one pool, built
-    once: each chunk is decided for every target it has not yet refuted,
-    and the search stops once every target is refuted.  So each entry
-    equals what a call on that target alone returns with the same integer
-    seed.  A :class:`numpy.random.Generator` passed as ``seed`` advances by
-    the draws of every random candidate up to the end of the chunk that
-    refutes the last target, or of all of them when some target stays
-    unrefuted.
+    The candidate pool holds, in order, the basis of both parts,
+    scalar-shifted copies ``lam I + M`` of commutant elements, and
+    ``budget`` rounds of random unit combinations inside each part (with
+    ``I + M`` after each commutant one), drawn from ``default_rng(seed)``.
+    The targets share the pool, built lazily and decided by
+    :func:`rel_stack` in chunks: the first candidate alone, since most
+    outsiders fail it, then as many at a time as
+    :func:`~commutant_lab.hermitian._stack_depth` gives, each for every
+    target not yet refuted.  Each witness is the first failing candidate
+    in pool order, whatever the chunk size and the other targets.  A
+    negative budget, a seed that is not a nonnegative integer or targets
+    of another shape raise ValueError.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_seed(seed)
+    n = np.shape(a)[0]
     targets = np.asarray(x)
-    single = targets.ndim == 2
-    if single:
-        targets = targets[None]
-    if targets.ndim != 3 or targets.shape[1:] != np.shape(a):
-        raise ValueError(f"dimension mismatch: {np.shape(x)} vs {np.shape(a)}")
-    qc = quasi if quasi is not None else quasi_commutant(a, tol)
-    n = qc.dim
+    if targets.ndim != 3 or targets.shape[1:] != (n, n):
+        raise ValueError(f"dimension mismatch: expected targets of shape (k, {n}, {n}), "
+                         f"got {targets.shape}")
+    qc = quasi_commutant(a, tol)
+    comm, anti = qc.commutant_part, qc.anticommutant_part
     eye = np.eye(n, dtype=complex)
-    shifts = (1.0, -1.0, 0.5)
 
     def candidates():
-        yield from qc.commutant_part.basis
-        yield from qc.anticommutant_part.basis
-        for m in qc.commutant_part.basis:
-            for s in shifts:
+        yield from comm.basis
+        yield from anti.basis
+        for m in comm.basis:
+            for s in (1.0, -1.0, 0.5):
                 yield s * eye + m
-        rng = _rng(seed)
-        for _ in range(budget):
-            for part in (qc.commutant_part, qc.anticommutant_part):
-                if part.real_dimension == 0:
-                    continue
-                m = part.random_element(rng)
-                yield m
-                if part is qc.commutant_part:
-                    yield eye + m
+        rng = np.random.default_rng(seed)
+        for _ in range(budget):  # the commutant holds the identity, so it is never empty
+            m = comm.random_element(rng)
+            yield m
+            yield eye + m
+            if anti.real_dimension:
+                yield anti.random_element(rng)
 
     witnesses = [None] * len(targets)
     open_targets = list(range(len(targets)))
@@ -446,7 +429,7 @@ def refute_biquasi_membership(
                 witnesses[t] = chunk[broken[0]]
         open_targets = [t for t in open_targets if witnesses[t] is None]
         size = _stack_depth(n)
-    return witnesses[0] if single else witnesses
+    return witnesses
 
 
 def scalar_witness(a: np.ndarray, seed=0, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -117,6 +118,9 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Indices hashed per pass of _generators: at least _stack_depth(3) = 1820,
+# so that every block of a stacked search is hashed in one pass.
+_HASH_BLOCK = 4096
 
 
 def _int_words(value) -> list[int]:
@@ -210,21 +214,27 @@ def _given_state() -> type:
 
 def _generators(prefix, ts):
     """The generators ``np.random.default_rng([*prefix, t])`` for each ``t``
-    of ``ts`` (each ``0 <= t < 2**32``), in order, with the same streams.
+    of the sequence ``ts`` (each ``0 <= t < 2**32``), in order, with the
+    same streams.
 
     ``default_rng`` hashes its seed through a ``SeedSequence`` object per
-    generator; this computes the four state words of every ``t`` in one
-    vectorized pass (:func:`_state_words`) and seeds each ``PCG64`` with
-    its words.  Each generator is built when the iteration reaches it.
+    generator; this computes the four state words of ``_HASH_BLOCK``
+    indices in one vectorized pass (:func:`_state_words`) as the iteration
+    reaches them, and seeds each ``PCG64`` with its words.  The first block
+    is hashed at the call, so a bad index in it raises before any
+    generator is made.
     """
     given = _given_state()
+    first = _state_words(prefix, ts[:_HASH_BLOCK])
+    rest = (_state_words(prefix, ts[start:start + _HASH_BLOCK])
+            for start in range(_HASH_BLOCK, len(ts), _HASH_BLOCK))
     return (np.random.Generator(np.random.PCG64(given(words)))
-            for words in _state_words(prefix, ts))
+            for block in chain([first], rest) for words in block)
 
 
 def frobenius(x: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(x))
+    """Frobenius norm, summed row-major whatever the layout, as :func:`_frobenius_stack` sums it."""
+    return float(np.linalg.norm(np.ravel(x)))
 
 
 def as_hermitian(entries, rel: float = 1e-12) -> np.ndarray:
@@ -287,8 +297,6 @@ def _frobenius_stack(x: np.ndarray) -> np.ndarray:
     """:func:`frobenius` of each matrix of a stack ``(..., n, n)``, byte for
     byte (``test_hermitian.py::test_frobenius_stack_equals_frobenius``)."""
     x = np.asarray(x, dtype=complex)
-    if abs(x.strides[-1]) > abs(x.strides[-2]):  # np.linalg.norm reads these by column
-        x = x.swapaxes(-1, -2)
     flat = x.reshape(*x.shape[:-2], 1, x.shape[-2] * x.shape[-1])
     square = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
     return np.sqrt(square[..., 0, 0])

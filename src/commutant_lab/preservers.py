@@ -72,6 +72,9 @@ VIOLATION_BACKWARD = "violation_backward"
 _VERDICTS = np.array([BOTH_FAIL, VIOLATION_BACKWARD, VIOLATION_FORWARD, BOTH_HOLD])
 
 SHIFT_KINDS = ("zero", "constant", "trace_based", "theorem_compliant_quasi", "pinned")
+# Every sampled suite and the necessity search refuse n < 3 with this reason.
+_BELOW_THREE = ("dimensions below 3 are outside the supported regime: at n = 2, maps outside "
+                "the classified form preserve the commutative relation (README, 'Why n >= 3')")
 
 
 @dataclass(eq=False)
@@ -344,7 +347,7 @@ def _build(mode: int, dim: int, draws: list, tol: Tolerance) -> np.ndarray:
     # the anticommutant of its difference d, so its tail waits for d's masks.
     normals, values, rngs = zip(*draws)
     d = _spectral(_unitary(np.array(normals)), np.array(values))
-    _, vectors, _, anti, _ = _pair_masks(d, tol)
+    _, vectors, _, anti = _pair_masks(d, tol)
     tails = np.zeros((len(draws), 2, 2, dim, dim))  # C, unless drawn from the part, and B
     from_part = {}
     for i, rng in enumerate(rngs):
@@ -425,7 +428,7 @@ def default_necessity_anchor(dim: int) -> np.ndarray:
     """diag(1, -1, 0, ...): the canonical matrix with an anticommuting,
     noncommuting partner."""
     if dim < 3:
-        raise ValueError("dimension must be at least 3")
+        raise ValueError(_BELOW_THREE)
     values = np.zeros(dim)
     values[0], values[1] = 1.0, -1.0
     return np.diag(values).astype(complex)

@@ -48,6 +48,7 @@ from .hermitian import (
 )
 from .matrixfile import _field, _path, _payload_entries, matrix_to_payload, payload_to_matrix
 from .preservers import (
+    _BELOW_THREE,
     PreserverMap,
     ShiftPolicy,
     check_triadic,
@@ -406,8 +407,7 @@ def suite_lemma_7(dims=(3, 4, 5, 8), trials=40, seed=0, tol=DEFAULT_TOLERANCE, t
         if not outsiders and not members:
             continue
         witnesses = refute_biquasi_membership(np.array(outsiders + members), a,
-                                              budget=REFUTATION_BUDGET, seed=seed, tol=tol,
-                                              quasi=qc)
+                                              budget=REFUTATION_BUDGET, seed=seed, tol=tol)
         for x, witness in zip(outsiders, witnesses):
             ok = witness is not None and qc.contains(witness, tol) and not rel_q(x, witness, tol)
             if rec.check(ok, lambda: {"a": matrix_to_payload(a), "x": matrix_to_payload(x)}):
@@ -692,7 +692,7 @@ def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
     if dims is not None:
         dims = tuple(int(d) for d in dims)
         if any(d < 3 for d in dims):
-            raise ValueError("dimensions below 3 are outside the supported regime")
+            raise ValueError(_BELOW_THREE)
         # a repeated dimension would be sampled twice as often, and recorded
         if len(set(dims)) != len(dims):
             raise ValueError(f"dimensions must be distinct, got {','.join(map(str, dims))}")
@@ -704,6 +704,8 @@ def _suite_kwargs(name, dims, trials, seed, tol, a_value) -> dict:
             raise ValueError(f"suite {name} runs a fixed grid and takes no trials")
         if trials < 1:
             raise ValueError("trials must be positive")
+        if trials > 2**32:  # trial indices are single 32-bit entropy words
+            raise ValueError(f"trials must be at most 2**32 = {2**32}, got {trials}")
         kwargs["trials"] = int(trials)
     if a_value is not None:
         if name != "lemma-aef":

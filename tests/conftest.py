@@ -15,7 +15,8 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from commutant_lab import Tolerance, commutator, frobenius, jordan_product, rel_c  # noqa: E402
+from commutant_lab import (Tolerance, commutator, frobenius, jordan_product,  # noqa: E402
+                           random_unitary, rel_c)
 
 
 @pytest.fixture
@@ -25,6 +26,21 @@ def tol():
 
 def diag(*values) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=float)).astype(complex)
+
+
+def spectrum_matrix(rng, dim, values):
+    v = random_unitary(dim, rng)
+    m = (v * np.asarray(values, dtype=float)) @ v.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def strip_elapsed(obj):
+    """A report without its ``elapsed_seconds`` fields, at every depth."""
+    if isinstance(obj, dict):
+        return {k: strip_elapsed(v) for k, v in obj.items() if k != "elapsed_seconds"}
+    if isinstance(obj, list):
+        return [strip_elapsed(v) for v in obj]
+    return obj
 
 
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -52,7 +52,6 @@ import numpy as np
 
 from commutant_lab import (
     MatrixSubspace,
-    QuasiCommutant,
     Tolerance,
     anticommutant,
     build_aef,
@@ -67,7 +66,7 @@ from commutant_lab import (
     spectral_decompose,
     subspace_leq,
 )
-from commutant_lab.hermitian import DEFAULT_TOLERANCE, _rng
+from commutant_lab.hermitian import DEFAULT_TOLERANCE
 from commutant_lab.preservers import (
     BOTH_FAIL,
     BOTH_HOLD,
@@ -253,14 +252,13 @@ def serial_check_triadic(m, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
     return BOTH_HOLD if source else BOTH_FAIL
 
 
-def serial_refute_biquasi_membership(x, a, budget: int = 32, seed=0,
-                                     tol: Tolerance = DEFAULT_TOLERANCE,
-                                     quasi: QuasiCommutant | None = None):
-    """Oracle for ``refute_biquasi_membership``: the first candidate of its
-    pool that neither commutes nor anticommutes with ``x`` under ``rel_q``,
-    or ``None``."""
-    qc = quasi if quasi is not None else quasi_commutant(a, tol)
-    eye = np.eye(qc.dim, dtype=complex)
+def serial_refute_biquasi_membership(x, a, budget: int = 32, seed: int = 0,
+                                     tol: Tolerance = DEFAULT_TOLERANCE):
+    """Oracle for ``refute_biquasi_membership`` on one target: the first
+    candidate of its pool that neither commutes nor anticommutes with ``x``
+    under ``rel_q``, or ``None``."""
+    qc = quasi_commutant(a, tol)
+    eye = np.eye(np.shape(a)[0], dtype=complex)
 
     def candidates():
         yield from qc.commutant_part.basis
@@ -268,7 +266,7 @@ def serial_refute_biquasi_membership(x, a, budget: int = 32, seed=0,
         for m in qc.commutant_part.basis:
             for s in (1.0, -1.0, 0.5):
                 yield s * eye + m
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         for _ in range(budget):
             for part in (qc.commutant_part, qc.anticommutant_part):
                 if part.real_dimension == 0:

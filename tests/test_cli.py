@@ -17,7 +17,7 @@ from commutant_lab.cli import main
 from commutant_lab.hermitian import ENTRY_BOUND
 from commutant_lab.suites import SUITE_NAMES, suite_calls, violation_to_payload
 
-from conftest import diag
+from conftest import diag, strip_elapsed
 
 
 def run_cli(capsys, argv):
@@ -26,12 +26,10 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def strip_timing(report):
-    if isinstance(report, dict):
-        return {k: strip_timing(v) for k, v in report.items() if k != "elapsed_seconds"}
-    if isinstance(report, list):
-        return [strip_timing(v) for v in report]
-    return report
+# Both commands refuse n < 3 with one message that names the reason.
+BELOW_THREE = ("error: dimensions below 3 are outside the supported regime: at n = 2, maps "
+               "outside the classified form preserve the commutative relation "
+               "(README, 'Why n >= 3')\n")
 
 
 class TestVerify:
@@ -57,7 +55,13 @@ class TestVerify:
     def test_dimension_below_three_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "lemma-1.8", "--dims", "2"])
         assert code == 2
-        assert "below 3" in err
+        assert err == BELOW_THREE
+
+    def test_trials_beyond_one_entropy_word_rejected(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "brooke", "--dims", "3",
+                                          "--trials", "5000000000"])
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be at most 2**32 = 4294967296, got 5000000000\n"
 
     @pytest.mark.parametrize("suite", ["lemma-1.8", "theorem-4", "all"])
     def test_repeated_dimension_rejected(self, capsys, suite):
@@ -86,7 +90,7 @@ class TestVerify:
         code1, out1, _ = run_cli(capsys, argv)
         code2, out2, _ = run_cli(capsys, argv)
         assert code1 == code2 == 0
-        assert strip_timing(json.loads(out1)) == strip_timing(json.loads(out2))
+        assert strip_elapsed(json.loads(out1)) == strip_elapsed(json.loads(out2))
 
     def test_out_file_written(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -575,7 +579,14 @@ class TestSearchCommand:
         code, out, err = run_cli(capsys, ["search", "necessity-f", "--dim", "2"])
         assert code == 2
         assert out == ""
-        assert err == "error: dimension must be at least 3\n"
+        assert err == BELOW_THREE
+
+    @pytest.mark.parametrize("budget", ["10000000", "10000000000"])
+    def test_necessity_budget_beyond_memory_decided_at_trial_zero(self, capsys, budget):
+        code, out, err = run_cli(capsys, ["search", "necessity-f", "--budget", budget,
+                                          "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "violation found after 1 trials"
 
     def test_lemma7_negative_budget_is_usage_error(self, capsys, tmp_path):
         a_path = tmp_path / "a.json"
@@ -969,7 +980,7 @@ def test_kept_tolerance_option_is_read(capsys, tmp_path, monkeypatch, argv, opti
     for given in ([], [option, value]):
         _, out, err = run_cli(capsys, [*argv, *given, "--format", "json"])
         assert err == ""
-        report = strip_timing(json.loads(out))
+        report = strip_elapsed(json.loads(out))
         del report["tolerance"]
         bodies.append(report)
     assert bodies[0] != bodies[1]
@@ -1018,7 +1029,7 @@ def test_parser_built_once_keeps_no_state(capsys, monkeypatch):
                                capture_output=True, text=True, timeout=120)
         assert (code, err) == (fresh.returncode, fresh.stderr), argv
         assert out == fresh.stdout == "" or (
-            strip_timing(json.loads(out)) == strip_timing(json.loads(fresh.stdout))), argv
+            strip_elapsed(json.loads(out)) == strip_elapsed(json.loads(fresh.stdout))), argv
 
 
 def test_each_call_starts_with_an_empty_pair_cache(capsys, tmp_path):

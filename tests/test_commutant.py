@@ -3,6 +3,7 @@ and spectral-formula oracles, subspace comparison, refutation search, witness
 constructions."""
 
 import importlib
+import inspect
 import sys
 
 import numpy as np
@@ -33,8 +34,8 @@ from commutant_lab import (
     subspace_leq,
     subspace_proper_lt,
 )
-from commutant_lab.commutant import (_cached_masks, _decompose, _krylov_bicommutant,
-                                     _pair_masks)
+from commutant_lab.commutant import (_cached_masks, _cut_masks, _decompose,
+                                     _krylov_bicommutant, _pair_masks)
 from commutant_lab.hermitian import _stack_depth
 from oracles import (
     anticommutant_dim_formula,
@@ -49,13 +50,7 @@ from oracles import (
     subspace_quasi_equals_commutant,
 )
 
-from conftest import diag
-
-
-def spectrum_matrix(rng, dim, values):
-    v = random_unitary(dim, rng)
-    m = (v * np.asarray(values, dtype=float)) @ v.conj().T
-    return (m + m.conj().T) / 2.0
+from conftest import diag, spectrum_matrix
 
 
 def mixed_sample(rng, dim):
@@ -383,8 +378,9 @@ def test_pair_masks_of_a_stack_match_its_slices(n, tol):
     equals bit for bit the decision on that matrix alone."""
     stack = pair_cut_stack(n)
     alone = [_pair_masks(a, tol) for a in stack]
-    for a, (w, *_, cut) in zip(stack, alone):  # the cut of the frobenius norm
-        assert cut == tol.rank_cut * max(float(np.abs(w[:, None] - w).max()), 1.0, frobenius(a))
+    for a, (w, _, *masks) in zip(stack, alone):  # the cuts of the frobenius norm
+        for got, want in zip(masks, _cut_masks(w, frobenius(a), tol), strict=True):
+            assert got.tobytes() == want.tobytes()
     held = [quasi_equals_commutant(a, tol) for a in stack]
     assert all(type(h) is bool for h in held) and True in held and False in held
     for x in (stack, stack.reshape(2, -1, n, n)):
@@ -488,19 +484,23 @@ class TestPartner:
         assert noncommuting_anticommuting_partner(np.eye(4, dtype=complex)) is None
 
 
+def refute_one(x, a, **kwargs):
+    """``refute_biquasi_membership`` of the one-target stack ``[x]``."""
+    [witness] = refute_biquasi_membership(x[None], a, **kwargs)
+    return witness
+
+
 class TestRefutation:
     def test_members_unrefuted(self):
         a = diag(1, 2, 3)
-        assert refute_biquasi_membership(a, a, seed=1) is None
-        assert refute_biquasi_membership(np.eye(3, dtype=complex), a, seed=1) is None
+        assert refute_biquasi_membership(np.array([a, np.eye(3)]), a, seed=1) == [None, None]
 
     def test_outsider_refuted_with_valid_witness(self):
         a = diag(1, 1, 2)
         x = diag(1, 2, 3)  # commutes with a but is outside its bicommutant
-        qc = quasi_commutant(a)
-        witness = refute_biquasi_membership(x, a, seed=2, quasi=qc)
+        witness = refute_one(x, a, seed=2)
         assert witness is not None
-        assert qc.contains(witness)
+        assert quasi_commutant(a).contains(witness)
         assert not rel_q(x, witness)
 
     def test_random_outsiders_all_refuted(self):
@@ -512,21 +512,26 @@ class TestRefutation:
             x = random_hermitian(dim, rng)
             if bic.residual(x) <= 1e-6 * max(1.0, frobenius(x)):
                 continue
-            assert refute_biquasi_membership(x, a, seed=seed) is not None
+            assert refute_one(x, a, seed=seed) is not None
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="^budget must be nonnegative, got -3$"):
-            refute_biquasi_membership(diag(1, 2, 3), diag(1, 1, 2), budget=-3)
+            refute_one(diag(1, 2, 3), diag(1, 1, 2), budget=-3)
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(0), -1, True, 1.0])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+            refute_one(diag(1, 2, 3), diag(1, 1, 2), seed=seed)
 
     def test_zero_budget_searches_the_fixed_candidates_only(self):
         # basis and shifted candidates alone refute this outsider
-        assert refute_biquasi_membership(diag(1, 2, 3), diag(1, 1, 2), budget=0) is not None
+        assert refute_one(diag(1, 2, 3), diag(1, 1, 2), budget=0) is not None
 
     def test_shifted_candidates_catch_anticommuting_members(self):
         # X anticommutes with a commutant element M: only lam I + M separates
         a = diag(1, -1)
         x = np.array([[0, 1], [1, 0]], dtype=complex)  # in the anticommutant part
-        witness = refute_biquasi_membership(x, a, seed=3)
+        witness = refute_one(x, a, seed=3)
         assert witness is not None
         assert not rel_q(x, witness)
 
@@ -536,6 +541,17 @@ def same_witness(got, expected) -> bool:
     if got is None or expected is None:
         return got is None and expected is None
     return got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def refuted_as_serial(targets, a, **kwargs) -> list:
+    """``refute_biquasi_membership`` of the stack ``targets``, once each
+    entry is checked byte-equal to ``serial_refute_biquasi_membership`` on
+    that target alone."""
+    got = refute_biquasi_membership(np.array(targets), a, **kwargs)
+    assert isinstance(got, list) and len(got) == len(targets)
+    for x, witness in zip(targets, got, strict=True):
+        assert same_witness(witness, serial_refute_biquasi_membership(x, a, **kwargs))
+    return got
 
 
 def fixed_pool_size(qc) -> int:
@@ -553,29 +569,23 @@ class TestStackedRefutation:
         for seed in range(6):
             rng = np.random.default_rng([seed, dim, 40])
             a = mixed_sample(rng, dim)
-            qc, bic = quasi_commutant(a), bicommutant(a)
+            bic = bicommutant(a)
             targets = [random_hermitian(dim, rng), np.eye(dim, dtype=complex), a,
                        bic.random_element(rng)]
-            for j, x in enumerate(targets):
-                got = refute_biquasi_membership(x, a, budget=8, seed=seed + j, quasi=qc)
-                expected = serial_refute_biquasi_membership(x, a, budget=8, seed=seed + j)
-                assert same_witness(got, expected)
-                outcomes.add(got is None)
+            outcomes |= {w is None for w in refuted_as_serial(targets, a, budget=8, seed=seed)}
         assert outcomes == {True, False}
 
     def test_empty_anticommutant(self):
         a = diag(1, 2, 3)
         assert quasi_commutant(a).anticommutant_part.real_dimension == 0
-        for x in (diag(4, -1, 2), random_hermitian(3, 41), random_hermitian(3, 42)):
-            expected = serial_refute_biquasi_membership(x, a, budget=16, seed=3)
-            assert same_witness(refute_biquasi_membership(x, a, budget=16, seed=3), expected)
-        assert refute_biquasi_membership(random_hermitian(3, 41), a, budget=16) is not None
+        targets = [diag(4, -1, 2), random_hermitian(3, 41), random_hermitian(3, 42)]
+        refuted_as_serial(targets, a, budget=16, seed=3)
+        assert refute_one(random_hermitian(3, 41), a, budget=16) is not None
 
     def test_zero_budget(self):
         for x, a in ((diag(1, 2, 3), diag(1, 1, 2)), (diag(1, -1, 5), diag(1, -1, 0)),
                      (diag(2, 3, 3), diag(1, 1, 2))):
-            expected = serial_refute_biquasi_membership(x, a, budget=0)
-            assert same_witness(refute_biquasi_membership(x, a, budget=0), expected)
+            refuted_as_serial([x], a, budget=0)
 
     # X commutes with the commutant and with the kernel projection of A, and
     # anticommutes with the off-diagonal anticommutant elements; only a
@@ -589,69 +599,19 @@ class TestStackedRefutation:
     @pytest.mark.parametrize("name", list(RANDOM_PART))
     def test_witness_from_the_random_part(self, name):
         a, x = self.RANDOM_PART[name]
-        assert refute_biquasi_membership(x, a, budget=0) is None
+        assert refute_one(x, a, budget=0) is None
         for seed in range(4):
-            got = refute_biquasi_membership(x, a, budget=16, seed=seed)
-            assert got is not None
-            assert same_witness(got, serial_refute_biquasi_membership(x, a, budget=16,
-                                                                      seed=seed))
+            [witness] = refuted_as_serial([x], a, budget=16, seed=seed)
+            assert witness is not None
 
     def test_pool_longer_than_one_chunk(self):
         a, x = self.RANDOM_PART["past two chunks"]
-        qc = quasi_commutant(a)
         # after the first candidate, chunks of _stack_depth(12) = 113; the
         # fixed pool of 270 fills two of them, and the random part starts
         # in the fourth chunk
-        assert fixed_pool_size(qc) > 1 + 2 * _stack_depth(12)
-        for member in (a, np.eye(12, dtype=complex), -2.5 * a):
-            assert refute_biquasi_membership(member, a, budget=16, seed=1, quasi=qc) is None
-            assert serial_refute_biquasi_membership(member, a, budget=16, seed=1) is None
-
-    def test_generator_seed_draws_every_round_of_the_witness_chunk(self):
-        """A Generator seed advances by the draws of the random candidates up
-        to the end of the witness's chunk: here the whole random part, where
-        the serial search stops after the first round."""
-        a, x = self.RANDOM_PART["one chunk"]
-        qc = quasi_commutant(a)
-        dims = (qc.commutant_part.real_dimension, qc.anticommutant_part.real_dimension)
-        assert fixed_pool_size(qc) + 3 * 16 <= 1 + _stack_depth(3)
-        rng = np.random.default_rng(43)
-        assert refute_biquasi_membership(x, a, budget=16, seed=rng, quasi=qc) is not None
-        reference = np.random.default_rng(43)
-        for _ in range(16):
-            for k in dims:
-                reference.standard_normal(k)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        serial = np.random.default_rng(43)
-        assert serial_refute_biquasi_membership(x, a, budget=16, seed=serial) is not None
-        reference = np.random.default_rng(43)
-        for k in dims:
-            reference.standard_normal(k)
-        assert serial.bit_generator.state == reference.bit_generator.state
-
-    def test_generator_seed_untouched_when_the_first_candidate_breaks(self):
-        a, x = diag(1, 1, 2), random_hermitian(3, 44)
-        assert not rel_q(x, quasi_commutant(a).commutant_part.basis[0])
-        rng = np.random.default_rng(44)
-        state = rng.bit_generator.state
-        assert refute_biquasi_membership(x, a, seed=rng) is not None
-        assert rng.bit_generator.state == state
-
-
-def random_draws(qc, candidates: int | None, budget: int, seed):
-    """A generator advanced as the refutation pool's random part advances
-    its own while it yields ``candidates`` random candidates (all of them
-    when ``None``): per round one draw for the commutant part, which yields
-    M and I + M, then one for the anticommutant part, which yields M; an
-    empty part is skipped."""
-    rng = np.random.default_rng(seed)
-    made = 0
-    for _ in range(budget):
-        for part, yields in ((qc.commutant_part, 2), (qc.anticommutant_part, 1)):
-            if part.real_dimension and (candidates is None or made < candidates):
-                rng.standard_normal(part.real_dimension)
-                made += yields
-    return rng
+        assert fixed_pool_size(quasi_commutant(a)) > 1 + 2 * _stack_depth(12)
+        members = [a, np.eye(12, dtype=complex), -2.5 * a]
+        assert all(w is None for w in refuted_as_serial(members, a, budget=16, seed=1))
 
 
 class TestRefutationOfAStack:
@@ -660,66 +620,37 @@ class TestRefutationOfAStack:
 
     @staticmethod
     def cases(n):
-        """An operator with both parts nonzero (a sign pair), its
-        quasi-commutant, and targets: outsiders and members, interleaved."""
+        """An operator with both parts nonzero (a sign pair) and targets:
+        outsiders and members, interleaved."""
         rng = np.random.default_rng([n, 46])
         values = np.concatenate([[1.0, -1.0], rng.choice(np.arange(2, 6), size=n - 2)])
         a = spectrum_matrix(rng, n, values)
         bic = bicommutant(a)
         targets = [random_hermitian(n, rng), np.eye(n, dtype=complex), a,
                    random_hermitian(n, rng), bic.random_element(rng), -2.5 * a]
-        return a, quasi_commutant(a), targets
+        return a, targets
 
     @pytest.mark.parametrize("n", [3, 32])
     @pytest.mark.parametrize("budget", [0, 8])
     def test_each_entry_is_the_single_target_result(self, n, budget):
-        a, qc, targets = self.cases(n)
-        assert qc.anticommutant_part.real_dimension > 0
-        got = refute_biquasi_membership(np.array(targets), a, budget=budget, seed=5, quasi=qc)
-        assert isinstance(got, list) and len(got) == len(targets)
+        a, targets = self.cases(n)
+        assert quasi_commutant(a).anticommutant_part.real_dimension > 0
+        got = refuted_as_serial(targets, a, budget=budget, seed=5)
         for x, witness in zip(targets, got, strict=True):
-            assert same_witness(witness, refute_biquasi_membership(x, a, budget=budget, seed=5,
-                                                                   quasi=qc))
-            assert same_witness(witness, serial_refute_biquasi_membership(x, a, budget=budget,
-                                                                          seed=5))
+            assert same_witness(witness, refute_one(x, a, budget=budget, seed=5))
         assert {w is None for w in got} == {True, False}
-
-    def test_generator_ends_after_the_chunk_that_refutes_the_last_target(self):
-        a, x = TestStackedRefutation.RANDOM_PART["past two chunks"]
-        qc = quasi_commutant(a)
-        budget, depth = 64, _stack_depth(12)
-        # the fourth chunk ends inside the random part, which goes on past it
-        random_in_chunk = 1 + 3 * depth - fixed_pool_size(qc)
-        assert 0 < random_in_chunk < 3 * budget
-        targets = np.array([x, random_hermitian(12, 48)])
-        single = [refute_biquasi_membership(t, a, budget=budget, seed=9, quasi=qc)
-                  for t in targets]
-        rng = np.random.default_rng(9)
-        got = refute_biquasi_membership(targets, a, budget=budget, seed=rng, quasi=qc)
-        assert all(w is not None for w in got)
-        assert all(same_witness(w, s) for w, s in zip(got, single, strict=True))
-        reference = random_draws(qc, random_in_chunk, budget, 9)
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert reference.bit_generator.state != random_draws(qc, None, budget, 9
-                                                            ).bit_generator.state
-
-    def test_generator_draws_everything_while_a_target_stays_unrefuted(self):
-        a, x = TestStackedRefutation.RANDOM_PART["past two chunks"]
-        qc = quasi_commutant(a)
-        rng = np.random.default_rng(9)
-        got = refute_biquasi_membership(np.array([x, a]), a, budget=64, seed=rng, quasi=qc)
-        assert got[0] is not None and got[1] is None
-        assert rng.bit_generator.state == random_draws(qc, None, 64, 9).bit_generator.state
 
     def test_empty_stack_and_shape_checks(self):
         a = diag(1, 2, 3)
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        assert refute_biquasi_membership(np.zeros((0, 3, 3)), a, seed=rng) == []
-        assert rng.bit_generator.state == state
-        for x in (np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((1, 2, 3, 3))):
-            with pytest.raises(ValueError, match="^dimension mismatch"):
+        assert refute_biquasi_membership(np.zeros((0, 3, 3)), a) == []
+        for x in (np.zeros((3, 3)), np.zeros((2, 4, 4)), np.zeros((1, 2, 3, 3))):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: expected targets of "
+                                                 r"shape \(k, 3, 3\), got "):
                 refute_biquasi_membership(x, a)
+
+    def test_parameters(self):
+        parameters = inspect.signature(refute_biquasi_membership).parameters
+        assert list(parameters) == ["x", "a", "budget", "seed", "tol"]
 
 
 class TestPairMaskCache:

@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from commutant_lab import (
     triadic_relation,
 )
 from commutant_lab.hermitian import (
+    _HASH_BLOCK,
     _frobenius_stack,
     _generators,
     _given_state,
@@ -196,7 +198,8 @@ class TestRelStack:
 def test_frobenius_stack_equals_frobenius(n):
     """Each norm of a stack equals ``frobenius`` of its matrix byte for byte,
     on leading shapes (T,) and (2, T), with entries of magnitude 1e-3 to
-    1e3, for row-major matrices and for column-major ones."""
+    1e3, for row-major matrices and for column-major ones; and a
+    column-major matrix has the norm of its row-major copy."""
     rng = np.random.default_rng([71, n])
     for lead in [(20,), (2, 10)]:
         magnitude = 10.0 ** rng.uniform(-3.0, 3.0, (*lead, n, n))
@@ -208,6 +211,9 @@ def test_frobenius_stack_equals_frobenius(n):
                 [frobenius(stack[i]) for i in np.ndindex(lead)]).tobytes()
         one = x.reshape(-1, n, n)[0]
         assert _frobenius_stack(one).tobytes() == np.float64(frobenius(one)).tobytes()
+        for m in x.reshape(-1, n, n).swapaxes(-1, -2):  # one summation order for every layout
+            copy = np.ascontiguousarray(m)
+            assert np.float64(frobenius(m)).tobytes() == np.float64(frobenius(copy)).tobytes()
 
 
 class TestExactFlip:
@@ -554,6 +560,30 @@ class TestGeneratorFactory:
     def test_trial_index_beyond_one_word_rejected(self, ts):
         with pytest.raises(ValueError, match=r"trial indices must be integers in \[0, 2\*\*32\)"):
             _generators([0], ts)
+
+    @pytest.mark.parametrize("ts", [range(2 * _HASH_BLOCK + 1), range(5, 6 * _HASH_BLOCK + 8, 3)])
+    def test_streams_across_block_boundaries(self, ts):
+        for k, rng in enumerate(_generators([9, 2], ts)):
+            if k % _HASH_BLOCK in (0, _HASH_BLOCK - 1):
+                expected = np.random.default_rng([9, 2, ts[k]]).standard_normal(8)
+                assert rng.standard_normal(8).tobytes() == expected.tobytes(), k
+        assert k == 2 * _HASH_BLOCK
+
+    def test_first_generator_hashes_one_block(self):
+        tracemalloc.start()
+        try:
+            next(_generators([0, 1], range(10**7)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_later_block_checked_when_reached(self):
+        made = _generators([0], [*range(_HASH_BLOCK), 2**32])
+        for _ in range(_HASH_BLOCK):
+            next(made)
+        with pytest.raises(ValueError, match=r"trial indices must be integers in \[0, 2\*\*32\)"):
+            next(made)
 
     def test_negative_prefix_rejected(self):
         with pytest.raises(ValueError, match="entropy words must be nonnegative"):

@@ -18,6 +18,8 @@ import pytest
 
 from commutant_lab.cli import main
 
+from conftest import strip_elapsed
+
 DIGESTS = json.loads(
     (pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "digests.json").read_text())
 
@@ -27,14 +29,6 @@ TOLERANCE_DIGESTS = {
     "1e-6": "162cf18d29e52cc4fcbc60e9a7db031dd5b5719b5bfc5f9702b15d31ecb217f5",
     "1e-12": "447ca527e11ed7ae223804325a7f0e2f90cf272fc51f38a2715b5b59288497fe",
 }
-
-
-def strip_elapsed(obj):
-    if isinstance(obj, dict):
-        return {k: strip_elapsed(v) for k, v in obj.items() if k != "elapsed_seconds"}
-    if isinstance(obj, list):
-        return [strip_elapsed(v) for v in obj]
-    return obj
 
 
 def body_digest(capsys, argv, seed=0):

@@ -30,15 +30,8 @@ from commutant_lab import (
     subspace_eq,
     subspace_proper_lt,
 )
-from commutant_lab.commutant import _pair_masks
 
-from conftest import diag
-
-
-def spectrum_matrix(rng, dim, values):
-    v = random_unitary(dim, rng)
-    m = (v * np.asarray(values, dtype=float)) @ v.conj().T
-    return (m + m.conj().T) / 2.0
+from conftest import diag, spectrum_matrix
 
 
 class TestSpectralData:
@@ -78,8 +71,10 @@ class TestSpectralData:
 
 
 def _cluster_gap(a):
-    """The commutant cut, at or below which eigenvalues join one cluster."""
-    return _pair_masks(a, Tolerance())[4]
+    """The commutant cut, at or below which eigenvalues join one cluster:
+    ``rank_cut`` * max(spread, max(1, |A|_F))."""
+    w = np.linalg.eigvalsh(a)
+    return Tolerance().rank_cut * max(w[-1] - w[0], max(1.0, frobenius(a)))
 
 
 class TestCountPredicates:
