@@ -5,8 +5,8 @@ anticommutants, second commutants and relation-preserving maps into
 seeded, reproducible desk-scale computations:
 
 * :mod:`~commutant_lab.hermitian` — the binary relations (commute,
-  anticommute, either) with tolerance semantics, one pair at a time or
-  over broadcast stacks of pairs with the same verdicts bit for bit, plus
+  anticommute, either) with tolerance semantics, decided over broadcast
+  stacks of pairs by one route whose 0-d case is the one-pair test, plus
   seeded sampling of Hermitian matrices, projections and Haar unitaries;
 * :mod:`~commutant_lab.commutant` — commutant / anticommutant /
   quasi-commutant / second-commutant subspaces read off one
@@ -40,10 +40,8 @@ from .commutant import (
 from .hermitian import (
     Tolerance,
     as_hermitian,
-    commutator,
     frobenius,
     is_scalar,
-    jordan_product,
     random_hermitian,
     random_projection,
     random_scalar,

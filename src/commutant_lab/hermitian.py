@@ -3,8 +3,8 @@
 Matrices are plain complex ``numpy`` arrays.  A matrix is *Hermitian* when
 ``H == H.conj().T``; :func:`as_hermitian` validates and symmetrizes input so
 that downstream code can rely on exact Hermiticity.  The binary relations
-are zero tests of the commutator ``AB - BA`` and the Jordan product
-``AB + BA``, made robust at float precision by a relative threshold.
+are zero tests of ``AB - BA`` and ``AB + BA`` at a relative threshold, all
+decided by :func:`rel_stack`; ``rel_c``/``rel_j``/``rel_q`` are its 0-d case.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import numpy as np
 __all__ = [
     "Tolerance",
     "as_hermitian",
-    "commutator",
     "frobenius",
     "is_scalar",
-    "jordan_product",
     "random_hermitian",
     "random_projection",
     "random_scalar",
@@ -59,8 +57,8 @@ def _stack_depth(n: int) -> int:
     dimension and mode and small groups pay the overhead of each stacked
     call.  Larger stacks outgrow a core's cache: at n = 32, stacked
     commutation verdicts took 6.8 ms per 128 pairs in stacks of 128 and
-    3.1-3.9 ms in stacks of 16-64, against 5.6 ms for 128 serial ``rel_c``
-    calls.
+    3.1-3.9 ms in stacks of 16-64, against 5.6 ms for 128 pairs decided one
+    at a time by a commutator and ``np.linalg.norm``.
     """
     return max(1, 16384 // (n * n))
 
@@ -266,31 +264,26 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``AB - BA``."""
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
-def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``A o B = AB + BA``; Hermitian whenever both factors are."""
-    _check_same_dim(a, b)
-    return a @ b + b @ a
+def _one_pair(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-d :func:`rel_stack` verdicts of two ``n x n`` matrices, never of stacks."""
+    if np.ndim(a) != 2 or np.ndim(b) != 2:
+        raise ValueError(f"dimension mismatch: {np.shape(a)} vs {np.shape(b)}")
+    return rel_stack(a, b, tol)
 
 
 def rel_c(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when ``A`` and ``B`` commute: ``AB - BA = 0`` up to tolerance."""
-    return bool(tol.is_zero(frobenius(commutator(a, b)), frobenius(a) * frobenius(b)))
+    return bool(_one_pair(a, b, tol)[0])
 
 
 def rel_j(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """True when ``A`` and ``B`` anticommute: ``A o B = 0`` up to tolerance."""
-    return bool(tol.is_zero(frobenius(jordan_product(a, b)), frobenius(a) * frobenius(b)))
+    """True when ``A`` and ``B`` anticommute: ``AB + BA = 0`` up to tolerance."""
+    return bool(_one_pair(a, b, tol)[1])
 
 
 def rel_q(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
     """True when ``A`` and ``B`` either commute or anticommute."""
-    return rel_c(a, b, tol) or rel_j(a, b, tol)
+    return bool(np.logical_or(*_one_pair(a, b, tol)))
 
 
 def _frobenius_stack(x: np.ndarray) -> np.ndarray:
@@ -305,13 +298,13 @@ def _frobenius_stack(x: np.ndarray) -> np.ndarray:
 def rel_stack(
     x: np.ndarray, y: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`rel_c` and :func:`rel_j` of each pair of two ``(..., n, n)``
-    stacks whose leading axes broadcast, as ``@`` pairs them: two boolean
-    arrays of the broadcast leading shape (0-d for two matrices), the pairs
-    that commute and those that anticommute.  Stacked ``@`` and
+    """Which pairs of two ``(..., n, n)`` stacks whose leading axes broadcast,
+    as ``@`` pairs them, commute and which anticommute: ``|XY -+ YX|_F``
+    against ``rel_zero * max(1, |X|_F |Y|_F)``, as two boolean arrays of the
+    broadcast leading shape (0-d for two matrices).  Stacked ``@`` and
     :func:`_frobenius_stack` reproduce the per-pair products and norms byte
-    for byte, so each verdict equals ``rel_c`` / ``rel_j`` on its pair, bit
-    for bit (``test_hermitian.py::TestExactFlip``), in either order.
+    for byte, so each verdict equals a serial one on its pair, bit for bit,
+    in either order (``test_hermitian.py::TestExactFlip``).
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)

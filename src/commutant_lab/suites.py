@@ -43,8 +43,8 @@ from .hermitian import (
     random_scalar,
     random_unitary,
     rel_c,
-    rel_j,
     rel_q,
+    rel_stack,
 )
 from .matrixfile import _field, _path, _payload_entries, matrix_to_payload, payload_to_matrix
 from .preservers import (
@@ -142,11 +142,11 @@ def _proportionality_fit(a, b, tol: Tolerance):
     the least-squares ``lam``, ``|AB - lam BA|_F`` and whether that passes
     the same zero test."""
     ba = b @ a
-    scale = frobenius(a) * frobenius(b)
-    if tol.is_zero(frobenius(ba), scale):
+    ba_norm, scale = frobenius(ba), frobenius(a) * frobenius(b)
+    if tol.is_zero(ba_norm, scale):
         return None
     ab = a @ b
-    lam = complex(np.sum(ba.conj() * ab)) / (frobenius(ba) ** 2)
+    lam = complex(np.sum(ba.conj() * ab)) / (ba_norm ** 2)
     residual = frobenius(ab - lam * ba)
     return lam, residual, bool(tol.is_zero(residual, scale))
 
@@ -284,6 +284,7 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), tol=DEFAULT_TOLERANCE,
     """Spectra and the exact commutation pattern of the A/E/F block fixtures,
     over a finite exact grid; nothing is sampled, so it takes no seed."""
     rec = _Recorder()
+    grid = np.array(AEF_GRID)[:, None, None]  # one weight per (n, n) slice
 
     for a in a_values:
         lam = float(np.sqrt(1.0 + a * a))
@@ -308,14 +309,17 @@ def suite_lemma_aef(dims=(3, 4, 5, 8), tol=DEFAULT_TOLERANCE,
                      "rank-one reflection direction"),
                 ):
                     rec.check(ok, {"context": f"{label}: {what} (a={a}, dim={dim})"})
-            for alpha in AEF_GRID:
-                for sub, probe, term, name in ((fe, ff, "eps E", "F"), (ff, fe, "phi F", "E")):
-                    for w in AEF_GRID:
-                        lhs = alpha * fa - w * sub
+            # alpha A - w E against F and alpha A - w F against E as one
+            # (alpha, side, w) stack, each entry computed as for one pair
+            lhs = grid[:, None, None] * fa - grid * np.array([fe, ff])[:, None]
+            commutes, anticommutes = rel_stack(lhs, np.array([ff, fe])[:, None], tol)
+            for i, alpha in enumerate(AEF_GRID):
+                for j, (term, name) in enumerate((("eps E", "F"), ("phi F", "E"))):
+                    for k, w in enumerate(AEF_GRID):
                         where = f"(a={a}, dim={dim}, {alpha}, {w})"
-                        rec.check(rel_c(lhs, probe, tol) == (alpha == w),
+                        rec.check(commutes[i, j, k] == (alpha == w),
                                   {"context": f"alpha A - {term} vs {name} commutation {where}"})
-                        rec.check(not rel_j(lhs, probe, tol),
+                        rec.check(not anticommutes[i, j, k],
                                   {"context": f"(alpha A - {term}) o {name} nonzero {where}"})
 
     return rec.result("lemma-aef", {"a_values": list(a_values), "dims": list(dims),

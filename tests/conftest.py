@@ -15,8 +15,8 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from commutant_lab import (Tolerance, commutator, frobenius, jordan_product,  # noqa: E402
-                           random_unitary, rel_c)
+from commutant_lab import Tolerance, random_unitary  # noqa: E402
+from oracles import serial_rel_c, serial_rel_j  # noqa: E402
 
 
 @pytest.fixture
@@ -46,14 +46,16 @@ def strip_elapsed(obj):
 SWAP2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def exact_flip(relation, x, y) -> tuple[Tolerance, Tolerance]:
+def exact_flip(index, x, y) -> tuple[Tolerance, Tolerance]:
     """The two consecutive ``rel_zero`` values around ``norm / max(1, scale)``
-    at which the serial ``relation(x, y, tol)`` (``rel_c`` or ``rel_j``)
-    changes its verdict: it fails at the first and holds at the second."""
-    product = commutator(x, y) if relation is rel_c else jordan_product(x, y)
-    r = frobenius(product) / max(1.0, frobenius(x) * frobenius(y))
-    while relation(x, y, Tolerance(rel_zero=r)):
+    at which the serial oracle of ``rel_stack`` verdict ``index`` (0:
+    ``serial_rel_c``, 1: ``serial_rel_j``) changes its verdict on (x, y):
+    it fails at the first and holds at the second."""
+    oracle = (serial_rel_c, serial_rel_j)[index]
+    product = x @ y + (-1) ** (index + 1) * (y @ x)
+    r = float(np.linalg.norm(product) / max(1.0, np.linalg.norm(x) * np.linalg.norm(y)))
+    while oracle(x, y, Tolerance(rel_zero=r)):
         r = float(np.nextafter(r, 0.0))
-    while not relation(x, y, Tolerance(rel_zero=r)):
+    while not oracle(x, y, Tolerance(rel_zero=r)):
         r = float(np.nextafter(r, np.inf))
     return Tolerance(rel_zero=float(np.nextafter(r, 0.0))), Tolerance(rel_zero=r)

@@ -1,6 +1,7 @@
-"""Oracles for the subspace routes of ``commutant_lab.commutant`` and the
-triadic verdict engine of ``commutant_lab.preservers``, independent of the
-routes they cross-check.
+"""Oracles for the relation route of ``commutant_lab.hermitian``, the
+subspace routes of ``commutant_lab.commutant`` and the triadic verdict
+engine of ``commutant_lab.preservers``, independent of the routes they
+cross-check.
 
 Spectral formulas.  For a Hermitian matrix with distinct eigenvalues v_i of
 multiplicities m_i:
@@ -23,20 +24,27 @@ bicommutant of the partition oracles.  Their cost, O(n^6) time and
 ``2 k n^4`` entries for the bicommutant (k the commutant dimension), keeps
 them in the tests.
 
+Serial relations.  ``serial_rel_c``, ``serial_rel_j`` and ``serial_rel_q``
+decide one pair with a plain ``a @ b -+ b @ a`` and ``np.linalg.norm``, as
+the package did before ``rel_stack`` became its one relation route (of
+which ``rel_c``, ``rel_j`` and ``rel_q`` are now the one-pair case).  They
+share no code with ``rel_stack``, yet its stacked products and norms agree
+with theirs byte for byte, so every verdict agrees too, even at the exact
+flip of the zero test (``test_hermitian.py::TestExactFlip``).
+``test_oracle_independence.py`` keeps this module off the production
+relation and triadic code.
+
 Serial triadic route.  ``serial_apply_map`` and ``serial_check_triadic``
 evaluate a map and a triadic verdict one matrix at a time, deciding the
-relation with the serial ``rel_c`` / ``rel_q``.  The production
+relation with ``serial_rel_c`` / ``serial_rel_q``.  The production
 ``apply_map`` and ``check_triadic`` take stacks and decide through
-``rel_stack``; the two routes share no relation code, yet their products
-and norms agree byte for byte, so every verdict agrees too, even at the
-exact flip of the zero test (``test_hermitian.py::TestExactFlip``).
+``rel_stack``; every verdict must agree, at the exact flip too.
 
 Serial refutation search.  ``serial_refute_biquasi_membership`` walks the
-refutation pool one candidate at a time with ``rel_q``, building each
-candidate only when the one before it passed, as the search did before it
-decided its pool on stacks.  The stacked route must return ``None`` where
-it does and otherwise a byte-equal witness: its verdicts equal ``rel_q``'s
-bit for bit (``test_hermitian.py::TestExactFlip``).
+refutation pool one candidate at a time with ``serial_rel_q``, building
+each candidate only when the one before it passed, as the search did
+before it decided its pool on stacks.  The stacked route must return
+``None`` where it does and otherwise a byte-equal witness.
 
 Per-entry matrix writer.  ``per_entry_payload`` converts a matrix to its
 JSON payload one entry at a time, as ``matrix_to_payload`` did before it
@@ -61,8 +69,6 @@ from commutant_lab import (
     random_hermitian,
     random_projection,
     random_unitary,
-    rel_c,
-    rel_q,
     spectral_decompose,
     subspace_leq,
 )
@@ -226,6 +232,27 @@ def kernel_bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> Mat
     return _kernel_subspace(images, n, tol)
 
 
+def _serial_zero_test(product, a, b, tol: Tolerance) -> bool:
+    """``|product|_F <= rel_zero * max(1, |A|_F |B|_F)``, each norm summed row-major."""
+    scale = np.linalg.norm(np.ravel(a)) * np.linalg.norm(np.ravel(b))
+    return bool(np.linalg.norm(np.ravel(product)) <= tol.rel_zero * max(1.0, scale))
+
+
+def serial_rel_c(a, b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Oracle for ``rel_c``: the zero test of ``AB - BA``."""
+    return _serial_zero_test(a @ b - b @ a, a, b, tol)
+
+
+def serial_rel_j(a, b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Oracle for ``rel_j``: the zero test of ``AB + BA``."""
+    return _serial_zero_test(a @ b + b @ a, a, b, tol)
+
+
+def serial_rel_q(a, b, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    """Oracle for ``rel_q``: ``serial_rel_c`` or ``serial_rel_j``."""
+    return serial_rel_c(a, b, tol) or serial_rel_j(a, b, tol)
+
+
 def serial_apply_map(m, a, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
     """Oracle for ``apply_map`` on one matrix, its shift taken at ``tol``."""
     a = np.asarray(a, dtype=complex)
@@ -238,10 +265,10 @@ def serial_apply_map(m, a, tol: Tolerance = DEFAULT_TOLERANCE) -> np.ndarray:
 
 
 def serial_check_triadic(m, a, b, c, tol: Tolerance = DEFAULT_TOLERANCE) -> str:
-    """Oracle for ``check_triadic`` on one triple: ``rel_c`` (commutative)
-    or ``rel_q`` (quasi) of ``A - B`` and ``C``, at the source and at the
-    ``serial_apply_map`` image."""
-    relation = rel_c if m.relation_kind == "commutative" else rel_q
+    """Oracle for ``check_triadic`` on one triple: ``serial_rel_c``
+    (commutative) or ``serial_rel_q`` (quasi) of ``A - B`` and ``C``, at
+    the source and at the ``serial_apply_map`` image."""
+    relation = serial_rel_c if m.relation_kind == "commutative" else serial_rel_q
     source = relation(a - b, c, tol)
     fa, fb, fc = (serial_apply_map(m, x, tol) for x in (a, b, c))
     image = relation(fa - fb, fc, tol)
@@ -256,7 +283,7 @@ def serial_refute_biquasi_membership(x, a, budget: int = 32, seed: int = 0,
                                      tol: Tolerance = DEFAULT_TOLERANCE):
     """Oracle for ``refute_biquasi_membership`` on one target: the first
     candidate of its pool that neither commutes nor anticommutes with ``x``
-    under ``rel_q``, or ``None``."""
+    under ``serial_rel_q``, or ``None``."""
     qc = quasi_commutant(a, tol)
     eye = np.eye(np.shape(a)[0], dtype=complex)
 
@@ -276,7 +303,7 @@ def serial_refute_biquasi_membership(x, a, budget: int = 32, seed: int = 0,
                 if part is qc.commutant_part:
                     yield eye + m
 
-    return next((m for m in candidates() if not rel_q(x, m, tol)), None)
+    return next((m for m in candidates() if not serial_rel_q(x, m, tol)), None)
 
 
 def serial_structured_triple(rng: np.random.Generator, dim: int, tol: Tolerance):

@@ -1,6 +1,7 @@
-"""Core relations: Jordan product, commute/anticommute predicates, sampling."""
+"""Core relations: commute/anticommute predicates against their serial oracles, sampling."""
 
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,11 +18,9 @@ from commutant_lab import (
     as_hermitian,
     check_triadic,
     commutant,
-    commutator,
     frobenius,
     in_k,
     is_scalar,
-    jordan_product,
     random_hermitian,
     random_projection,
     random_scalar,
@@ -46,32 +45,8 @@ from commutant_lab.hermitian import (
 from commutant_lab.suites import LAMBDA_TOLERANCE, _proportionality_fit
 
 from conftest import SWAP2, diag, exact_flip
-from oracles import serial_apply_map, serial_check_triadic
-
-
-class TestJordanProduct:
-    def test_identity_absorbs(self):
-        b = random_hermitian(4, 1)
-        assert np.allclose(jordan_product(np.eye(4, dtype=complex), b), 2 * b)
-
-    def test_zero_annihilates(self):
-        a = random_hermitian(3, 2)
-        assert np.allclose(jordan_product(a, np.zeros((3, 3))), 0)
-
-    def test_anticommuting_pair(self):
-        # diag(1,-1) o swap: computed by direct 2x2 multiplication
-        assert np.allclose(jordan_product(diag(1, -1), SWAP2), 0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            jordan_product(np.eye(2), np.eye(3))
-
-    def test_result_hermitian(self):
-        for seed in range(30):
-            a = random_hermitian(5, [seed, 0])
-            b = random_hermitian(5, [seed, 1])
-            j = jordan_product(a, b)
-            assert frobenius(j - j.conj().T) <= 1e-12 * max(1.0, frobenius(j))
+from oracles import (serial_apply_map, serial_check_triadic, serial_rel_c, serial_rel_j,
+                     serial_rel_q)
 
 
 class TestRelations:
@@ -94,6 +69,19 @@ class TestRelations:
         assert rel_q(diag(1, -1), SWAP2)
         assert rel_q(diag(1, 2), diag(3, 4))
         assert not rel_q(diag(1, 2), SWAP2)
+
+    @pytest.mark.parametrize("relation", [rel_c, rel_j, rel_q])
+    def test_one_pair_only(self, relation):
+        """Stacks and vectors raise, naming both shapes: a stack whose first
+        pair commutes and whose second does not has no one verdict."""
+        a = diag(1, 2, 3)
+        x = np.array([a, a])
+        y = np.array([diag(4, 5, 6), random_hermitian(3, 5)])
+        assert list(rel_stack(x, y)[0]) == [True, False]
+        for u, v in [(x, y), (a, y), (np.ones(3), np.ones(3)), (np.eye(2), np.eye(3))]:
+            message = f"dimension mismatch: {np.shape(u)} vs {np.shape(v)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                relation(u, v)
 
     def test_symmetry(self):
         for seed in range(20):
@@ -162,8 +150,10 @@ class TestRelStack:
         pairs = [pair for seed in range(5) for pair in relation_pairs(seed, dim)]
         x, y = (np.array(side) for side in zip(*pairs))
         commutes, anticommutes = rel_stack(x, y)
-        assert list(commutes) == [rel_c(a, b) for a, b in pairs]
-        assert list(anticommutes) == [rel_j(a, b) for a, b in pairs]
+        assert list(commutes) == [serial_rel_c(a, b) for a, b in pairs]
+        assert list(anticommutes) == [serial_rel_j(a, b) for a, b in pairs]
+        for (a, b), c, j in zip(pairs, commutes, anticommutes):
+            assert (rel_c(a, b), rel_j(a, b), rel_q(a, b)) == (c, j, serial_rel_q(a, b))
         assert commutes.any() and anticommutes.any() and not (commutes | anticommutes).all()
 
     def test_dimension_mismatch(self):
@@ -172,7 +162,7 @@ class TestRelStack:
         eye = np.eye(3)
         commutes, anticommutes = rel_stack(eye, eye)
         assert commutes.ndim == anticommutes.ndim == 0
-        assert (commutes, anticommutes) == (rel_c(eye, eye), rel_j(eye, eye))
+        assert (commutes, anticommutes) == (serial_rel_c(eye, eye), serial_rel_j(eye, eye))
         for x, y in [(np.zeros((2, 3, 3)), np.zeros((2, 4, 4))), (np.eye(4), np.zeros((2, 3, 3))),
                      (np.zeros((2, 3, 3)), np.zeros((3, 3, 3))), (np.zeros(3), np.zeros(3)),
                      (np.zeros(3), np.zeros((2, 3, 3))), (np.zeros((3, 2)), np.zeros((3, 2)))]:
@@ -190,8 +180,8 @@ class TestRelStack:
             for other in (rel_stack(np.broadcast_to(x, y.shape), y),
                           rel_stack(y, np.broadcast_to(x, y.shape))):
                 assert all(np.array_equal(u, v) for u, v in zip(one, other))
-            assert list(one[0]) == [rel_c(x, b) for b in y]
-            assert list(one[1]) == [rel_j(x, b) for b in y]
+            assert list(one[0]) == [serial_rel_c(x, b) for b in y]
+            assert list(one[1]) == [serial_rel_j(x, b) for b in y]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 16, 32])
@@ -217,11 +207,11 @@ def test_frobenius_stack_equals_frobenius(n):
 
 
 class TestExactFlip:
-    """At the two consecutive ``rel_zero`` values where the serial ``rel_c``
-    or ``rel_j`` flips on a pair, every stacked route gives the serial
-    verdict.  The pairs commute or anticommute up to roundoff, so each flip
-    sits near ``rel_zero = 1e-16``, where a last-bit change in any norm
-    moves it."""
+    """At the two consecutive ``rel_zero`` values where the serial oracle
+    ``serial_rel_c`` or ``serial_rel_j`` flips on a pair, ``rel_c``,
+    ``rel_j``, ``rel_q`` and every stacked route give the serial verdict.
+    The pairs commute or anticommute up to roundoff, so each flip sits near
+    ``rel_zero = 1e-16``, where a last-bit change in any norm moves it."""
 
     @staticmethod
     def flip_pairs(seed, dim):
@@ -236,8 +226,9 @@ class TestExactFlip:
         for relation, index, kind, x, y in self.flip_pairs(seed, dim):
             xs, ys = (np.array(side) for side in zip(*others[:2], (x, y), others[2]))
             zero = np.zeros_like(x)
-            for tol, held in zip(exact_flip(relation, x, y), (False, True)):
+            for tol, held in zip(exact_flip(index, x, y), (False, True)):
                 assert relation(x, y, tol) is held
+                assert rel_q(x, y, tol) is held
                 assert rel_stack(x, y, tol)[index] == held
                 assert rel_stack(x, ys, tol)[index][2] == held
                 assert rel_stack(ys, x, tol)[index][2] == held
@@ -255,13 +246,13 @@ class TestExactFlip:
         u = random_unitary(3, [seed, 72])
         others = [tuple(random_hermitian(3, [seed, 73, t, k]) for k in range(3)) for t in range(3)]
         seen = set()
-        for relation, _, kind, x, y in self.flip_pairs(seed, 3):
+        for _, index, kind, x, y in self.flip_pairs(seed, 3):
             m = PreserverMap(2.0, u, relation_kind=kind)
             triple = (x, np.zeros_like(x), y)
             fa, fb, fc = (serial_apply_map(m, t) for t in triple)
             stack = [np.array(side) for side in zip(*others[:2], triple, others[2])]
             for pair in ((x, y), (fa - fb, fc)):
-                for tol in exact_flip(relation, *pair):
+                for tol in exact_flip(index, *pair):
                     expected = serial_check_triadic(m, *triple, tol)
                     assert check_triadic(m, *triple, tol) == expected
                     assert check_triadic(m, *stack, tol)[2] == expected
@@ -681,7 +672,7 @@ def test_rel_c_invariant_under_scalar_shift(seed, dim, kind, exponent, s):
     elif kind == "random":
         b = random_hermitian(dim, rng)
     shifted = a + s * np.eye(dim)
-    norm = frobenius(commutator(a, b))
+    norm = frobenius(a @ b - b @ a)
     margins = [norm / (1e-9 * max(1.0, frobenius(x) * frobenius(b))) for x in (a, shifted)]
     assume(all(m <= 0.1 for m in margins) or all(m >= 10.0 for m in margins))
     assert rel_c(shifted, b) == rel_c(a, b)
@@ -702,7 +693,8 @@ def test_triadic_verdicts_invariant_under_unitary_and_antiunitary_conjugation(se
                tuple(random_hermitian(dim, rng) for _ in range(3))]
     for a, b, c in triples:
         scale = 1e-9 * max(1.0, frobenius(a - b) * frobenius(c))
-        for product in (commutator(a - b, c), jordan_product(a - b, c)):
+        d = a - b
+        for product in (d @ c - c @ d, d @ c + c @ d):
             margin = frobenius(product) / scale
             assume(margin <= 0.1 or margin >= 10.0)
     u = random_unitary(dim, rng)

@@ -48,6 +48,7 @@ from conftest import diag, exact_flip
 from oracles import (
     serial_apply_map,
     serial_check_triadic,
+    serial_rel_j,
     serial_structured_triple,
     serial_triple,
 )
@@ -292,13 +293,13 @@ def test_swap_partner_of_the_identity_is_the_unit_entry_swap(dim):
 
 def near_tie():
     """A map, a triple and the tolerance at the exact flip of the image
-    relation: the least ``rel_zero`` at which ``rel_c`` holds on the image
-    pair, below the source's flip, so the source fails."""
+    relation: the least ``rel_zero`` at which ``serial_rel_c`` holds on the
+    image pair, below the source's flip, so the source fails."""
     rng = np.random.default_rng(3)
     triple = tuple(random_hermitian(3, rng) for _ in range(3))
     m = PreserverMap(2.0, random_unitary(3, 0), relation_kind="commutative")
     fa, fb, fc = (serial_apply_map(m, x) for x in triple)
-    return m, triple, exact_flip(rel_c, fa - fb, fc)[1]
+    return m, triple, exact_flip(0, fa - fb, fc)[1]
 
 
 class TestOneEngine:
@@ -562,7 +563,7 @@ ORACLE_MAPS = {
 class TestBatchedOracle:
     """The stacked evaluation in ``apply_map``, ``property_run`` and
     ``lemma4_check`` against serial loops over the oracles
-    ``serial_apply_map`` and ``serial_check_triadic`` and over ``rel_j``."""
+    ``serial_apply_map``, ``serial_check_triadic`` and ``serial_rel_j``."""
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_apply_map_stack_matches_serial_per_slice(self, name):
@@ -632,7 +633,7 @@ class TestBatchedOracle:
 
     @staticmethod
     def serial_lemma4(lam, projection, candidates, seed, tol):
-        """``lemma4_check`` as a loop over ``rel_j``, same candidate draws,
+        """``lemma4_check`` as a loop over ``serial_rel_j``, same candidate draws,
         one candidate built at a time.  Returns the first candidate that
         refutes rigidity, -1 when B = A fails the premises, or None."""
         a = lam * np.asarray(projection, dtype=complex)
@@ -640,7 +641,7 @@ class TestBatchedOracle:
         eye = np.eye(n, dtype=complex)
 
         def premises(x, y):
-            return rel_j(x - lam * eye, y, tol) and rel_j(y - lam * eye, x, tol)
+            return serial_rel_j(x - lam * eye, y, tol) and serial_rel_j(y - lam * eye, x, tol)
 
         if not premises(a, a):
             return -1

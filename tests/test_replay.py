@@ -7,7 +7,8 @@ every ``elapsed_seconds`` removed, must hash to the digests recorded in
 details or counterexamples shows up here.  The theorem suites pin the
 triadic verdict engine (``preservers.property_run``).  ``verify all`` is
 also pinned at ``--tol-zero`` 1e-6 and 1e-12, where verdicts sit at other
-distances from the zero test.
+distances from the zero test, and ``verify lemma-aef`` at 0.5 and 0.1,
+where its block-fixture grid records failures.
 """
 
 import hashlib
@@ -29,12 +30,20 @@ TOLERANCE_DIGESTS = {
     "1e-6": "162cf18d29e52cc4fcbc60e9a7db031dd5b5719b5bfc5f9702b15d31ecb217f5",
     "1e-12": "447ca527e11ed7ae223804325a7f0e2f90cf272fc51f38a2715b5b59288497fe",
 }
+# Body digests of ``verify lemma-aef`` where its grid fails checks: 466 of
+# 2240 at 0.5 and 30 at 0.1, recorded while the grid was decided one pair
+# at a time.  lemma-aef takes no seed; a reordered or mis-decided check
+# changes the digest.
+AEF_FAILURE_DIGESTS = {
+    "0.5": "b001db5827d8f5560b13dc901fffbd90c24925bb09427b37ab9b3e9ac7bb18ac",
+    "0.1": "cf517ef6feef61b43045260a5f059839fa3cd17b0650e494fbf3ad613af280a9",
+}
 
 
-def body_digest(capsys, argv, seed=0):
+def body_digest(capsys, argv, seed=0, exit_code=0):
     code = main([*argv, "--seed", str(seed), "--format", "json"])
     body = strip_elapsed(json.loads(capsys.readouterr().out))
-    assert code == 0
+    assert code == exit_code
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
@@ -58,3 +67,9 @@ def test_form_check_seed_0_matches_recorded_digest(capsys, index, suite):
 def test_verify_all_seed_0_at_other_tolerances_matches_recorded_digest(capsys, tol_zero):
     digest = body_digest(capsys, ["verify", "all", "--tol-zero", tol_zero])
     assert digest == TOLERANCE_DIGESTS[tol_zero]
+
+
+@pytest.mark.parametrize("tol_zero", sorted(AEF_FAILURE_DIGESTS))
+def test_lemma_aef_failure_records_match_recorded_digest(capsys, tol_zero):
+    digest = body_digest(capsys, ["verify", "lemma-aef", "--tol-zero", tol_zero], exit_code=1)
+    assert digest == AEF_FAILURE_DIGESTS[tol_zero]
