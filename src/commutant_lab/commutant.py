@@ -180,20 +180,23 @@ def _decompose(a: np.ndarray, tol: Tolerance):
     return w, v, *_cut_masks(w, _frobenius_stack(a), tol)
 
 
-def _pair_subspace(v: np.ndarray, keep: np.ndarray) -> MatrixSubspace:
-    """Span of the eigenvector pairs (a, b), a <= b, marked in ``keep``.
+def _pair_basis(v: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A basis ``(k, n, n)`` of the span of the eigenvector pairs (a, b),
+    a <= b, marked in ``keep``, for one eigenbasis ``v``; or one basis
+    ``(..., k, n, n)`` for each of a stack ``(..., n, n)`` of eigenbases
+    sharing ``keep``.
 
     A diagonal pair gives ``v_a v_a*``; an off-diagonal pair gives
     ``(v_a v_b* + v_b v_a*)/sqrt(2)`` and ``i (v_a v_b* - v_b v_a*)/sqrt(2)``.
-    The result is orthonormal because the eigenvectors are.
+    The basis is orthonormal because the eigenvectors are.
     """
     rows, cols = np.nonzero(np.triu(keep))
-    outer = np.einsum("ip,jp->pij", v[:, rows], v[:, cols].conj())
-    off = outer[rows != cols]
-    adj = off.conj().transpose(0, 2, 1)
+    outer = np.einsum("...ip,...jp->...pij", v[..., rows], v[..., cols].conj())
+    off = outer[..., rows != cols, :, :]
+    adj = off.conj().swapaxes(-1, -2)
     s = 1.0 / np.sqrt(2.0)
-    basis = np.concatenate([outer[rows == cols], s * (off + adj), 1j * s * (off - adj)])
-    return MatrixSubspace(basis)
+    return np.concatenate([outer[..., rows == cols, :, :], s * (off + adj), 1j * s * (off - adj)],
+                          axis=-3)
 
 
 def _coincident_runs(a: np.ndarray, tol: Tolerance
@@ -216,7 +219,7 @@ def commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspa
     :func:`_pair_masks`, ``|w_a - w_b|`` at or below its cut.
     """
     _, v, comm, _ = _pair_masks(a, tol)
-    return _pair_subspace(v, comm)
+    return MatrixSubspace(_pair_basis(v, comm))
 
 
 def anticommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
@@ -226,7 +229,7 @@ def anticommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSu
     :func:`_pair_masks`, ``|w_a + w_b|`` at or below its cut.
     """
     _, v, _, anti = _pair_masks(a, tol)
-    return _pair_subspace(v, anti)
+    return MatrixSubspace(_pair_basis(v, anti))
 
 
 @dataclass
@@ -247,7 +250,7 @@ class QuasiCommutant:
 def quasi_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> QuasiCommutant:
     """Commutant and anticommutant of ``A``, paired, from one eigendecomposition."""
     _, v, comm, anti = _pair_masks(a, tol)
-    return QuasiCommutant(_pair_subspace(v, comm), _pair_subspace(v, anti))
+    return QuasiCommutant(*(MatrixSubspace(_pair_basis(v, keep)) for keep in (comm, anti)))
 
 
 def bicommutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) -> MatrixSubspace:
@@ -350,7 +353,7 @@ def noncommuting_anticommuting_partner(
     a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> np.ndarray | None:
     """Unit Hermitian ``B = (v_a v_b* + v_b v_a*) / sqrt(2)``, the first
-    :func:`_pair_subspace` element of the first eigenvector pair (a, b)
+    :func:`_pair_basis` element of the first eigenvector pair (a, b)
     that :func:`quasi_equals_commutant` rules out; ``None`` exactly when it
     holds.  ``|AB - BA|_F = |w_a - w_b|`` is above the commutant cut but
     may be below ``rel_zero * max(1, |A|_F)``, where ``rel_c`` reads B as
@@ -362,7 +365,7 @@ def noncommuting_anticommuting_partner(
         return None
     first = np.zeros_like(comm)
     first[tuple(pairs[0])] = True
-    return _pair_subspace(v, first).basis[0]
+    return _pair_basis(v, first)[0]
 
 
 def refute_biquasi_membership(

@@ -47,15 +47,18 @@ ENTRY_BOUND = 1e75
 def _stack_depth(n: int) -> int:
     """How many ``n x n`` items a stacked search builds and decides at a
     time: as many as fit in 16,384 entries (256 KiB of complex numbers),
-    and at least one.  ``property_run`` trials (at its largest dimension),
-    ``lemma4_check`` candidates and refutation candidates all go by it:
-    256 at n = 8, 1820 at n = 3, 113 at n = 12, 16 at n = 32.
+    and at least one: 256 at n = 8, 1820 at n = 3, 113 at n = 12, 16 at
+    n = 32.  ``lemma4_check`` candidates and refutation candidates go by
+    it, and ``property_run`` builds a dimension's trials once it holds
+    ``_stack_depth(n) // len(dims)`` of them: 455, 256, 163 and 64 at dims
+    3, 4, 5, 8, so that every dimension's stack holds about 12,288 entries.
 
-    On a 2-vCPU VM, ``verify theorem-4`` and ``theorem-5`` at 2000 trials
-    (dims 3, 4, 5, 8) took 2.32-2.65 s in blocks of 256 trials against
-    2.72-3.33 s in blocks of 128, since a block splits into one group per
-    dimension and mode and small groups pay the overhead of each stacked
-    call.  Larger stacks outgrow a core's cache: at n = 32, stacked
+    On a 2-vCPU VM, a form-check pass of ``benchmarks/run.py``
+    (``verify theorem-4`` and ``theorem-5`` at 2000 trials, dims 3, 4, 5,
+    8) took a median 1.29 s this way against 1.67 s when all dimensions
+    shared blocks of ``_stack_depth(8)`` = 256 trials, since a stack splits
+    into one group per mode and small groups pay the overhead of each
+    stacked call.  Larger stacks outgrow a core's cache: at n = 32, stacked
     commutation verdicts took 6.8 ms per 128 pairs in stacks of 128 and
     3.1-3.9 ms in stacks of 16-64, against 5.6 ms for 128 pairs decided one
     at a time by a commutator and ``np.linalg.norm``.
@@ -383,8 +386,8 @@ def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _projection(frame: np.ndarray) -> np.ndarray:
     """Projection onto the span of the orthonormal columns of ``frame``,
-    symmetrized."""
-    return _symmetrize(frame @ frame.conj().T)
+    symmetrized, for one frame or a stack."""
+    return _symmetrize(frame @ frame.conj().swapaxes(-1, -2))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

@@ -13,14 +13,16 @@ make a map preserve the relation (see :class:`ShiftPolicy`).
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .commutant import (
     SearchExhausted,
+    _pair_basis,
     _pair_masks,
-    _pair_subspace,
     anticommutant,
     quasi_equals_commutant,
 )
@@ -195,9 +197,12 @@ def check_triadic(
     ``violation_backward`` when it holds only at the image.  Takes one
     triple and returns a ``str``, or three stacks ``(T, n, n)`` and returns
     an array of ``T`` verdicts.  The map's shift decides at ``tol`` too.
+    The map goes to A, B and C one stack each: on :func:`property_run`'s
+    stacks, one ``(3, T, n, n)`` stack took more time and 0.6 MiB more
+    peak memory.
     """
     source = triadic_relation(a, b, c, m.relation_kind, tol)
-    image = triadic_relation(*apply_map(m, np.stack([a, b, c]), tol), m.relation_kind, tol)
+    image = triadic_relation(*(apply_map(m, x, tol) for x in (a, b, c)), m.relation_kind, tol)
     verdict = _VERDICTS[2 * np.asarray(source, dtype=int) + image]
     return verdict if verdict.ndim else str(verdict)
 
@@ -312,9 +317,11 @@ def _draw(rng: np.random.Generator, dims: tuple[int, ...]):
 
 def _build(mode: int, dim: int, draws: list, tol: Tolerance) -> np.ndarray:
     """The triples of one mode and dimension from their draws, as a stack
-    ``(T, 3, n, n)``.  Each step (symmetrization, QR, ``eigh``, spectral
-    and partner products) is one call on the stack of the group, which
-    treats every slice as the per-matrix call would."""
+    ``(T, 3, n, n)``.  Each step (symmetrization, QR, ``eigh``, spectral,
+    projection and partner products) is one call on the stack of the
+    group, or of the group's trials that share a projection rank (mode 4)
+    or an anticommutant mask (mode 5), which treats every slice as the
+    per-matrix call would."""
     eye = np.eye(dim)
     if mode == _RANDOM:
         return _hermitian(np.array(draws))
@@ -337,54 +344,76 @@ def _build(mode: int, dim: int, draws: list, tol: Tolerance) -> np.ndarray:
         return np.array([(alpha * fa, eps * fe, ff)
                          for (fa, fe, ff), (_, alpha, eps) in zip(fixtures, draws)], dtype=complex)
     if mode == 4:
-        u = _unitary(np.array([normals for normals, *_ in draws]))
-        return np.array([(s_a * _projection(ua[:, :rank_a]) + t_a * eye,
-                          s_b * _projection(ub[:, :rank_b]) + t_b * eye,
-                          _projection(uc[:, :rank_c]))
-                         for (ua, ub, uc), (_, rank_a, s_a, t_a, rank_b, s_b, t_b, rank_c)
-                         in zip(u, draws)])
+        normals, rank_a, s_a, t_a, rank_b, s_b, t_b, rank_c = map(np.array, zip(*draws))
+        u = _unitary(normals)
+        ranks = np.stack([rank_a, rank_b, rank_c], axis=1)
+        p = np.empty_like(u)
+        for rank in set(ranks.flat):
+            at = ranks == rank
+            p[at] = _projection(u[at][..., :rank])
+        a = s_a[:, None, None] * p[:, 0] + t_a[:, None, None] * eye
+        b = s_b[:, None, None] * p[:, 1] + t_b[:, None, None] * eye
+        return np.stack([a, b, p[:, 2]], axis=1)
     # mode 5: how many coefficients a trial draws next is the dimension of
-    # the anticommutant of its difference d, so its tail waits for d's masks.
+    # the anticommutant of its difference d, so its tail waits for d's masks;
+    # then the trials of each mask build their elements of it at once.
     normals, values, rngs = zip(*draws)
     d = _spectral(_unitary(np.array(normals)), np.array(values))
     _, vectors, _, anti = _pair_masks(d, tol)
     tails = np.zeros((len(draws), 2, 2, dim, dim))  # C, unless drawn from the part, and B
-    from_part = {}
-    for i, rng in enumerate(rngs):
-        part = _pair_subspace(vectors[i], anti[i])
-        if part.real_dimension:
-            from_part[i] = part.random_element(rng)
+    keep = np.triu(anti)
+    # each anticommutant's real dimension: a diagonal pair gives one element, another two
+    sizes = 2 * keep.sum(axis=(1, 2)) - keep.trace(axis1=1, axis2=2)
+    masks: dict = {}  # bytes of an upper-triangle mask -> (mask, [trial], [coefficients])
+    for i, (rng, size) in enumerate(zip(rngs, sizes.tolist())):
+        if size:
+            _, trials, coefficients = masks.setdefault(keep[i].tobytes(), (keep[i], [], []))
+            trials.append(i)
+            coefficients.append(rng.standard_normal(size))
             rng.standard_normal(out=tails[i, 1])
         else:
             rng.standard_normal(out=tails[i])
     c, b = _hermitian(tails).swapaxes(0, 1)
-    for i, x in from_part.items():
-        c[i] = x
+    for mask, trials, coefficients in masks.values():
+        basis = _pair_basis(vectors[trials], mask)
+        # (T, 1, k): each trial's unit combination, normalized and combined as
+        # random_element does, one product on the stack per step
+        x = np.array(coefficients)[:, None]
+        unit = x / np.sqrt(x @ x.swapaxes(-1, -2))
+        c[trials] = (unit @ basis.reshape(len(trials), x.shape[-1], -1)).reshape(-1, dim, dim)
     return np.stack([b + d, b, c], axis=1)
 
 
-def _triples(seed: int, ts: range, dims: tuple[int, ...], tol: Tolerance):
-    """The triples of the trials ``ts`` by dimension: ``{dim: (trials,
-    stack)}``, the trial indices and their ``(T, 3, n, n)`` stack, in the
-    order of the dimension's (dim, mode) groups, not in trial order.
+def _stacks(seed: int, trials: int, dims: tuple[int, ...], tol: Tolerance):
+    """The triples of trials ``0 .. trials - 1``: yields ``(dim, trial
+    indices, (T, 3, n, n) stack)`` each time a dimension holds
+    ``max(1, _stack_depth(dim) // len(dims))`` trials not yet built, then
+    the rest of each dimension; a stack runs in the order of its mode
+    groups, not in trial order.
 
     Trial ``t`` makes all its draws from its own generator
     ``default_rng([seed, t])``, made by
     :func:`~commutant_lab.hermitian._generators` (:func:`_draw`); then the
-    trials of each mode and dimension are built at once (:func:`_build`).
+    held trials of each mode are built at once (:func:`_build`).
     """
-    groups: dict = {}  # (dim, mode) -> ([trial], [draws])
+    depth = {dim: max(1, _stack_depth(dim) // len(dims)) for dim in dims}
+    held: dict = {dim: [] for dim in dims}  # dim -> [(mode, trial, draws)]
+    mode_of = operator.itemgetter(0)
+
+    def build(dim):
+        group = sorted(held[dim], key=mode_of)  # stable: trial order within a mode
+        held[dim] = []
+        stack = np.concatenate([_build(mode, dim, [draws for *_, draws in items], tol)
+                                for mode, items in itertools.groupby(group, mode_of)])
+        return dim, [t for _, t, _ in group], stack
+
+    ts = range(trials)
     for t, rng in zip(ts, _generators([seed], ts)):
         dim, mode, draws = _draw(rng, dims)
-        trials, drawn = groups.setdefault((dim, mode), ([], []))
-        trials.append(t)
-        drawn.append(draws)
-    out = {}
-    for dim in sorted({dim for dim, _ in groups}):
-        keys = [key for key in groups if key[0] == dim]
-        out[dim] = (np.concatenate([groups[key][0] for key in keys]),
-                    np.concatenate([_build(key[1], dim, groups[key][1], tol) for key in keys]))
-    return out
+        held[dim].append((mode, t, draws))
+        if len(held[dim]) == depth[dim]:
+            yield build(dim)
+    yield from (build(dim) for dim in dims if held[dim])
 
 
 def property_run(
@@ -398,30 +427,25 @@ def property_run(
     ``maps`` is one map or a dict keyed by dimension; each trial derives its
     own generator from ``(seed, trial index)``, so runs replay exactly and
     trials may be evaluated in any order.  Each trial draws a structured
-    or a fully random triple with equal probability.  Triples are made
-    by :func:`_triples` a block of trials at a time, as many as
-    :func:`~commutant_lab.hermitian._stack_depth` gives the largest
-    dimension, and each block is evaluated per dimension in one stack; the
-    verdicts are those of :func:`check_triadic`, and violations are sorted
-    into trial order, so the report does not depend on the block size.
+    or a fully random triple with equal probability.  Trials are drawn in
+    order and held by dimension; :func:`_stacks` builds a dimension's
+    triples once it holds ``_stack_depth(dim) // len(dims)`` trials (455,
+    256, 163 and 64 at dims 3, 4, 5, 8; ``_stack_depth(dim)`` for one
+    dimension), and the rest at the end.  Each stack is decided whole by
+    :func:`check_triadic`, and violations are sorted into trial order, so
+    the report does not depend on the stack sizes.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_seed(seed)
     if isinstance(maps, PreserverMap):
         maps = {maps.dim: maps}
-    dims = tuple(sorted(maps))
     violations: list[Violation] = []
-    step = _stack_depth(max(dims))
-    for start in range(0, trials, step):
-        found = []
-        blocks = _triples(seed, range(start, min(start + step, trials)), dims, tol)
-        for dim, (indices, stack) in blocks.items():
-            verdicts = check_triadic(maps[dim], stack[:, 0], stack[:, 1], stack[:, 2], tol)
-            found += [Violation(*stack[i], direction=str(verdicts[i]), trial=int(indices[i]))
-                      for i in np.flatnonzero(is_violation(verdicts))]
-        violations += sorted(found, key=lambda v: v.trial)
-    return TrialReport(trials=trials, violations=violations)
+    for dim, indices, stack in _stacks(seed, trials, tuple(sorted(maps)), tol):
+        verdicts = check_triadic(maps[dim], stack[:, 0], stack[:, 1], stack[:, 2], tol)
+        violations += [Violation(*stack[i], direction=str(verdicts[i]), trial=indices[i])
+                       for i in np.flatnonzero(is_violation(verdicts))]
+    return TrialReport(trials=trials, violations=sorted(violations, key=lambda v: v.trial))
 
 
 def default_necessity_anchor(dim: int) -> np.ndarray:

@@ -1050,3 +1050,23 @@ def test_each_call_starts_with_an_empty_pair_cache(capsys, tmp_path):
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
     code, _, _ = run_cli(capsys, ["commutant"])  # a usage error empties it too
     assert (code, _cached_masks.cache_info().currsize) == (2, 0)
+
+
+def test_workload_commands_leave_numpy_ma_unloaded(tmp_path, monkeypatch):
+    """``np.unique`` imports ``numpy.ma``, which raises the peak memory of
+    a fresh process that has imported the CLI by about 1 MiB (29.3 to
+    30.3 MiB).  ``verify theorem-4``, ``verify all`` and ``commutant
+    --which quasi``, run in turn in one fresh process, never load it."""
+    monkeypatch.delenv("COMMUTANT_LAB_SEED", raising=False)
+    values = [2.0, -2.0, 1.0, 1.0, 0.0, 3.0]  # a sign pair, a double eigenvalue, a kernel
+    u = random_unitary(len(values), 47)
+    save_matrix(tmp_path / "a.json", (u * values) @ u.conj().T)
+    calls = [["verify", "theorem-4"], ["verify", "all"],
+             ["commutant", "--input", str(tmp_path / "a.json"), "--which", "quasi"]]
+    code = ("import sys\nfrom commutant_lab.cli import main\n"
+            f"codes = [main(argv) for argv in {calls!r}]\n"
+            "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert (fresh.returncode, fresh.stderr) == (0, "[0, 0, 0] False\n")

@@ -34,6 +34,7 @@ from commutant_lab import (
     subspace_leq,
     subspace_proper_lt,
 )
+from commutant_lab import suites
 from commutant_lab.commutant import (_cached_masks, _cut_masks, _decompose,
                                      _krylov_bicommutant, _pair_masks)
 from commutant_lab.hermitian import _stack_depth
@@ -46,6 +47,7 @@ from oracles import (
     kernel_bicommutant,
     kernel_commutant,
     serial_refute_biquasi_membership,
+    serial_rel_q,
     spectrum_has_sign_pair,
     subspace_quasi_equals_commutant,
 )
@@ -651,6 +653,25 @@ class TestRefutationOfAStack:
     def test_parameters(self):
         parameters = inspect.signature(refute_biquasi_membership).parameters
         assert list(parameters) == ["x", "a", "budget", "seed", "tol"]
+
+    def test_lemma_7_witnesses_break_their_outsiders(self, monkeypatch):
+        """``suite_lemma_7`` checks only that a witness lies in the
+        quasi-commutant; that it neither commutes nor anticommutes with its
+        outsider is decided here, by ``serial_rel_q``, for every witness of
+        a seed-0 run."""
+        searches = []
+
+        def recorded(x, a, **kwargs):
+            searches.append((x, refute_biquasi_membership(x, a, **kwargs)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(suites, "refute_biquasi_membership", recorded)
+        result = suites.suite_lemma_7(seed=0)
+        assert result["passed"]
+        pairs = [(x, witness) for targets, witnesses in searches
+                 for x, witness in zip(targets, witnesses, strict=True) if witness is not None]
+        assert len(pairs) == result["details"]["outsiders_refuted"] > 0
+        assert not any(serial_rel_q(x, witness) for x, witness in pairs)
 
 
 class TestPairMaskCache:

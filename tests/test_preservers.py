@@ -38,8 +38,8 @@ from commutant_lab.preservers import (
     VIOLATION_FORWARD,
     _aef_fixtures,
     _lemma4_candidates,
+    _stacks,
     _swap_partner,
-    _triples,
     default_necessity_anchor,
 )
 from commutant_lab.suites import replay_violation, suite_theorem_5, violation_to_payload
@@ -466,12 +466,37 @@ class TestPropertyRun:
             property_run({3: wrong}, trials=5)
 
 
-def block_triples(dims, start, stop, tol):
-    """``(trial, dim, triple)`` of the trials ``start .. stop - 1`` made by
-    ``_triples``, in trial order."""
-    made = [(int(t), dim, tuple(triple))
-            for dim, (trials, stack) in _triples(11, range(start, stop), dims, tol).items()
-            for t, triple in zip(trials, stack, strict=True)]
+def flush_depth(dims, dim):
+    """How many held trials of ``dim`` make ``property_run`` build a stack."""
+    return max(1, _stack_depth(dim) // len(dims))
+
+
+def trials_per_dim(seed, dims, trials):
+    """How many of trials ``0 .. trials - 1`` draw each dimension."""
+    drawn = [dims[int(np.random.default_rng([seed, t]).integers(len(dims)))]
+             for t in range(trials)]
+    return {dim: drawn.count(dim) for dim in dims}
+
+
+def assert_flushes(seed, dims, trials):
+    """Every dimension of a run fills at least one stack and ends on a
+    partial one."""
+    for dim, count in trials_per_dim(seed, dims, trials).items():
+        depth = flush_depth(dims, dim)
+        assert count > depth and count % depth, (dim, count, depth)
+
+
+def block_triples(dims, trials, tol):
+    """``(trial, dim, triple)`` of trials ``0 .. trials - 1`` made by
+    ``_stacks``, in trial order.  Each dimension's stacks hold its flush
+    depth, but its last, which holds the rest."""
+    stacks = list(_stacks(11, trials, dims, tol))
+    for dim, count in trials_per_dim(11, dims, trials).items():
+        depth = flush_depth(dims, dim)
+        sizes = [len(indices) for d, indices, _ in stacks if d == dim]
+        assert sizes == [depth] * (count // depth) + [count % depth] * bool(count % depth)
+    made = [(t, dim, tuple(triple)) for dim, indices, stack in stacks
+            for t, triple in zip(indices, stack, strict=True)]
     return sorted(made, key=lambda item: item[0])
 
 
@@ -489,10 +514,9 @@ class TestStagedGenerator:
     @pytest.mark.parametrize("tol", [Tolerance(), LOOSE, Tolerance(rank_cut=0.0)],
                              ids=["default", "loose-rank-cut", "zero-rank-cut"])
     def test_matches_serial_triple_byte_for_byte(self, dims, tol):
-        step = _stack_depth(max(dims))
-        trials = 2 * step + 44  # two full blocks and a partial one
-        made = [item for start in range(0, trials, step)
-                for item in block_triples(dims, start, min(start + step, trials), tol)]
+        trials = {(3, 4, 5, 8): 2000, (16,): 172}[dims]
+        assert_flushes(11, dims, trials)
+        made = block_triples(dims, trials, tol)
         assert [t for t, _, _ in made] == list(range(trials))
         for t, dim, triple in made:
             rng = np.random.default_rng([11, t])
@@ -504,8 +528,8 @@ class TestStagedGenerator:
     def test_loose_rank_cut_changes_mode_5_draws(self, dims):
         # only mode 5 reads the tolerance, so a changed triple is a mode-5
         # trial whose anticommutant dimension moved
-        default = block_triples(dims, 0, _stack_depth(max(dims)), Tolerance())
-        loose = block_triples(dims, 0, _stack_depth(max(dims)), self.LOOSE)
+        default = block_triples(dims, _stack_depth(max(dims)), Tolerance())
+        loose = block_triples(dims, _stack_depth(max(dims)), self.LOOSE)
         assert any(x.tobytes() != y.tobytes()
                    for (_, _, p), (_, _, q) in zip(default, loose) for x, y in zip(p, q))
 
@@ -605,16 +629,16 @@ class TestBatchedOracle:
 
     @staticmethod
     def check_property_run(name, dims, trials):
-        """``property_run`` against ``serial_property_run`` over at least
-        two full blocks of ``_stack_depth(max(dims))`` trials and a partial
-        one."""
+        """``property_run`` against ``serial_property_run`` over a run in
+        which every dimension fills at least one stack and ends on a
+        partial one."""
         violates, build = ORACLE_MAPS[name]
         maps = {d: build(d) for d in dims}
-        step = _stack_depth(max(dims))
-        assert trials > 2 * step and trials % step
+        assert_flushes(5, dims, trials)
         report = property_run(maps, trials=trials, seed=5)
         expected = serial_property_run(maps, trials, seed=5)
         assert bool(expected) == violates
+        assert [v.trial for v in report.violations] == sorted(v.trial for v in report.violations)
         assert [(v.trial, v.direction) for v in report.violations] == [
             (t, direction) for t, direction, *_ in expected]
         for v, (_, _, a, b, c) in zip(report.violations, expected):
@@ -625,11 +649,19 @@ class TestBatchedOracle:
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic(self, name):
-        self.check_property_run(name, (3, 4, 5), 2 * _stack_depth(5) + 44)
+        self.check_property_run(name, (3, 4, 5), 2000)  # stacks of 606, 341 and 218
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic_at_n32(self, name):
-        self.check_property_run(name, (32,), 53)  # four blocks of up to 16
+        self.check_property_run(name, (32,), 53)  # four stacks of up to 16
+
+    def test_property_run_flushes_mixed_dimensions(self):
+        """Stacks of 910 trials at n = 3 and of 32 at n = 16: n = 16 fills
+        many stacks while n = 3 fills one, and violations of both come back
+        in trial order."""
+        assert (flush_depth((3, 16), 3), flush_depth((3, 16), 16)) == (910, 32)
+        assert trials_per_dim(5, (3, 16), 2000)[16] > 2 * 32
+        self.check_property_run("trace_based", (3, 16), 2000)
 
     @staticmethod
     def serial_lemma4(lam, projection, candidates, seed, tol):
