@@ -25,10 +25,10 @@ seeded, reproducible desk-scale computations:
 from .commutant import (
     MatrixSubspace,
     QuasiCommutant,
+    SearchExhausted,
     anticommutant,
     bicommutant,
     commutant,
-    noncommuting_anticommuting_partner,
     quasi_commutant,
     quasi_equals_commutant,
     refute_biquasi_membership,
@@ -55,9 +55,7 @@ from .hermitian import (
 from .matrixfile import load_matrix, matrix_to_payload, payload_to_matrix, save_matrix
 from .preservers import (
     PreserverMap,
-    SearchExhausted,
     ShiftPolicy,
-    TrialReport,
     Violation,
     apply_map,
     check_triadic,

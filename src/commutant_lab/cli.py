@@ -298,10 +298,10 @@ def cmd_search(args, seed: int, tol: Tolerance) -> dict:
     try:
         if args.kind == "necessity-f":
             preserver = necessity_map(args.dim)
-            trial_report = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol,
-                                            preserver=preserver)
-            return {**report, "status": f"violation found after {trial_report.trials} trials",
-                    "violation": violation_to_payload(trial_report.violations[0], preserver)}
+            violation = necessity_search(args.dim, budget=args.budget, seed=seed, tol=tol,
+                                         preserver=preserver)
+            return {**report, "status": f"violation found after {violation.trial + 1} trials",
+                    "violation": violation_to_payload(violation, preserver)}
         matrix = load_matrix(args.input)
         if args.kind == "scalar-witness":
             witness = scalar_witness(matrix, seed=seed, tol=tol)

@@ -59,7 +59,6 @@ __all__ = [
     "anticommutant",
     "bicommutant",
     "commutant",
-    "noncommuting_anticommuting_partner",
     "quasi_commutant",
     "quasi_equals_commutant",
     "refute_biquasi_membership",
@@ -347,25 +346,6 @@ def quasi_equals_commutant(a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE) ->
     _, _, comm, anti = _pair_masks(a, tol)
     held = ~np.any(anti & ~comm, axis=(-2, -1))
     return held if held.ndim else bool(held)
-
-
-def noncommuting_anticommuting_partner(
-    a: np.ndarray, tol: Tolerance = DEFAULT_TOLERANCE
-) -> np.ndarray | None:
-    """Unit Hermitian ``B = (v_a v_b* + v_b v_a*) / sqrt(2)``, the first
-    :func:`_pair_basis` element of the first eigenvector pair (a, b)
-    that :func:`quasi_equals_commutant` rules out; ``None`` exactly when it
-    holds.  ``|AB - BA|_F = |w_a - w_b|`` is above the commutant cut but
-    may be below ``rel_zero * max(1, |A|_F)``, where ``rel_c`` reads B as
-    commuting with ``A``.
-    """
-    _, v, comm, anti = _pair_masks(a, tol)
-    pairs = np.argwhere(anti & ~comm)
-    if len(pairs) == 0:
-        return None
-    first = np.zeros_like(comm)
-    first[tuple(pairs[0])] = True
-    return _pair_basis(v, first)[0]
 
 
 def refute_biquasi_membership(

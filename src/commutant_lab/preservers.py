@@ -50,9 +50,7 @@ __all__ = [
     "BOTH_FAIL",
     "BOTH_HOLD",
     "PreserverMap",
-    "SearchExhausted",
     "ShiftPolicy",
-    "TrialReport",
     "VIOLATION_BACKWARD",
     "VIOLATION_FORWARD",
     "Violation",
@@ -227,18 +225,6 @@ class Violation:
 
     def __post_init__(self) -> None:
         self.a, self.b, self.c = np.array(self.a), np.array(self.b), np.array(self.c)
-
-
-@dataclass
-class TrialReport:
-    """Outcome of one property suite run."""
-
-    trials: int
-    violations: list[Violation]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 @functools.lru_cache(maxsize=64)
@@ -417,35 +403,42 @@ def _stacks(seed: int, trials: int, dims: tuple[int, ...], tol: Tolerance):
 
 
 def property_run(
-    maps: PreserverMap | dict[int, PreserverMap],
+    maps: dict[int, PreserverMap],
     trials: int,
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> TrialReport:
-    """Aggregate triadic verdicts on ``trials`` sampled triples.
+) -> list[Violation]:
+    """The violations, in trial order, of triadic verdicts on ``trials``
+    sampled triples.
 
-    ``maps`` is one map or a dict keyed by dimension; each trial derives its
-    own generator from ``(seed, trial index)``, so runs replay exactly and
-    trials may be evaluated in any order.  Each trial draws a structured
-    or a fully random triple with equal probability.  Trials are drawn in
-    order and held by dimension; :func:`_stacks` builds a dimension's
-    triples once it holds ``_stack_depth(dim) // len(dims)`` trials (455,
-    256, 163 and 64 at dims 3, 4, 5, 8; ``_stack_depth(dim)`` for one
-    dimension), and the rest at the end.  Each stack is decided whole by
-    :func:`check_triadic`, and violations are sorted into trial order, so
-    the report does not depend on the stack sizes.
+    ``maps`` holds one map per dimension, keyed by it, each of at least 3;
+    an empty dict, a key below 3 or a map of another dimension than its key
+    is refused before the first draw.  Each trial derives its own generator
+    from ``(seed, trial index)``, so runs replay exactly and trials may be
+    evaluated in any order.  Each trial draws a structured or a fully
+    random triple with equal probability.  Trials are drawn in order and
+    held by dimension; :func:`_stacks` builds a dimension's triples once it
+    holds ``_stack_depth(dim) // len(dims)`` trials (455, 256, 163 and 64
+    at dims 3, 4, 5, 8; ``_stack_depth(dim)`` for one dimension), and the
+    rest at the end.  Each stack is decided whole by :func:`check_triadic`,
+    so the violations do not depend on the stack sizes.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _check_seed(seed)
-    if isinstance(maps, PreserverMap):
-        maps = {maps.dim: maps}
+    if not maps:
+        raise ValueError("maps must hold at least one dimension")
+    for dim, m in maps.items():
+        if dim < 3:
+            raise ValueError(_BELOW_THREE)
+        if m.conjugator.shape != (dim, dim):
+            raise ValueError(f"dimension mismatch: map is {m.conjugator.shape}, input {(dim, dim)}")
     violations: list[Violation] = []
     for dim, indices, stack in _stacks(seed, trials, tuple(sorted(maps)), tol):
         verdicts = check_triadic(maps[dim], stack[:, 0], stack[:, 1], stack[:, 2], tol)
         violations += [Violation(*stack[i], direction=str(verdicts[i]), trial=indices[i])
                        for i in np.flatnonzero(is_violation(verdicts))]
-    return TrialReport(trials=trials, violations=sorted(violations, key=lambda v: v.trial))
+    return sorted(violations, key=lambda v: v.trial)
 
 
 def default_necessity_anchor(dim: int) -> np.ndarray:
@@ -476,9 +469,10 @@ def necessity_search(
     seed: int = 0,
     tol: Tolerance = DEFAULT_TOLERANCE,
     preserver: PreserverMap | None = None,
-) -> TrialReport:
+) -> Violation:
     """Exhibit a triple broken by a quasi-side map whose shift is nonzero on
-    a matrix with a noncommuting anticommuting partner.
+    a matrix with a noncommuting anticommuting partner: the first violation,
+    whose ``trial`` is the index of the trial that found it.
 
     The default map is :func:`necessity_map`; candidate triples pair its
     anchor ``diag(1, -1, 0, ...)`` with a scalar and a third matrix: the
@@ -507,8 +501,7 @@ def necessity_search(
                 break
         verdict = check_triadic(preserver, a0, zero, c, tol)
         if is_violation(verdict):
-            return TrialReport(trials=t + 1, violations=[
-                Violation(a=a0, b=zero, c=c, direction=verdict, trial=t)])
+            return Violation(a=a0, b=zero, c=c, direction=verdict, trial=t)
     raise SearchExhausted(
         f"no violating triple within {budget} trials; the shift appears compliant"
     )

@@ -944,7 +944,7 @@ def compliant_quasi_record(path):
                      shift=ShiftPolicy("theorem_compliant_quasi",
                                        inner=ShiftPolicy("trace_based")),
                      relation_kind="quasi")
-    violation = property_run({3: m}, trials=10, seed=104729).violations[0]
+    violation = property_run({3: m}, trials=10, seed=104729)[0]
     path.write_text(json.dumps(violation_to_payload(violation, m)))
 
 

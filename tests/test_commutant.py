@@ -20,7 +20,6 @@ from commutant_lab import (
     commutant,
     frobenius,
     is_scalar,
-    noncommuting_anticommuting_partner,
     quasi_commutant,
     quasi_equals_commutant,
     random_hermitian,
@@ -62,6 +61,15 @@ def mixed_sample(rng, dim):
         return random_hermitian(dim, rng)
     values = rng.choice(np.arange(-3, 4), size=dim, replace=True).astype(float)
     return spectrum_matrix(rng, dim, values)
+
+
+def pair_element(a, i, j):
+    """Unit Hermitian ``(v_i v_j* + v_j v_i*) / sqrt(2)`` from the
+    eigenvectors i and j of ``np.linalg.eigh(a)``; it anticommutes with
+    ``A`` when ``w_i + w_j = 0`` and commutes with it when ``w_i = w_j``."""
+    v = np.linalg.eigh(a)[1]
+    x = np.outer(v[:, i], v[:, j].conj())
+    return (x + x.conj().T) / np.sqrt(2.0)
 
 
 class TestHermitianBasis:
@@ -292,10 +300,11 @@ class TestQuasiGapSweep:
     each spectrum moves by ``delta`` from 1e-12 to 1e-6, conjugated by a
     fixed Haar unitary.
 
-    ``quasi_equals_commutant`` and ``noncommuting_anticommuting_partner``
-    read one pair rule: a pair lies in the anticommutant mask (``|w_a +
-    w_b|`` at or below its ``rank_cut`` cut) and outside the commutant mask
-    (``|w_a - w_b|`` above its cut).
+    ``quasi_equals_commutant`` reads one pair rule: a pair lies in the
+    anticommutant mask (``|w_a + w_b|`` at or below its ``rank_cut`` cut)
+    and outside the commutant mask (``|w_a - w_b|`` above its cut).  The
+    swept pair is the two lowest eigenvalues of both spectra, so its
+    element, the partner, is ``pair_element(a, 0, 1)``, from ``eigh``.
 
     * (0, delta, 5, 5.0001): the pair (0, delta) leaves the commutant at a
       difference cut of about 7.1e-10 and the anticommutant at a sum cut
@@ -319,11 +328,24 @@ class TestQuasiGapSweep:
             m = (u * np.asarray(values)) @ u.conj().T
             yield np.asarray(values), (m + m.conj().T) / 2.0
 
-    def test_partner_exists_exactly_when_the_decision_is_false(self):
+    @staticmethod
+    def cuts(values, tol):
+        """The commutant (difference) and anticommutant (sum) cuts."""
+        scale = max(1.0, np.linalg.norm(values))
+        return (tol.rank_cut * max(np.ptp(values), scale),
+                tol.rank_cut * max(2.0 * np.abs(values).max(), scale))
+
+    def test_partner_exists_exactly_when_the_decision_is_false(self, tol):
+        """The pair element is a partner on the cuts, its anticommutator at
+        or below the sum cut and its commutator above the difference cut,
+        exactly where the decision is false."""
         for delta in self.DELTAS:
-            for _, a in self.matrices(delta):
-                assert (noncommuting_anticommuting_partner(a) is None) == \
-                    quasi_equals_commutant(a), delta
+            for values, a in self.matrices(delta):
+                diff_cut, sum_cut = self.cuts(values, tol)
+                b = pair_element(a, 0, 1)
+                partnered = (frobenius(a @ b + b @ a) <= sum_cut
+                             and frobenius(a @ b - b @ a) > diff_cut)
+                assert quasi_equals_commutant(a) == (not partnered), delta
 
     def test_decision_matches_the_subspace_route(self):
         for delta in self.DELTAS:
@@ -333,9 +355,7 @@ class TestQuasiGapSweep:
     def test_decision_follows_the_pair_cuts(self, tol):
         for delta in self.DELTAS:
             for values, a in self.matrices(delta):
-                scale = max(1.0, np.linalg.norm(values))
-                diff_cut = tol.rank_cut * max(np.ptp(values), scale)
-                sum_cut = tol.rank_cut * max(2.0 * np.abs(values).max(), scale)
+                diff_cut, sum_cut = self.cuts(values, tol)
                 pair_sum, pair_diff = abs(values[0] + values[1]), abs(values[1] - values[0])
                 partnered = pair_sum <= sum_cut and pair_diff > diff_cut
                 assert quasi_equals_commutant(a) == (not partnered), delta
@@ -346,9 +366,9 @@ class TestQuasiGapSweep:
         for delta in self.DELTAS:
             (_, first), (_, second) = self.matrices(delta)
             for a, window in ((first, (lo, hi)), (second, (0.0, 0.0))):
-                b = noncommuting_anticommuting_partner(a)
-                if b is None:
+                if quasi_equals_commutant(a):
                     continue
+                b = pair_element(a, 0, 1)
                 assert abs(frobenius(b) - 1.0) <= 1e-12
                 assert frobenius(b - b.conj().T) == 0.0
                 assert rel_j(a, b), delta
@@ -464,26 +484,20 @@ class TestQuasiEqualsCommutant:
             assert quasi_equals_commutant(a) == (not spectrum_has_sign_pair(a))
 
     def test_partner_existence_matches_predicate(self):
+        """``eigh`` finds an eigenvalue pair of opposite sign, whose element
+        anticommutes with A and does not commute with it, exactly where the
+        decision is false."""
         for seed in range(40):
             rng = np.random.default_rng([seed, 5])
             a = mixed_sample(rng, int(rng.integers(3, 7)))
-            partner = noncommuting_anticommuting_partner(a)
-            assert (partner is None) == quasi_equals_commutant(a)
-            if partner is not None:
-                assert abs(frobenius(partner) - 1.0) <= 1e-9
-                assert rel_j(a, partner) and not rel_c(a, partner)
-
-
-class TestPartner:
-    def test_explicit_pair(self):
-        b = noncommuting_anticommuting_partner(diag(1, -1, 0))
-        assert b is not None
-        assert rel_j(diag(1, -1, 0), b)
-        assert not rel_c(diag(1, -1, 0), b)
-
-    def test_none_cases(self):
-        assert noncommuting_anticommuting_partner(diag(1, 2, 3)) is None
-        assert noncommuting_anticommuting_partner(np.eye(4, dtype=complex)) is None
+            w = np.linalg.eigvalsh(a)
+            pairs = [(i, j) for i in range(len(w)) for j in range(i + 1, len(w))
+                     if abs(w[i] + w[j]) <= 1e-6 < abs(w[i] - w[j])]
+            assert (not pairs) == quasi_equals_commutant(a)
+            for i, j in pairs:
+                b = pair_element(a, i, j)
+                assert abs(frobenius(b) - 1.0) <= 1e-9
+                assert rel_j(a, b) and not rel_c(a, b)
 
 
 def refute_one(x, a, **kwargs):

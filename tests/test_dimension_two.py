@@ -11,8 +11,9 @@ real function s: nine parameters, where the classified form has four
 quasi relation is not preserved: traceless D and C anticommute exactly
 when ``x_D . x_C = 0``, which only a scaled orthogonal L keeps.
 
-The triples are those of ``property_run`` at n = 2 (``preservers._draw``
-and ``_build``), without mode 3, whose block fixtures need n >= 3.
+The triples are those that ``property_run``, which refuses n = 2, would
+draw there (``preservers._draw`` and ``_build``), without mode 3, whose
+block fixtures need n >= 3.
 """
 
 import numpy as np

@@ -18,7 +18,6 @@ from commutant_lab import (
     lemma4_check,
     necessity_map,
     necessity_search,
-    noncommuting_anticommuting_partner,
     property_run,
     quasi_equals_commutant,
     random_hermitian,
@@ -36,6 +35,7 @@ from commutant_lab.preservers import (
     BOTH_HOLD,
     VIOLATION_BACKWARD,
     VIOLATION_FORWARD,
+    _BELOW_THREE,
     _aef_fixtures,
     _lemma4_candidates,
     _stacks,
@@ -143,7 +143,8 @@ class TestShiftPolicies:
         shift = ShiftPolicy("theorem_compliant_quasi",
                                   inner=ShiftPolicy("trace_based"))
         partnered = diag(1, -1, 0)
-        assert noncommuting_anticommuting_partner(partnered) is not None
+        swap = _swap_partner(np.eye(3, dtype=complex))
+        assert rel_j(partnered, swap) and not rel_c(partnered, swap)
         assert shift(partnered) == 0.0
         partner_free = diag(1, 2, 3)
         assert shift(partner_free) == pytest.approx(2.0)
@@ -417,8 +418,7 @@ class TestAntiunitaryConsistency:
 
 class TestPropertyRun:
     def test_identity_clean(self):
-        report = property_run(identity_map(3), trials=100, seed=0)
-        assert report.passed and report.trials == 100
+        assert property_run({3: identity_map(3)}, trials=100, seed=0) == []
 
     def test_commutative_form_clean(self):
         maps = {
@@ -427,8 +427,7 @@ class TestPropertyRun:
                             relation_kind="commutative")
             for d in (3, 4, 5)
         }
-        report = property_run(maps, trials=600, seed=1)
-        assert report.passed
+        assert property_run(maps, trials=600, seed=1) == []
 
     def test_quasi_zero_shift_clean(self):
         maps = {
@@ -436,14 +435,13 @@ class TestPropertyRun:
                             shift=ShiftPolicy("zero"), relation_kind="quasi")
             for d in (3, 4, 5)
         }
-        report = property_run(maps, trials=600, seed=2)
-        assert report.passed
+        assert property_run(maps, trials=600, seed=2) == []
 
     def test_deterministic_replay(self):
-        maps = identity_map(4, "quasi")
+        maps = {4: identity_map(4, "quasi")}
         r1 = property_run(maps, trials=50, seed=3)
         r2 = property_run(maps, trials=50, seed=3)
-        assert r1.trials == r2.trials and len(r1.violations) == len(r2.violations)
+        assert [(v.trial, v.direction) for v in r1] == [(v.trial, v.direction) for v in r2]
 
     def test_structured_generator_hits_true_sources(self):
         # without structured triples the forward direction would be vacuous
@@ -457,13 +455,28 @@ class TestPropertyRun:
 
     def test_trials_validation(self):
         with pytest.raises(ValueError, match="trials"):
-            property_run(identity_map(3), trials=0)
+            property_run({3: identity_map(3)}, trials=0)
 
-    def test_map_of_wrong_dimension_rejected(self):
+    # Each is refused before the first draw, so at every seed: at n = 2 only
+    # mode 3 (build_aef) would refuse, and an empty dict has no draw to make.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_map_of_wrong_dimension_rejected(self, seed):
         wrong = PreserverMap(1.0, random_unitary(4, 28))
         message = r"^dimension mismatch: map is \(4, 4\), input \(3, 3\)$"
         with pytest.raises(ValueError, match=message):
-            property_run({3: wrong}, trials=5)
+            property_run({3: wrong, 4: identity_map(4)}, trials=5, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dimension_below_three_rejected(self, seed):
+        for maps in ({2: identity_map(2)}, {2: identity_map(2), 3: identity_map(3)}):
+            with pytest.raises(ValueError) as info:
+                property_run(maps, trials=4, seed=seed)
+            assert str(info.value) == _BELOW_THREE
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_empty_maps_rejected(self, seed):
+        with pytest.raises(ValueError, match="^maps must hold at least one dimension$"):
+            property_run({}, trials=3, seed=seed)
 
 
 def flush_depth(dims, dim):
@@ -635,17 +648,17 @@ class TestBatchedOracle:
         violates, build = ORACLE_MAPS[name]
         maps = {d: build(d) for d in dims}
         assert_flushes(5, dims, trials)
-        report = property_run(maps, trials=trials, seed=5)
+        violations = property_run(maps, trials=trials, seed=5)
         expected = serial_property_run(maps, trials, seed=5)
         assert bool(expected) == violates
-        assert [v.trial for v in report.violations] == sorted(v.trial for v in report.violations)
-        assert [(v.trial, v.direction) for v in report.violations] == [
+        assert [v.trial for v in violations] == sorted(v.trial for v in violations)
+        assert [(v.trial, v.direction) for v in violations] == [
             (t, direction) for t, direction, *_ in expected]
-        for v, (_, _, a, b, c) in zip(report.violations, expected):
+        for v, (_, _, a, b, c) in zip(violations, expected):
             assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
                        for x, y in ((v.a, a), (v.b, b), (v.c, c)))
         if violates:
-            assert {v.a.shape[0] for v in report.violations} == set(dims)
+            assert {v.a.shape[0] for v in violations} == set(dims)
 
     @pytest.mark.parametrize("name", list(ORACLE_MAPS))
     def test_property_run_matches_check_triadic(self, name):
@@ -743,10 +756,8 @@ class TestBatchedOracle:
 class TestNecessitySearch:
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_finds_violation_quickly(self, dim):
-        report = necessity_search(dim, budget=100, seed=4)
-        assert report.violations
-        assert report.trials <= 100
-        violation = report.violations[0]
+        violation = necessity_search(dim, budget=100, seed=4)
+        assert violation.trial < 100
         # the emitted triple re-validates
         m = necessity_map(dim)
         assert check_triadic(m, violation.a, violation.b, violation.c) == violation.direction
@@ -779,7 +790,7 @@ class TestNecessitySearch:
         solve = preservers.anticommutant
         monkeypatch.setattr(preservers, "anticommutant",
                             lambda a, tol: built.append(dim) or solve(a, tol))
-        assert necessity_search(dim).trials == 1
+        assert necessity_search(dim).trial == 0
         assert built == []
         compliant = PreserverMap(1.0, np.eye(dim, dtype=complex),
                                  shift=ShiftPolicy("zero"), relation_kind="quasi")
@@ -872,7 +883,7 @@ class TestSeedValidation:
     @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5")],
                              ids=["negative", "fractional"])
     @pytest.mark.parametrize("search", [
-        lambda seed: property_run(identity_map(3), trials=1, seed=seed),
+        lambda seed: property_run({3: identity_map(3)}, trials=1, seed=seed),
         lambda seed: necessity_search(3, budget=1, seed=seed),
         lambda seed: lemma4_check(2.0, diag(1, 0, 0), candidates=1, seed=seed),
         lambda seed: scalar_witness(diag(1, 2, 3), seed=seed),
